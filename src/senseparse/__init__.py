@@ -8,123 +8,4 @@ parser variants against synset-level gold annotations with exact,
 Wu-Palmer, and factor-similarity agreement.
 """
 
-from .advice import (
-    SentenceRecord,
-    TokenRecord,
-    UnifiedToken,
-    build_advice_map,
-    load_advice,
-    load_corpus,
-    unify,
-)
-from .diagnostics import Diagnostics
-from .errors import (
-    FormatError,
-    ParseFailure,
-    SenseParseError,
-    StructuralError,
-    UnknownName,
-)
-from .evaluation import (
-    Resources,
-    ScoreReport,
-    VariantConfig,
-    load_resources,
-    run_experiment,
-)
-from .hinting import AdviceMap, Hint, augment, fix_senses, prehint, progressive_score
-from .lexicon import (
-    LexicalEntry,
-    Lexicon,
-    SyntacticTemplate,
-    load_lexicon,
-    prune_entries,
-)
-from .ontology import (
-    FactorizedOntology,
-    Ontology,
-    OntologyType,
-    RoleSpec,
-    factorize,
-    load_ontology,
-    semfac_similarity,
-)
-from .parser import (
-    ChartParser,
-    Constituent,
-    Grammar,
-    GrammarRule,
-    LogicalForm,
-    ParseResult,
-    ParserConfig,
-    Token,
-    load_grammar,
-    verify_role_soundness,
-)
-from .sensemap import (
-    SenseDistribution,
-    Synset,
-    SynsetGraph,
-    TypeAdvice,
-    best_types,
-    load_synsets,
-    transform_advice,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdviceMap",
-    "ChartParser",
-    "Constituent",
-    "Diagnostics",
-    "FactorizedOntology",
-    "FormatError",
-    "Grammar",
-    "GrammarRule",
-    "Hint",
-    "LexicalEntry",
-    "Lexicon",
-    "LogicalForm",
-    "Ontology",
-    "OntologyType",
-    "ParseFailure",
-    "ParseResult",
-    "ParserConfig",
-    "Resources",
-    "RoleSpec",
-    "ScoreReport",
-    "SenseDistribution",
-    "SenseParseError",
-    "SentenceRecord",
-    "StructuralError",
-    "Synset",
-    "SynsetGraph",
-    "SyntacticTemplate",
-    "Token",
-    "TokenRecord",
-    "TypeAdvice",
-    "UnifiedToken",
-    "UnknownName",
-    "VariantConfig",
-    "augment",
-    "best_types",
-    "build_advice_map",
-    "factorize",
-    "fix_senses",
-    "load_advice",
-    "load_corpus",
-    "load_grammar",
-    "load_lexicon",
-    "load_ontology",
-    "load_resources",
-    "load_synsets",
-    "prehint",
-    "progressive_score",
-    "prune_entries",
-    "run_experiment",
-    "semfac_similarity",
-    "transform_advice",
-    "unify",
-    "verify_role_soundness",
-]

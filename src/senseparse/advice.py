@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
+from . import records
 from .diagnostics import Diagnostics
 from .errors import FormatError
-from .hinting import AdviceMap, Hint
+from .hinting import AdviceMap, Hint, _spans_intersect
 from .ontology import Ontology
 from .sensemap import SenseDistribution, SynsetGraph, best_types, transform_advice
 
@@ -51,40 +52,36 @@ class TokenRecord:
 class UnifiedToken:
     parser_index: int
     wsd_index: int | None = None
-    gold_index: int | None = None
 
 
 def unify(
-    parser_tokens: Sequence[TokenRecord], other_tokens: Sequence[TokenRecord]
+    parser_tokens: Sequence[TokenRecord], wsd_tokens: Sequence[TokenRecord]
 ) -> list[UnifiedToken]:
-    """Match another system's tokens onto parser tokens, one-to-one.
+    """Match the disambiguator's tokens onto parser tokens, one-to-one.
 
     Pass 1 claims pairs whose character spans intersect and whose lemmas
     are exactly equal; pass 2 claims remaining pairs with identical
     surface words, greedily left-to-right by parser index.  Unmatched
     tokens on either side stay unmatched.
     """
-    sources = {t.source for t in other_tokens}
-    if len(sources) > 1:
-        raise ValueError(f"mixed token sources: {sorted(sources)}")
-    source = sources.pop() if sources else "wsd"
-    if source not in ("wsd", "gold"):
-        raise ValueError(f"cannot unify source '{source}'")
+    for t in wsd_tokens:
+        if t.source != "wsd":
+            raise ValueError(f"cannot unify source '{t.source}'")
 
     matched: dict[int, int] = {}
     taken: set[int] = set()
     for p in parser_tokens:
-        for o in other_tokens:
+        for o in wsd_tokens:
             if o.index in taken:
                 continue
-            if _intersect(p.span, o.span) and p.lemma == o.lemma:
+            if _spans_intersect(p.span, o.span) and p.lemma == o.lemma:
                 matched[p.index] = o.index
                 taken.add(o.index)
                 break
     for p in parser_tokens:
         if p.index in matched:
             continue
-        for o in other_tokens:
+        for o in wsd_tokens:
             if o.index in taken:
                 continue
             if p.surface == o.surface:
@@ -92,18 +89,7 @@ def unify(
                 taken.add(o.index)
                 break
 
-    out = []
-    for p in parser_tokens:
-        other = matched.get(p.index)
-        if source == "wsd":
-            out.append(UnifiedToken(p.index, wsd_index=other))
-        else:
-            out.append(UnifiedToken(p.index, gold_index=other))
-    return out
-
-
-def _intersect(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return max(a[0], b[0]) < min(a[1], b[1])
+    return [UnifiedToken(p.index, matched.get(p.index)) for p in parser_tokens]
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -130,67 +116,42 @@ def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
     """Parse the corpus format: a ``sentence <id>`` header followed by
     ``tok <index> <char-start> <char-end> <surface> <lemma> <pos>
     [gold=<synset-id>]`` lines."""
-    sentences: list[SentenceRecord] = []
-    current_id: str | None = None
-    current_tokens: list[CorpusToken] = []
+    sentences: list[tuple[str, list[CorpusToken]]] = []
+    current: list[CorpusToken] | None = None
     seen_ids: set[str] = set()
-
-    def flush() -> None:
-        nonlocal current_tokens
-        if current_id is not None:
-            sentences.append(SentenceRecord(current_id, tuple(current_tokens)))
-            current_tokens = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "sentence":
+    for lineno, tokens in records.lines(text):
+        if tokens[0] == "tok":
+            if current is None:
+                raise FormatError("tok line before any sentence header", source, lineno)
+            if len(tokens) not in (7, 8):
+                raise FormatError("expected 'tok <i> <start> <end> <surface> <lemma> <pos> [gold=...]'", source, lineno)
+            index = len(current)
+            if tokens[1] != str(index):
+                raise FormatError(f"token index '{tokens[1]}' out of order (expected {index})", source, lineno)
+            start, end = records.span(tokens[2], tokens[3], source, lineno)
+            gold = None
+            if len(tokens) == 8:
+                if not tokens[7].startswith("gold="):
+                    raise FormatError(f"unknown trailing field '{tokens[7]}'", source, lineno)
+                gold = tokens[7][len("gold="):]
+                if not gold:
+                    raise FormatError("empty gold synset", source, lineno)
+            current.append(CorpusToken(index, start, end, tokens[4], tokens[5], tokens[6], gold))
+        elif tokens[0] == "sentence":
             if len(tokens) != 2:
                 raise FormatError("expected 'sentence <id>'", source, lineno)
-            flush()
             if tokens[1] in seen_ids:
                 raise FormatError(f"repeated sentence id {tokens[1]}", source, lineno)
             seen_ids.add(tokens[1])
-            current_id = tokens[1]
-        elif tokens[0] == "tok":
-            if current_id is None:
-                raise FormatError("tok line before any sentence header", source, lineno)
-            current_tokens.append(_parse_tok(tokens, len(current_tokens), source, lineno))
+            current = []
+            sentences.append((tokens[1], current))
         else:
             raise FormatError(f"unknown record '{tokens[0]}'", source, lineno)
-    flush()
-    return sentences
-
-
-def _parse_tok(tokens: list[str], expected_index: int, source: str, lineno: int) -> CorpusToken:
-    if len(tokens) not in (7, 8):
-        raise FormatError("expected 'tok <i> <start> <end> <surface> <lemma> <pos> [gold=...]'", source, lineno)
-    try:
-        index, start, end = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise FormatError("non-numeric token position", source, lineno)
-    if index != expected_index:
-        raise FormatError(f"token index {index} out of order (expected {expected_index})", source, lineno)
-    if start >= end or start < 0:
-        raise FormatError("bad character span", source, lineno)
-    surface, lemma, pos = tokens[4], tokens[5], tokens[6]
-    if not lemma:
-        raise FormatError("empty lemma", source, lineno)
-    gold = None
-    if len(tokens) == 8:
-        if not tokens[7].startswith("gold="):
-            raise FormatError(f"unknown trailing field '{tokens[7]}'", source, lineno)
-        gold = tokens[7][len("gold="):]
-        if not gold:
-            raise FormatError("empty gold synset", source, lineno)
-    return CorpusToken(index, start, end, surface, lemma, pos, gold)
+    return [SentenceRecord(sid, tuple(toks)) for sid, toks in sentences]
 
 
 def load_corpus(path: str | Path) -> list[SentenceRecord]:
-    p = Path(path)
-    return parse_corpus(p.read_text(encoding="utf-8"), source=str(p))
+    return records.load(parse_corpus, path)
 
 
 # -- advice file ------------------------------------------------------------------
@@ -205,11 +166,7 @@ def parse_advice(text: str, source: str = "<string>") -> dict[str, list[SenseDis
     is how the advising system's tokenization is communicated.
     """
     out: dict[str, list[SenseDistribution]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in records.lines(text):
         if tokens[0] != "advice" or len(tokens) != 6:
             raise FormatError(
                 "expected 'advice <sid> <start> <end> <word> <synset>=<prob>,...'",
@@ -217,26 +174,19 @@ def parse_advice(text: str, source: str = "<string>") -> dict[str, list[SenseDis
                 lineno,
             )
         sid, word = tokens[1], tokens[4]
-        try:
-            start, end = int(tokens[2]), int(tokens[3])
-        except ValueError:
-            raise FormatError("non-numeric span", source, lineno)
-        if start >= end or start < 0:
-            raise FormatError("bad character span", source, lineno)
+        span = records.span(tokens[2], tokens[3], source, lineno)
         weights: dict[str, float] = {}
-        for pair in tokens[5].split(","):
-            if "=" not in pair:
+        for pair in records.split_list(tokens[5]):
+            synset, eq, prob_text = pair.rpartition("=")
+            if not eq:
                 raise FormatError(f"bad weight '{pair}'", source, lineno)
-            synset, prob_text = pair.rsplit("=", 1)
-            try:
-                prob = float(prob_text)
-            except ValueError:
-                raise FormatError(f"non-numeric probability '{prob_text}'", source, lineno)
             if synset in weights:
                 raise FormatError(f"repeated synset {synset}", source, lineno)
-            weights[synset] = prob
+            weights[synset] = records.finite(prob_text, "probability", source, lineno)
+        if not weights:
+            raise FormatError(f"no weights for '{word}'", source, lineno)
         try:
-            dist = SenseDistribution(word, (start, end), weights)
+            dist = SenseDistribution(word, span, weights)
         except ValueError as exc:
             raise FormatError(str(exc), source, lineno)
         out.setdefault(sid, []).append(dist)
@@ -244,8 +194,7 @@ def parse_advice(text: str, source: str = "<string>") -> dict[str, list[SenseDis
 
 
 def load_advice(path: str | Path) -> dict[str, list[SenseDistribution]]:
-    p = Path(path)
-    return parse_advice(p.read_text(encoding="utf-8"), source=str(p))
+    return records.load(parse_advice, path)
 
 
 # -- pipeline ---------------------------------------------------------------------

@@ -97,10 +97,6 @@ class VariantRow:
             f"{self.dropped_advice}"
         )
 
-    def values_tsv(self) -> str:
-        """The row minus the variant label, for equivalence comparisons."""
-        return self.tsv().split("\t", 1)[1]
-
 
 @dataclass(frozen=True)
 class ScoreReport:

@@ -30,7 +30,6 @@ __all__ = [
     "augment",
     "progressive_score",
     "progressive_scorer",
-    "plain_scorer",
     "prehint",
     "apply_prehints",
     "fix_senses",
@@ -147,13 +146,6 @@ def progressive_scorer(advice: AdviceMap, ontology: Ontology) -> Scorer:
         return progressive_score(constituent, advice, ontology, child_scores)
 
     return scorer
-
-
-def plain_scorer() -> Scorer:
-    """The no-advice hook: identical to parsing with an empty advice map."""
-    from .parser import plain_score
-
-    return plain_score
 
 
 # -- entry-list manipulation ---------------------------------------------------

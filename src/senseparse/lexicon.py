@@ -9,10 +9,11 @@ with simple deterministic heuristics and pruned before parsing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import records
 from .diagnostics import Diagnostics
 from .errors import FormatError, StructuralError
 from .ontology import Ontology
@@ -148,13 +149,12 @@ class Lexicon:
     def words(self) -> list[str]:
         return sorted(self._entries)
 
-    def score_entry(self, entry: LexicalEntry, context: Sequence[str] = ()) -> float:
+    def score_entry(self, entry: LexicalEntry) -> float:
         """Deterministic heuristic score in [0, 1].
 
         Prehint entries are pinned to 1.  Otherwise the provenance prior is
         penalized for a pos-incompatible template and blended with the
-        file-declared frequency when one exists.  ``context`` is accepted
-        for signature stability; the current heuristics do not consult it.
+        file-declared frequency when one exists.
         """
         if entry.provenance == "prehint":
             return 1.0
@@ -295,11 +295,7 @@ def parse_lexicon(text: str, ontology: Ontology, source: str = "<string>") -> Le
     defaults: dict[str, str] = {}
     entry_lines: list[tuple[int, list[str]]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in records.lines(text):
         kind = tokens[0]
         if kind == "template":
             templates.append(_parse_template(tokens, source, lineno))
@@ -332,37 +328,36 @@ def parse_lexicon(text: str, ontology: Ontology, source: str = "<string>") -> Le
 
 
 def load_lexicon(path: str | Path, ontology: Ontology) -> Lexicon:
-    p = Path(path)
-    return parse_lexicon(p.read_text(encoding="utf-8"), ontology, source=str(p))
+    return records.load(parse_lexicon, path, ontology)
 
 
 def _parse_template(tokens: list[str], source: str, lineno: int) -> SyntacticTemplate:
-    fields = _keyed(tokens[2:], ("cat", "slots"), tokens[1], source, lineno)
+    if len(tokens) < 2:
+        raise FormatError("template missing name", source, lineno)
+    name = tokens[1]
+    fields = records.fields(tokens, 2, ("cat", "slots"), source, lineno)
     if "cat" not in fields:
-        raise FormatError(f"template {tokens[1]} missing cat", source, lineno)
+        raise FormatError(f"template {name} missing cat", source, lineno)
     slots: list[tuple[str, str]] = []
-    for item in _split_list(fields.get("slots", "-")):
+    for item in records.split_list(fields.get("slots", "-")):
         if ":" not in item:
-            raise FormatError(f"bad slot '{item}' in template {tokens[1]}", source, lineno)
+            raise FormatError(f"bad slot '{item}' in template {name}", source, lineno)
         position, role = item.split(":", 1)
         slots.append((position, role))
-    return SyntacticTemplate(tokens[1], fields["cat"], tuple(slots))
+    return SyntacticTemplate(name, fields["cat"], tuple(slots))
 
 
 def _parse_entry(tokens: list[str], source: str, lineno: int) -> tuple[LexicalEntry, str]:
-    word = tokens[1] if len(tokens) > 1 else None
-    if word is None:
+    if len(tokens) < 2:
         raise FormatError("entry missing word", source, lineno)
-    fields = _keyed(tokens[2:], ("cat", "template", "type", "freq"), word, source, lineno)
+    word = tokens[1]
+    fields = records.fields(tokens, 2, ("cat", "template", "type", "freq"), source, lineno)
     for required in ("cat", "template", "type"):
         if required not in fields:
             raise FormatError(f"entry {word} missing {required}", source, lineno)
     freq: float | None = None
     if "freq" in fields:
-        try:
-            freq = float(fields["freq"])
-        except ValueError:
-            raise FormatError(f"entry {word} has non-numeric freq", source, lineno)
+        freq = records.finite(fields["freq"], "freq", source, lineno)
     entry = LexicalEntry(
         word=word,
         features={"pos": fields["cat"]},
@@ -372,24 +367,3 @@ def _parse_entry(tokens: list[str], source: str, lineno: int) -> tuple[LexicalEn
         freq=freq,
     )
     return entry, fields["cat"]
-
-
-def _keyed(
-    rest: list[str], allowed: tuple[str, ...], owner: str, source: str, lineno: int
-) -> dict[str, str]:
-    if len(rest) % 2 != 0:
-        raise FormatError(f"dangling key in record for {owner}", source, lineno)
-    fields: dict[str, str] = {}
-    for key, value in zip(rest[0::2], rest[1::2]):
-        if key not in allowed:
-            raise FormatError(f"unknown key '{key}' in record for {owner}", source, lineno)
-        if key in fields:
-            raise FormatError(f"repeated key '{key}' in record for {owner}", source, lineno)
-        fields[key] = value
-    return fields
-
-
-def _split_list(value: str) -> list[str]:
-    if value == "-":
-        return []
-    return [v for v in value.split(",") if v]

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from . import records
 from .errors import FormatError, StructuralError, UnknownName
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "load_ontology",
     "parse_ontology",
     "factorize",
-    "semfac_similarity",
 ]
 
 
@@ -161,9 +161,6 @@ class Ontology:
         """Read-only map of synset id to the type it is hand-mapped to."""
         return self._synset_to_type
 
-    def synset_type(self, synset_id: str) -> str | None:
-        return self._synset_to_type.get(synset_id)
-
     # -- hierarchy queries -------------------------------------------------
 
     def ancestors(self, name: str) -> list[str]:
@@ -279,14 +276,7 @@ def factorize(ontology: Ontology) -> FactorizedOntology:
     return FactorizedOntology(factor_of, factor_parent, factor_depth)
 
 
-def semfac_similarity(factorized: FactorizedOntology, a: str, b: str) -> float:
-    """Similarity of two types over the factor quotient tree."""
-    return factorized.similarity(a, b)
-
-
 # -- file format --------------------------------------------------------------
-
-_SECTION_KEYS = ("parent", "features", "roles", "synsets")
 
 
 def parse_ontology(text: str, source: str = "<string>") -> Ontology:
@@ -299,13 +289,13 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
             [roles name:restriction[:required],...] [synsets id,...]
     """
     types: list[OntologyType] = []
-    seen: dict[str, int] = {}
-    for lineno, tokens in _blocks(text):
+    seen: set[str] = set()
+    for lineno, tokens in records.blocks(text):
         types.append(_parse_type_block(tokens, source, lineno))
         name = types[-1].name
         if name in seen:
             raise FormatError(f"duplicate type {name}", source, lineno)
-        seen[name] = lineno
+        seen.add(name)
     try:
         return Ontology(types)
     except StructuralError as exc:
@@ -313,64 +303,29 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
 
 
 def load_ontology(path: str | Path) -> Ontology:
-    p = Path(path)
-    return parse_ontology(p.read_text(encoding="utf-8"), source=str(p))
-
-
-def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (first line number, whitespace tokens) per blank-separated block."""
-    start = None
-    tokens: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if not line:
-            if tokens:
-                yield start, tokens  # type: ignore[misc]
-                tokens = []
-                start = None
-            continue
-        if start is None:
-            start = lineno
-        tokens.extend(line.split())
-    if tokens:
-        yield start, tokens  # type: ignore[misc]
+    return records.load(parse_ontology, path)
 
 
 def _parse_type_block(tokens: list[str], source: str, lineno: int) -> OntologyType:
     if tokens[0] != "type" or len(tokens) < 2:
         raise FormatError(f"expected 'type <name>', got '{' '.join(tokens[:2])}'", source, lineno)
     name = tokens[1]
-    rest = tokens[2:]
-    if len(rest) % 2 != 0:
-        raise FormatError(f"dangling key in record for type {name}", source, lineno)
-    sections: dict[str, str] = {}
-    for key, value in zip(rest[0::2], rest[1::2]):
-        if key not in _SECTION_KEYS:
-            raise FormatError(f"unknown key '{key}' in record for type {name}", source, lineno)
-        if key in sections:
-            raise FormatError(f"repeated key '{key}' in record for type {name}", source, lineno)
-        sections[key] = value
+    sections = records.fields(
+        tokens, 2, ("parent", "features", "roles", "synsets"), source, lineno
+    )
     if "parent" not in sections:
         raise FormatError(f"type {name} missing parent", source, lineno)
 
     parent = None if sections["parent"] == "-" else sections["parent"]
     features = _parse_features(sections.get("features", "-"), name, source, lineno)
     roles = _parse_roles(sections.get("roles", "-"), name, source, lineno)
-    synsets = _parse_list(sections.get("synsets", "-"))
+    synsets = records.split_list(sections.get("synsets", "-"))
     return OntologyType(name, parent, features, roles, frozenset(synsets))
-
-
-def _parse_list(value: str) -> list[str]:
-    if value == "-":
-        return []
-    return [v for v in value.split(",") if v]
 
 
 def _parse_features(value: str, name: str, source: str, lineno: int) -> dict[str, str]:
     features: dict[str, str] = {}
-    for item in _parse_list(value):
+    for item in records.split_list(value):
         if "=" not in item:
             raise FormatError(f"bad feature '{item}' for type {name}", source, lineno)
         k, v = item.split("=", 1)
@@ -380,7 +335,7 @@ def _parse_features(value: str, name: str, source: str, lineno: int) -> dict[str
 
 def _parse_roles(value: str, name: str, source: str, lineno: int) -> tuple[RoleSpec, ...]:
     roles: list[RoleSpec] = []
-    for item in _parse_list(value):
+    for item in records.split_list(value):
         parts = item.split(":")
         if len(parts) == 2:
             roles.append(RoleSpec(parts[0], parts[1]))

@@ -16,12 +16,13 @@ nothing else covers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Iterator, Mapping, Sequence
 
+from . import records
 from .diagnostics import Diagnostics
 from .errors import FormatError, ParseFailure, StructuralError
 from .lexicon import LexicalEntry, SyntacticTemplate
@@ -40,7 +41,6 @@ __all__ = [
     "LFNode",
     "load_grammar",
     "parse_grammar",
-    "prune_chart",
     "fragment_fallback",
     "recursive_score",
     "verify_role_soundness",
@@ -243,12 +243,6 @@ class Chart:
         c = self.items[cid]
         return (-c.effective_score, c.onto_type, cid)
 
-    def cells(self) -> list[tuple[Span, str]]:
-        return list(self._cells)
-
-    def live_in_cell(self, key: tuple[Span, str]) -> list[Constituent]:
-        return [self.items[cid] for cid in self._cells.get(key, []) if cid in self.live]
-
     def live_ending_at(self, position: int, category: str) -> list[Constituent]:
         return [
             self.items[cid]
@@ -263,14 +257,6 @@ class Chart:
             if cid in self.live
             and (category is None or self.items[cid].category == category)
         ]
-
-
-def prune_chart(chart: Chart, config: ParserConfig) -> Chart:
-    """Re-apply the beam to every cell (normally done incrementally)."""
-    chart.beam_width = config.beam_width
-    for key in chart.cells():
-        chart.prune_cell(key)
-    return chart
 
 
 class ChartParser:
@@ -589,59 +575,40 @@ def verify_role_soundness(result: ParseResult, ontology: Ontology) -> list[str]:
 # -- grammar file format -------------------------------------------------------
 
 
+_CLAUSES = ("head", "weight", "link")
+
+
 def parse_grammar(text: str, source: str = "<string>") -> Grammar:
     """Parse the grammar file format, one rule per line::
 
         rule <lhs> -> <rhs...> head <index> weight <w> [link <index>:<role>,...]
     """
     rules: list[GrammarRule] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in records.lines(text):
         if tokens[0] != "rule" or len(tokens) < 4 or tokens[2] != "->":
             raise FormatError("expected 'rule <lhs> -> <rhs...> ...'", source, lineno)
         lhs = tokens[1]
-        rhs: list[str] = []
         index = 3
-        while index < len(tokens) and tokens[index] not in ("head", "weight", "link"):
-            rhs.append(tokens[index])
+        while index < len(tokens) and tokens[index] not in _CLAUSES:
             index += 1
-        fields: dict[str, str] = {}
-        while index < len(tokens):
-            key = tokens[index]
-            if key not in ("head", "weight", "link") or index + 1 >= len(tokens):
-                raise FormatError(f"bad rule clause near '{key}'", source, lineno)
-            if key in fields:
-                raise FormatError(f"repeated clause '{key}'", source, lineno)
-            fields[key] = tokens[index + 1]
-            index += 2
+        rhs = tuple(tokens[3:index])
+        fields = records.fields(tokens, index, _CLAUSES, source, lineno)
         if "head" not in fields or "weight" not in fields:
             raise FormatError(f"rule {lhs} missing head or weight", source, lineno)
-        try:
-            head = int(fields["head"])
-            weight = float(fields["weight"])
-        except ValueError:
-            raise FormatError(f"rule {lhs} has non-numeric head or weight", source, lineno)
+        head = records.integer(fields["head"], "head", source, lineno)
+        weight = records.finite(fields["weight"], "weight", source, lineno)
         links: list[tuple[int, str]] = []
-        for item in fields.get("link", "-").split(","):
-            if item in ("", "-"):
-                continue
-            if ":" not in item:
+        for item in records.split_list(fields.get("link", "-")):
+            daughter, _, role = item.partition(":")
+            if not role:
                 raise FormatError(f"bad link '{item}' in rule {lhs}", source, lineno)
-            daughter, role = item.split(":", 1)
-            try:
-                links.append((int(daughter), role))
-            except ValueError:
-                raise FormatError(f"bad link '{item}' in rule {lhs}", source, lineno)
+            links.append((records.integer(daughter, "link daughter", source, lineno), role))
         try:
-            rules.append(GrammarRule(lhs, tuple(rhs), head, tuple(links), weight))
+            rules.append(GrammarRule(lhs, rhs, head, tuple(links), weight))
         except StructuralError as exc:
             raise FormatError(str(exc), source, lineno)
     return Grammar(rules)
 
 
 def load_grammar(path: str | Path) -> Grammar:
-    p = Path(path)
-    return parse_grammar(p.read_text(encoding="utf-8"), source=str(p))
+    return records.load(parse_grammar, path)

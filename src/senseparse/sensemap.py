@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from . import records
 from .diagnostics import Diagnostics
 from .errors import FormatError, StructuralError, UnknownName
 
@@ -209,40 +210,20 @@ def parse_synsets(text: str, source: str = "<string>") -> SynsetGraph:
 
         synset <id> lemmas w1,w2 hypernyms h1,h2|-
     """
-    records: list[Synset] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    synsets: list[Synset] = []
+    for lineno, tokens in records.lines(text):
         if tokens[0] != "synset" or len(tokens) < 2:
-            raise FormatError("expected 'synset <id> ...'", source, lineno)
+            raise FormatError(f"expected 'synset <id> ...', got '{tokens[0]}'", source, lineno)
         sid = tokens[1]
-        rest = tokens[2:]
-        if len(rest) % 2 != 0:
-            raise FormatError(f"dangling key in synset {sid}", source, lineno)
-        sections: dict[str, str] = {}
-        for key, value in zip(rest[0::2], rest[1::2]):
-            if key not in ("lemmas", "hypernyms"):
-                raise FormatError(f"unknown key '{key}' in synset {sid}", source, lineno)
-            if key in sections:
-                raise FormatError(f"repeated key '{key}' in synset {sid}", source, lineno)
-            sections[key] = value
-        lemmas = _split(sections.get("lemmas", "-"))
-        hypernyms = _split(sections.get("hypernyms", "-"))
-        records.append(Synset(sid, frozenset(lemmas), frozenset(hypernyms)))
+        sections = records.fields(tokens, 2, ("lemmas", "hypernyms"), source, lineno)
+        lemmas = records.split_list(sections.get("lemmas", "-"))
+        hypernyms = records.split_list(sections.get("hypernyms", "-"))
+        synsets.append(Synset(sid, frozenset(lemmas), frozenset(hypernyms)))
     try:
-        return SynsetGraph(records)
+        return SynsetGraph(synsets)
     except StructuralError as exc:
         raise StructuralError(f"{source}: {exc}") from exc
 
 
 def load_synsets(path: str | Path) -> SynsetGraph:
-    p = Path(path)
-    return parse_synsets(p.read_text(encoding="utf-8"), source=str(p))
-
-
-def _split(value: str) -> list[str]:
-    if value == "-":
-        return []
-    return [v for v in value.split(",") if v]
+    return records.load(parse_synsets, path)

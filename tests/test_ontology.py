@@ -12,7 +12,6 @@ from senseparse.ontology import (
     RoleSpec,
     factorize,
     parse_ontology,
-    semfac_similarity,
 )
 
 
@@ -213,7 +212,7 @@ def test_factor_fixture_partition(factor_tree):
 def test_semfac_fixture_values(factor_tree):
     _, fact = factor_tree
     assert fact.similarity("A1", "B") == pytest.approx(0.5, abs=1e-12)
-    assert semfac_similarity(fact, "root", "A1") == pytest.approx(2 / 3, abs=1e-12)
+    assert fact.similarity("root", "A1") == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_semfac_identity_within_factor(factor_tree):

@@ -16,7 +16,6 @@ from senseparse.parser import (
     Token,
     fragment_fallback,
     parse_grammar,
-    prune_chart,
     verify_role_soundness,
 )
 
@@ -104,8 +103,7 @@ def test_prune_chart_beam_keeps_top_three():
     chart = Chart(beam_width=3)
     for i, score in enumerate([0.9, 0.1, 0.5, 0.7, 0.3]):
         chart.add(leaf(i, (0, 1), "N", f"t{i}", "w", score))
-    survivors = {c.id for c in chart.live_in_cell(((0, 1), "N"))}
-    assert survivors == {0, 3, 2}
+    assert chart.live == {0, 3, 2}
 
 
 def test_prune_chart_tie_breaks_by_type_then_insertion():
@@ -113,14 +111,7 @@ def test_prune_chart_tie_breaks_by_type_then_insertion():
     chart.add(leaf(0, (0, 1), "N", "zeta", "w", 0.5))
     chart.add(leaf(1, (0, 1), "N", "alpha", "w", 0.5))
     chart.add(leaf(2, (0, 1), "N", "alpha", "w", 0.5))
-    survivors = [c.id for c in chart.live_in_cell(((0, 1), "N"))]
-    assert survivors == [1]
-
-
-def test_prune_chart_empty_cell_unchanged():
-    chart = Chart(beam_width=2)
-    prune_chart(chart, ParserConfig(beam_width=2))
-    assert chart.cells() == []
+    assert chart.live == {1}
 
 
 # -- fragment fallback ---------------------------------------------------------------
@@ -216,11 +207,11 @@ def test_parse_results_are_role_sound(resources, corpus):
         assert verify_role_soundness(result, resources.ontology) == []
 
 
-def test_fragment_cover_is_disjoint_and_total(resources, corpus):
+def test_fragment_cover_is_disjoint_and_total(resources, corpus, fixtures_dir):
     config = VariantConfig("fixed")
     from senseparse.advice import load_advice
 
-    advice = load_advice("fixtures/advice.txt")
+    advice = load_advice(fixtures_dir / "advice.txt")
     for sentence in corpus:
         result, _ = parse_sentence_with_variant(
             resources, sentence, advice.get(sentence.sentence_id, ()), config
