@@ -207,13 +207,15 @@ def build_advice_map(
     ontology: Ontology,
     alpha: float = 0.5,
     diagnostics: Diagnostics | None = None,
+    sentence_id: str = "",
 ) -> tuple[AdviceMap, int]:
     """Turn raw advice for one sentence into an advice map of hints.
 
     Each record is transformed to type advice, its best (tied) types kept,
     and its span re-anchored onto the parser tokenization through
-    :func:`unify`.  Records whose token cannot be matched are dropped;
-    the second return value counts them.
+    :func:`unify`.  Records whose token cannot be matched, and records
+    none of whose synsets resolves to a type, yield no hint and are
+    dropped; the second return value counts them.
     """
     parser_records = [
         TokenRecord("parser", t.index, (t.start, t.end), t.surface, t.lemma)
@@ -229,15 +231,22 @@ def build_advice_map(
 
     hints: list[Hint] = []
     dropped = 0
+    prefix = f"{sentence_id} " if sentence_id else ""
     for k, record in enumerate(records):
         parser_index = wsd_to_parser.get(k)
-        if parser_index is None:
+        best: set[tuple[str, float]] = set()
+        if parser_index is not None:
+            advice = transform_advice(record, graph, ontology.synset_mapping, diagnostics)
+            best = best_types(advice)
+        if not best:
             dropped += 1
             if diagnostics is not None:
-                diagnostics.note("dropped-advice", f"{record.word} {record.span}")
+                reason = "no token" if parser_index is None else "no type"
+                diagnostics.note(
+                    "dropped-advice", f"{prefix}{record.word} {record.span}: {reason}"
+                )
             continue
-        advice = transform_advice(record, graph, ontology.synset_mapping, diagnostics)
-        for onto_type, score in sorted(best_types(advice)):
+        for onto_type, score in sorted(best):
             hints.append(
                 Hint(
                     word=parser_tokens[parser_index].lemma,

@@ -281,6 +281,7 @@ def parse_sentence_with_variant(
             resources.ontology,
             config.alpha,
             diagnostics,
+            sentence.sentence_id,
         )
 
     if config.uses_prehint:

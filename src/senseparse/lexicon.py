@@ -103,6 +103,7 @@ class Lexicon:
             self.defaults[category] = tpl_name
 
         self._entries: dict[str, list[LexicalEntry]] = {}
+        donors: dict[str, set[str]] = {}
         seen: set[tuple[str, str, str]] = set()
         for entry in entries:
             self._validate_entry(entry)
@@ -113,6 +114,15 @@ class Lexicon:
             seen.add(entry.key())
             scored = replace(entry, score=self.score_entry(entry))
             self._entries.setdefault(entry.word, []).append(scored)
+            donors.setdefault(entry.onto_type, set()).add(entry.template)
+
+        # Donor template names per core entry type, in name order, and the
+        # memoised choice per (type, pos): templates, entries and ontology
+        # never change after construction, so neither does a choice.
+        self._donors = {t: sorted(names) for t, names in donors.items()}
+        self._template_choice: dict[
+            tuple[str, str | None], SyntacticTemplate | None
+        ] = {}
 
     def _validate_entry(self, entry: LexicalEntry) -> None:
         tpl = self.templates.get(entry.template)
@@ -176,21 +186,21 @@ class Lexicon:
         type; the deepest donor type wins, ties by template name.  Falls
         back to the per-category default template.
         """
-        best: tuple[int, str] | None = None
-        for word in sorted(self._entries):
-            for entry in self._entries[word]:
-                tpl = self.templates[entry.template]
-                if not compatible(tpl.category, pos):
-                    continue
-                if not self._ontology.is_a(onto_type, entry.onto_type):
-                    continue
-                if not self.template_fits(tpl, onto_type):
-                    continue
-                candidate = (-self._ontology.depth(entry.onto_type), tpl.name)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is not None:
-            return self.templates[best[1]]
+        key = (onto_type, pos)
+        if key not in self._template_choice:
+            self._template_choice[key] = self._choose_template(onto_type, pos)
+        return self._template_choice[key]
+
+    def _choose_template(
+        self, onto_type: str, pos: str | None
+    ) -> SyntacticTemplate | None:
+        # ancestors run deepest first, so the first fitting donor is the
+        # deepest one, and names within one type are sorted
+        for donor_type in self._ontology.ancestors(onto_type):
+            for name in self._donors.get(donor_type, ()):
+                tpl = self.templates[name]
+                if compatible(tpl.category, pos) and self.template_fits(tpl, onto_type):
+                    return tpl
 
         categories = [pos] if pos is not None else sorted(self.defaults)
         for category in categories:

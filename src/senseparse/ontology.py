@@ -161,6 +161,12 @@ class Ontology:
         """Read-only map of synset id to the type it is hand-mapped to."""
         return self._synset_to_type
 
+    @property
+    def ancestor_sets(self) -> Mapping[str, frozenset[str]]:
+        """Read-only map of each type to its reflexive ancestor set; the
+        unchecked form of :meth:`is_a` for callers that validated types."""
+        return self._ancestor_sets
+
     # -- hierarchy queries -------------------------------------------------
 
     def ancestors(self, name: str) -> list[str]:

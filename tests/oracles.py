@@ -2,8 +2,9 @@
 
 Everything here recomputes expected answers from definitions, without
 touching the implementation paths under test: similarity by enumerating
-common ancestors, subsumption by enumerating hypernym paths, and parsing
-by exhaustively enumerating derivations CKY-style.
+common ancestors, subsumption by enumerating hypernym paths, template
+choice by scanning every core entry, and parsing by exhaustively
+enumerating derivations CKY-style.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from itertools import product
 from random import Random
 from statistics import fmean
 
-from senseparse.lexicon import LexicalEntry
+from senseparse.lexicon import LexicalEntry, Lexicon, SyntacticTemplate
 from senseparse.ontology import Ontology, OntologyType, RoleSpec
 from senseparse.sensemap import Synset, SynsetGraph
 
@@ -62,6 +63,47 @@ def assign_type_oracle(
         return None
     shortest = min(length for length, _ in found)
     return min(t for length, t in found if length == shortest)
+
+
+# -- template choice -------------------------------------------------------------
+
+
+def _fits(ontology: Ontology, template: SyntacticTemplate, onto_type: str) -> bool:
+    effective = ontology.effective_roles(onto_type)
+    return all(role in effective for _, role in template.arg_slots)
+
+
+def template_for_type_oracle(
+    lexicon: Lexicon, ontology: Ontology, onto_type: str, pos: str | None
+) -> SyntacticTemplate | None:
+    """Scan every core entry of every word for a donor template.
+
+    A donor is an entry whose type is an ancestor-or-self of ``onto_type``
+    and whose template matches ``pos`` and fits the type; the deepest donor
+    type wins, ties by template name.  Without a donor, the per-category
+    default for ``pos`` (or for each category in name order when ``pos`` is
+    None) that fits the type.
+    """
+    best: tuple[int, str] | None = None
+    for word in lexicon.words():
+        for entry in lexicon.lookup(word):
+            tpl = lexicon.templates[entry.template]
+            if pos is not None and tpl.category != pos:
+                continue
+            if not ontology.is_a(onto_type, entry.onto_type):
+                continue
+            if not _fits(ontology, tpl, onto_type):
+                continue
+            candidate = (-ontology.depth(entry.onto_type), tpl.name)
+            if best is None or candidate < best:
+                best = candidate
+    if best is not None:
+        return lexicon.templates[best[1]]
+    for category in [pos] if pos is not None else sorted(lexicon.defaults):
+        name = lexicon.defaults.get(category)
+        if name is not None and _fits(ontology, lexicon.templates[name], onto_type):
+            return lexicon.templates[name]
+    return None
 
 
 # -- exhaustive parsing --------------------------------------------------------
@@ -215,6 +257,33 @@ def random_synset_graph(
         sid: pool[rng.randrange(len(pool))] for sid in ids if rng.random() < mapping_prob
     }
     return SynsetGraph(synsets), mapping
+
+
+def random_lexicon(rng: Random, ontology: Ontology) -> Lexicon:
+    """Random N, V and ADJ templates (with role slots from
+    ``random_ontology``'s role names), a default template for some
+    categories, and core entries on a random subset of types; every entry's
+    template fits its type."""
+    categories = ("N", "V", "ADJ")
+    types = sorted(ontology)
+    templates = []
+    for i in range(rng.randrange(2, 7)):
+        roles = rng.sample(("r1", "r2", "r3"), rng.randrange(0, 3))
+        slots = tuple((f"a{k}", role) for k, role in enumerate(roles))
+        templates.append(SyntacticTemplate(f"tpl{i}", rng.choice(categories), slots))
+    defaults = {}
+    for category in categories:
+        own = [t.name for t in templates if t.category == category]
+        if own and rng.random() < 0.6:
+            defaults[category] = rng.choice(own)
+    entries = {}
+    for k in range(rng.randrange(0, 2 * len(types))):
+        tpl = rng.choice(templates)
+        onto_type = rng.choice(types)
+        if _fits(ontology, tpl, onto_type):
+            entry = LexicalEntry(f"w{k % 7}", {"pos": tpl.category}, tpl.name, onto_type)
+            entries.setdefault(entry.key(), entry)
+    return Lexicon(templates, entries.values(), defaults, ontology)
 
 
 def entries_to_seeds(entries: list[tuple[str, str, str, float]]) -> list[LexicalEntry]:

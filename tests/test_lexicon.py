@@ -1,5 +1,8 @@
+from random import Random
+
 import pytest
 
+from oracles import random_lexicon, random_ontology, template_for_type_oracle
 from senseparse.errors import FormatError, StructuralError
 from senseparse.lexicon import (
     LexicalEntry,
@@ -258,3 +261,34 @@ def test_duplicate_entry_rejected(mini):
     )
     with pytest.raises(StructuralError, match="duplicate entry"):
         parse_lexicon(text, ont)
+
+
+# -- template choice against the full-lexicon scan ---------------------------------
+
+
+def test_template_for_type_matches_scan_oracle():
+    covered = {"donor below": 0, "no donor": 0, "no template": 0}
+    for seed in range(60):
+        rng = Random(seed)
+        ontology = random_ontology(rng, rng.randrange(3, 30))
+        lexicon = random_lexicon(rng, ontology)
+        donor_types = {e.onto_type for w in lexicon.words() for e in lexicon.lookup(w)}
+        for onto_type in ontology:
+            has_donor = bool(donor_types.intersection(ontology.ancestors(onto_type)))
+            for pos in (None, "N", "V", "ADJ", "P"):
+                expected = template_for_type_oracle(lexicon, ontology, onto_type, pos)
+                assert lexicon.template_for_type(onto_type, pos) == expected
+                # the memoised answer repeats
+                assert lexicon.template_for_type(onto_type, pos) == expected
+                covered["donor below" if has_donor else "no donor"] += 1
+                covered["no template"] += expected is None
+    # the seeds reach types with and without a donor, and pairs with no
+    # template at all
+    assert min(covered.values()) > 100, covered
+
+
+def test_template_for_type_deepest_donor_then_name(mini):
+    ont, lex, _ = mini
+    assert lex.template_for_type("cook-type", "V").name == "tv"
+    assert lex.template_for_type("freshwater-fish", None).name == "n"
+    assert lex.template_for_type("freshwater-fish", "V") is None

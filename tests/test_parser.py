@@ -1,4 +1,5 @@
 import math
+from random import Random
 
 import pytest
 
@@ -114,6 +115,46 @@ def test_prune_chart_tie_breaks_by_type_then_insertion():
     assert chart.live == {1}
 
 
+def test_chart_indexes_match_filter_over_live_items():
+    categories = ("A", "B", "C")
+    for seed in range(40):
+        rng = Random(seed)
+        beam_width = 1 + seed % 3
+        chart = Chart(beam_width)
+        added: list[Constituent] = []
+        for cid in range(rng.randrange(5, 60)):
+            start = rng.randrange(5)
+            c = leaf(
+                cid, (start, rng.randrange(start + 1, 7)), rng.choice(categories),
+                rng.choice(("t1", "t2")), "w", rng.choice((0.25, 0.5, 0.75)),
+            )
+            added.append(c)
+            chart.add(c)
+
+            # the beam: the best beam_width of every item ever added to a cell
+            cells: dict = {}
+            for a in added:
+                cells.setdefault((a.span, a.category), []).append(a)
+            expected_live = set()
+            for cell in cells.values():
+                cell.sort(key=lambda a: (-a.effective_score, a.onto_type, a.id))
+                expected_live.update(a.id for a in cell[:beam_width])
+            assert chart.live == expected_live
+
+            live = [chart.items[i] for i in sorted(chart.items) if i in chart.live]
+            for position in range(8):
+                assert chart.live_starting_at(position) == [
+                    a for a in live if a.span[0] == position
+                ]
+                for category in categories:
+                    assert chart.live_ending_at(position, category) == [
+                        a for a in live if a.span[1] == position and a.category == category
+                    ]
+                    assert chart.live_starting_at(position, category) == [
+                        a for a in live if a.span[0] == position and a.category == category
+                    ]
+
+
 # -- fragment fallback ---------------------------------------------------------------
 
 
@@ -179,6 +220,14 @@ def test_parse_empty_token_list_is_an_error(resources):
     parser = make_parser(resources)
     with pytest.raises(ParseFailure):
         parser.parse([], [], "t4")
+
+
+def test_parse_rejects_entry_with_unknown_type(resources):
+    parser = make_parser(resources)
+    entries = entries_for(resources, COOKED_BASS)
+    entries[3] = entries[3] + [LexicalEntry("bass", {"pos": "N"}, entries[3][0].template, "no-such-type", 0.9)]
+    with pytest.raises(ParseFailure, match="'bass' names unknown type no-such-type"):
+        parser.parse(COOKED_BASS, entries, "t1")
 
 
 def test_parse_respects_pop_budget(resources):
