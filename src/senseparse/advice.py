@@ -25,7 +25,6 @@ from .sensemap import SenseDistribution, SynsetGraph, best_types, transform_advi
 
 __all__ = [
     "TokenRecord",
-    "UnifiedToken",
     "CorpusToken",
     "SentenceRecord",
     "unify",
@@ -41,55 +40,43 @@ __all__ = [
 class TokenRecord:
     """One token in one system's tokenization of a sentence."""
 
-    source: str  # parser | wsd | gold
     index: int
     span: tuple[int, int]  # character interval in the raw sentence
     surface: str
     lemma: str
 
 
-@dataclass(frozen=True)
-class UnifiedToken:
-    parser_index: int
-    wsd_index: int | None = None
-
-
 def unify(
     parser_tokens: Sequence[TokenRecord], wsd_tokens: Sequence[TokenRecord]
-) -> list[UnifiedToken]:
-    """Match the disambiguator's tokens onto parser tokens, one-to-one.
+) -> dict[int, int]:
+    """Match the disambiguator's tokens onto parser tokens, one-to-one;
+    returns disambiguator token index -> parser token index.
 
     Pass 1 claims pairs whose character spans intersect and whose lemmas
     are exactly equal; pass 2 claims remaining pairs with identical
     surface words, greedily left-to-right by parser index.  Unmatched
-    tokens on either side stay unmatched.
+    tokens on either side are absent from the map.
     """
-    for t in wsd_tokens:
-        if t.source != "wsd":
-            raise ValueError(f"cannot unify source '{t.source}'")
-
     matched: dict[int, int] = {}
-    taken: set[int] = set()
+    claimed: set[int] = set()
     for p in parser_tokens:
         for o in wsd_tokens:
-            if o.index in taken:
+            if o.index in matched:
                 continue
             if _spans_intersect(p.span, o.span) and p.lemma == o.lemma:
-                matched[p.index] = o.index
-                taken.add(o.index)
+                matched[o.index] = p.index
+                claimed.add(p.index)
                 break
     for p in parser_tokens:
-        if p.index in matched:
+        if p.index in claimed:
             continue
         for o in wsd_tokens:
-            if o.index in taken:
+            if o.index in matched:
                 continue
             if p.surface == o.surface:
-                matched[p.index] = o.index
-                taken.add(o.index)
+                matched[o.index] = p.index
                 break
-
-    return [UnifiedToken(p.index, matched.get(p.index)) for p in parser_tokens]
+    return matched
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -218,16 +205,10 @@ def build_advice_map(
     dropped; the second return value counts them.
     """
     parser_records = [
-        TokenRecord("parser", t.index, (t.start, t.end), t.surface, t.lemma)
-        for t in parser_tokens
+        TokenRecord(t.index, (t.start, t.end), t.surface, t.lemma) for t in parser_tokens
     ]
-    wsd_records = [
-        TokenRecord("wsd", k, r.span, r.word, r.word) for k, r in enumerate(records)
-    ]
-    unified = unify(parser_records, wsd_records)
-    wsd_to_parser = {
-        u.wsd_index: u.parser_index for u in unified if u.wsd_index is not None
-    }
+    wsd_records = [TokenRecord(k, r.span, r.word, r.word) for k, r in enumerate(records)]
+    wsd_to_parser = unify(parser_records, wsd_records)
 
     hints: list[Hint] = []
     dropped = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .advice import CorpusToken, SentenceRecord, load_advice, load_corpus
 from .diagnostics import Diagnostics
@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .ontology import factorize, load_ontology
 from .parser import ParserConfig
-from .sensemap import load_synsets
+from .sensemap import SenseDistribution, SynsetGraph, load_synsets
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -39,20 +39,6 @@ class _CliParser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} not in [0, 1]")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} must be >= 1")
-    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -65,12 +51,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--lexicon", required=True)
         p.add_argument("--grammar", required=True)
 
+    # value ranges are checked once, by VariantConfig and ParserConfig
     def add_parser_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--variant", choices=VARIANT_NAMES, default="plain")
-        p.add_argument("--alpha", type=_unit_float, default=0.5)
-        p.add_argument("--beam-width", type=_positive_int, default=3)
-        p.add_argument("--max-pops", type=_positive_int, default=None)
-        p.add_argument("--accept-threshold", type=_unit_float, default=0.0)
+        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--beam-width", type=int, default=3)
+        p.add_argument("--max-pops", type=int, default=None)
+        p.add_argument("--accept-threshold", type=float, default=0.0)
 
     p_parse = sub.add_parser("parse", help="parse one sentence")
     add_resource_args(p_parse)
@@ -146,32 +133,54 @@ def _parser_config(args: argparse.Namespace) -> ParserConfig:
     )
 
 
+def _require_synsets(
+    graph: SynsetGraph, source: str, uses: Iterable[tuple[str, str]]
+) -> None:
+    """Fail on the first (sentence id, synset) use naming a synset the
+    graph lacks, before any parse starts."""
+    for sentence_id, synset in uses:
+        if synset not in graph:
+            raise SenseParseError(
+                f"{source}: sentence {sentence_id}: unknown synset {synset}"
+            )
+
+
+def _load_checked_advice(
+    path: str, graph: SynsetGraph
+) -> dict[str, list[SenseDistribution]]:
+    advice = load_advice(path)
+    _require_synsets(
+        graph, path, ((sid, s) for sid, ds in advice.items() for d in ds for s in d.weights)
+    )
+    return advice
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
+    config = VariantConfig(args.variant, args.alpha, _parser_config(args))
     resources = load_resources(args.ontology, args.synsets, args.lexicon, args.grammar)
+    records = ()
+    if args.advice:
+        advice = _load_checked_advice(args.advice, resources.graph)
+        records = tuple(advice.get(args.sentence_id, ()))
+
     raw = args.sentence if args.sentence is not None else sys.stdin.read().strip()
     tokens = _tokenize_sentence(raw)
     if not tokens:
         raise SenseParseError("no tokens in sentence")
     sentence = SentenceRecord(args.sentence_id, tuple(tokens))
-
-    records = ()
-    if args.advice:
-        records = tuple(load_advice(args.advice).get(args.sentence_id, ()))
-    config = VariantConfig(args.variant, args.alpha, _parser_config(args))
     result, _ = parse_sentence_with_variant(resources, sentence, records, config)
     _emit(str(result.logical_form) + "\n", args.output)
     return 0 if result.spanning else 2
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    names = [v for v in args.variants.split(",") if v]
+    variants = [VariantConfig(n, args.alpha, _parser_config(args)) for n in names]
     resources = load_resources(args.ontology, args.synsets, args.lexicon, args.grammar)
     corpus = load_corpus(args.corpus)
-    advice = load_advice(args.advice) if args.advice else {}
-    names = [v for v in args.variants.split(",") if v]
-    for name in names:
-        if name not in VARIANT_NAMES:
-            raise SenseParseError(f"unknown variant {name}")
-    variants = [VariantConfig(n, args.alpha, _parser_config(args)) for n in names]
+    golds = ((s.sentence_id, t.gold) for s in corpus for t in s.tokens if t.gold)
+    _require_synsets(resources.graph, args.corpus, golds)
+    advice = _load_checked_advice(args.advice, resources.graph) if args.advice else {}
 
     diagnostics = Diagnostics()
     report = run_experiment(resources, corpus, advice, variants, diagnostics)

@@ -1,13 +1,18 @@
 """Batch evaluation: run parser variants over a corpus and score them.
 
-Five variants are supported: ``plain`` (no advice), ``pre`` (prehinting),
-``prog`` (progressive hinting), ``comb`` (both), and ``fixed`` (advised
-tokens are forced to their advised senses).  Gold annotations are
-synset-level; they are mapped to ontology types through subsumption, and
-instances whose gold synset reaches no type are excluded from scoring but
-counted.  Predictions carrying the fallback type count as abstentions:
-they hurt recall, not precision, and the similarity means are taken over
-attempted instances only.
+Advice steers the parser in three independent ways: prehinting (a score-1
+entry for each advised sense), progressive hinting (hints augment
+constituent scores during the search) and forcing (advised tokens keep
+only their advised senses).  The five variants are fixed presets over
+those three flags, read from one table, ``_VARIANT_FLAGS``: ``plain`` sets
+none and ignores the advice, ``pre`` prehints, ``prog`` is progressive,
+``comb`` does both, and ``fixed`` forces.
+
+Gold annotations are synset-level; they are mapped to ontology types
+through subsumption, and instances whose gold synset reaches no type are
+excluded from scoring but counted.  Predictions carrying the fallback
+type count as abstentions: they hurt recall, not precision, and the
+similarity means are taken over attempted instances only.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "ScoreReport",
     "Resources",
     "load_resources",
-    "gold_type",
     "gold_instances",
     "GoldInstance",
     "InstanceOutcome",
@@ -43,7 +47,15 @@ __all__ = [
     "run_experiment",
 ]
 
-VARIANT_NAMES = ("plain", "pre", "prog", "comb", "fixed")
+# variant -> (prehint, progressive, force)
+_VARIANT_FLAGS = {
+    "plain": (False, False, False),
+    "pre": (True, False, False),
+    "prog": (False, True, False),
+    "comb": (True, True, False),
+    "fixed": (False, False, True),
+}
+VARIANT_NAMES = tuple(_VARIANT_FLAGS)
 
 REPORT_HEADER = (
     "variant\tf_score\twu_palmer\tsemfac\tfrag\tattempted\tscored\tdropped_advice"
@@ -61,22 +73,6 @@ class VariantConfig:
             raise ValueError(f"unknown variant {self.variant}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-
-    @property
-    def uses_prehint(self) -> bool:
-        return self.variant in ("pre", "comb")
-
-    @property
-    def uses_progressive(self) -> bool:
-        return self.variant in ("prog", "comb")
-
-    @property
-    def uses_forcing(self) -> bool:
-        return self.variant == "fixed"
-
-    @property
-    def uses_advice(self) -> bool:
-        return self.variant != "plain"
 
 
 @dataclass(frozen=True)
@@ -150,16 +146,6 @@ def gold_instances(corpus: Sequence[SentenceRecord]) -> list[GoldInstance]:
     return out
 
 
-def gold_type(
-    synset: str,
-    graph: SynsetGraph,
-    ontology: Ontology,
-    diagnostics: Diagnostics | None = None,
-) -> str | None:
-    """The ontology type a gold synset subsumes to, or None."""
-    return graph.assign_type(synset, ontology.synset_mapping, diagnostics)
-
-
 # -- scoring -----------------------------------------------------------------------
 
 
@@ -185,7 +171,7 @@ def instance_outcomes(
     """
     out = []
     for instance in instances:
-        mapped = gold_type(instance.synset, graph, ontology, diagnostics)
+        mapped = graph.assign_type(instance.synset, ontology.synset_mapping, diagnostics)
         if mapped is None:
             if diagnostics is not None:
                 diagnostics.note("unmapped-gold", instance.synset)
@@ -271,9 +257,10 @@ def parse_sentence_with_variant(
         for t in sentence.tokens
     ]
 
+    prehinting, progressive, forcing = _VARIANT_FLAGS[config.variant]
     dropped = 0
     advice_map = AdviceMap((), config.alpha)
-    if config.uses_advice and advice_records:
+    if (prehinting or progressive or forcing) and advice_records:
         advice_map, dropped = build_advice_map(
             advice_records,
             sentence.tokens,
@@ -284,19 +271,17 @@ def parse_sentence_with_variant(
             sentence.sentence_id,
         )
 
-    if config.uses_prehint:
+    if prehinting:
         additions = prehint(
             advice_map, resources.lexicon, resources.ontology, tokens, diagnostics
         )
         entries = apply_prehints(entries, additions)
-    if config.uses_forcing:
+    if forcing:
         entries = fix_senses(
             advice_map, entries, resources.lexicon, resources.ontology, tokens, diagnostics
         )
 
-    scorer = None
-    if config.uses_progressive:
-        scorer = progressive_scorer(advice_map, resources.ontology)
+    scorer = progressive_scorer(advice_map, resources.ontology) if progressive else None
 
     parser = ChartParser(
         resources.grammar, resources.ontology, resources.lexicon.templates, config.parser

@@ -98,9 +98,7 @@ def match(
     return (
         hint.word == word
         and _spans_intersect(hint.span, span)
-        and hint.onto_type in ontology
-        and onto_type in ontology
-        and ontology.is_a(onto_type, hint.onto_type)
+        and hint.onto_type in ontology.ancestor_sets.get(onto_type, ())
     )
 
 
@@ -173,22 +171,32 @@ def prehint(
         if hint.onto_type not in ontology:
             _skip(diagnostics, hint, "type missing from ontology")
             continue
-        template = lexicon.template_for_type(hint.onto_type, tokens[index].pos)
-        if template is None:
+        entry = _advised_entry(lexicon, hint.word, tokens[index].pos, hint.onto_type)
+        if entry is None:
             _skip(diagnostics, hint, "no compatible template")
             continue
-        entry = LexicalEntry(
-            word=hint.word,
-            features={"pos": tokens[index].pos or template.category},
-            template=template.name,
-            onto_type=hint.onto_type,
-            score=1.0,
-            provenance="prehint",
-        )
         bucket = additions.setdefault(index, [])
         if all(e.key() != entry.key() for e in bucket):
             bucket.append(entry)
     return additions
+
+
+def _advised_entry(
+    lexicon: Lexicon, word: str, pos: str | None, onto_type: str
+) -> LexicalEntry | None:
+    """The score-1 entry for an advised sense, with its template chosen
+    exactly as for generated entries; None when no template fits."""
+    template = lexicon.template_for_type(onto_type, pos)
+    if template is None:
+        return None
+    return LexicalEntry(
+        word=word,
+        features={"pos": pos or template.category},
+        template=template.name,
+        onto_type=onto_type,
+        score=1.0,
+        provenance="prehint",
+    )
 
 
 def _skip(diagnostics: Diagnostics | None, hint: Hint, reason: str) -> None:
@@ -250,25 +258,16 @@ def fix_senses(
             continue
         kept = [e for e in bucket if e.onto_type in types]
         if not kept:
+            token = tokens[index]
             for onto_type in sorted(types):
-                template = lexicon.template_for_type(onto_type, tokens[index].pos)
-                if template is None:
+                entry = _advised_entry(lexicon, token.lemma, token.pos, onto_type)
+                if entry is None:
                     if diagnostics is not None:
                         diagnostics.note(
-                            "forced-entry-failed",
-                            f"{tokens[index].lemma} {onto_type}: no template",
+                            "forced-entry-failed", f"{token.lemma} {onto_type}: no template"
                         )
                     continue
-                kept.append(
-                    LexicalEntry(
-                        word=tokens[index].lemma,
-                        features={"pos": tokens[index].pos or template.category},
-                        template=template.name,
-                        onto_type=onto_type,
-                        score=1.0,
-                        provenance="prehint",
-                    )
-                )
+                kept.append(entry)
         if not kept:
             if diagnostics is not None:
                 diagnostics.note(

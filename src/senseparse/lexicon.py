@@ -36,9 +36,8 @@ PROVENANCE_PRIOR = {"core": 0.8, "generated": 0.5}
 INCOMPATIBLE_POS_PENALTY = 0.5
 FREQ_WEIGHT = 0.25
 
-# Tie-break order when pruning: core entries outrank prehints, which
-# outrank generated entries.
-PROVENANCE_RANK = {"core": 0, "prehint": 1, "generated": 2}
+# Tie-break order when pruning: core entries outrank generated entries.
+PROVENANCE_RANK = {"core": 0, "generated": 1}
 
 
 @dataclass(frozen=True)
@@ -162,12 +161,9 @@ class Lexicon:
     def score_entry(self, entry: LexicalEntry) -> float:
         """Deterministic heuristic score in [0, 1].
 
-        Prehint entries are pinned to 1.  Otherwise the provenance prior is
-        penalized for a pos-incompatible template and blended with the
-        file-declared frequency when one exists.
+        The provenance prior is penalized for a pos-incompatible template
+        and blended with the file-declared frequency when one exists.
         """
-        if entry.provenance == "prehint":
-            return 1.0
         score = PROVENANCE_PRIOR[entry.provenance]
         pos = entry.features.get("pos")
         if not compatible(self.templates[entry.template].category, pos):
@@ -271,9 +267,8 @@ class Lexicon:
 def prune_entries(entries: Sequence[LexicalEntry], keep: int) -> list[LexicalEntry]:
     """Top-``keep`` entries by score.
 
-    Ties break by provenance rank (core, prehint, generated) and then
-    lexicographic type.  Prehint entries ride in reserved slots beyond
-    ``keep`` and are never dropped.
+    Ties break by provenance rank (core, generated) and then lexicographic
+    type.
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
@@ -282,13 +277,7 @@ def prune_entries(entries: Sequence[LexicalEntry], keep: int) -> list[LexicalEnt
         index, e = item
         return (-e.score, PROVENANCE_RANK[e.provenance], e.onto_type, e.template, index)
 
-    indexed = list(enumerate(entries))
-    prehints = [it for it in indexed if it[1].provenance == "prehint"]
-    others = sorted(
-        (it for it in indexed if it[1].provenance != "prehint"), key=sort_key
-    )
-    kept = sorted(prehints + others[:keep], key=sort_key)
-    return [e for _, e in kept]
+    return [e for _, e in sorted(enumerate(entries), key=sort_key)[:keep]]
 
 
 # -- file format --------------------------------------------------------------

@@ -1,17 +1,15 @@
-import pytest
-
-from senseparse.advice import TokenRecord, UnifiedToken, build_advice_map, unify
+from senseparse.advice import TokenRecord, build_advice_map, unify
 from senseparse.diagnostics import Diagnostics
 from senseparse.evaluation import VARIANT_NAMES, VariantConfig, run_experiment
 from senseparse.sensemap import SenseDistribution
 
 
 def parser_token(index, span, surface, lemma):
-    return TokenRecord("parser", index, span, surface, lemma)
+    return TokenRecord(index, span, surface, lemma)
 
 
 def wsd_token(index, span, surface, lemma=None):
-    return TokenRecord("wsd", index, span, surface, lemma or surface)
+    return TokenRecord(index, span, surface, lemma or surface)
 
 
 # -- unify ---------------------------------------------------------------------------
@@ -20,20 +18,20 @@ def wsd_token(index, span, surface, lemma=None):
 def test_unify_matches_intersecting_span_with_equal_lemma():
     parser = [parser_token(0, (0, 1), "i", "i"), parser_token(1, (2, 8), "played", "play")]
     wsd = [wsd_token(0, (3, 7), "play")]
-    assert unify(parser, wsd) == [UnifiedToken(0, None), UnifiedToken(1, 0)]
+    assert unify(parser, wsd) == {0: 1}
 
 
 def test_unify_falls_back_to_surface_word():
     # the spans are disjoint and the lemmas differ, but the surface agrees
     parser = [parser_token(0, (0, 6), "played", "play")]
     wsd = [wsd_token(0, (20, 26), "played")]
-    assert unify(parser, wsd) == [UnifiedToken(0, 0)]
+    assert unify(parser, wsd) == {0: 0}
 
 
 def test_unify_needs_equal_lemma_for_a_span_match():
     parser = [parser_token(0, (0, 6), "played", "play")]
     wsd = [wsd_token(0, (0, 6), "plays", "plays")]
-    assert unify(parser, wsd) == [UnifiedToken(0, None)]
+    assert unify(parser, wsd) == {}
 
 
 def test_unify_claims_one_to_one_span_pass_first():
@@ -45,21 +43,13 @@ def test_unify_claims_one_to_one_span_pass_first():
         parser_token(2, (9, 13), "bass", "bass"),
     ]
     wsd = [wsd_token(0, (9, 13), "bass")]
-    assert unify(parser, wsd) == [
-        UnifiedToken(0, None), UnifiedToken(1, None), UnifiedToken(2, 0)
-    ]
+    assert unify(parser, wsd) == {0: 2}
 
 
 def test_unify_surface_pass_is_greedy_left_to_right():
     parser = [parser_token(0, (0, 4), "bass", "bass"), parser_token(1, (5, 9), "bass", "bass")]
     wsd = [wsd_token(0, (40, 44), "bass"), wsd_token(1, (50, 54), "bass")]
-    assert unify(parser, wsd) == [UnifiedToken(0, 0), UnifiedToken(1, 1)]
-
-
-def test_unify_rejects_non_wsd_tokens():
-    parser = [parser_token(0, (0, 4), "bass", "bass")]
-    with pytest.raises(ValueError, match="cannot unify source 'gold'"):
-        unify(parser, [TokenRecord("gold", 0, (0, 4), "bass", "bass")])
+    assert unify(parser, wsd) == {0: 0, 1: 1}
 
 
 # -- advice that yields no hint ------------------------------------------------------

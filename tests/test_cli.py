@@ -43,3 +43,56 @@ def test_exit_code_one_for_unknown_variant(resource_args, fixtures_dir, capsys):
     with pytest.raises(SystemExit) as exited:
         main(["parse", *resource_args, "--sentence", "i/PRO", "--variant", "bogus"])
     assert exited.value.code == 1
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "1.5", "alpha must be in [0, 1]"),
+    ("--alpha", "nan", "alpha must be in [0, 1]"),
+    ("--beam-width", "0", "beam_width must be >= 1"),
+    ("--max-pops", "0", "max_pops must be >= 1"),
+])
+def test_exit_code_one_for_out_of_range_flag(
+    resource_args, fixtures_dir, capsys, flag, value, message
+):
+    parse = ["parse", *resource_args, "--sentence", "i/PRO", flag, value]
+    evaluate = ["eval", *resource_args, "--corpus", str(fixtures_dir / "corpus.txt"), flag, value]
+    for argv in (parse, evaluate):
+        assert main(argv) == 1
+        assert f"senseparse: error: {message}" in capsys.readouterr().err
+
+
+def renamed_s01_copy(fixtures_dir, tmp_path, name):
+    """A copy of one fixture file with s01's synset bass_guitar.n.01 (the
+    first in both the advice and the corpus file) renamed to no_such.n.01."""
+    text = (fixtures_dir / name).read_text()
+    path = tmp_path / name
+    path.write_text(text.replace("bass_guitar.n.01", "no_such.n.01", 1))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["advice.txt", "corpus.txt"])
+def test_eval_rejects_unknown_synset_before_parsing(
+    resource_args, fixtures_dir, tmp_path, capsys, name
+):
+    paths = {n: str(fixtures_dir / n) for n in ("corpus.txt", "advice.txt")}
+    renamed = paths[name] = renamed_s01_copy(fixtures_dir, tmp_path, name)
+    output = tmp_path / "report.tsv"
+    code = main(["eval", *resource_args, "--corpus", paths["corpus.txt"],
+                 "--advice", paths["advice.txt"], "--output", str(output)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"senseparse: error: {renamed}: sentence s01: unknown synset no_such.n.01\n"
+    )
+    assert not output.exists()
+
+
+def test_parse_rejects_unknown_advice_synset(resource_args, fixtures_dir, tmp_path, capsys):
+    advice = renamed_s01_copy(fixtures_dir, tmp_path, "advice.txt")
+    output = tmp_path / "lf.txt"
+    code = main(["parse", *resource_args, "--advice", advice, "--sentence-id", "s02",
+                 "--sentence", "i/PRO", "--output", str(output)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"senseparse: error: {advice}: sentence s01: unknown synset no_such.n.01\n"
+    )
+    assert not output.exists()

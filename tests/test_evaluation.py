@@ -3,9 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from senseparse.advice import load_advice, load_corpus
 import pytest
 
+from senseparse.advice import load_advice, load_corpus
+from senseparse.cli import main
 from senseparse.evaluation import (
     VARIANT_NAMES,
     GoldInstance,
@@ -35,6 +36,26 @@ def test_fixture_report_matches_golden(resources, corpus, advice_records):
     variants = [VariantConfig(name) for name in VARIANT_NAMES]
     report = run_experiment(resources, corpus, advice_records, variants)
     assert report.to_tsv() == GOLDEN_REPORT
+
+
+# The fixture `eval --diagnostics` file: four variants each reject the same
+# role filler in s13-s18; nothing else is noted.
+GOLDEN_DIAGNOSTICS = "".join(
+    f"role-violation s{n} affected phys-obj composition\n"
+    for _ in range(4)
+    for n in range(13, 19)
+)
+
+
+def test_fixture_eval_diagnostics_match_golden(fixtures_dir, tmp_path):
+    args = ["eval"]
+    for name in ("ontology", "synsets", "lexicon", "grammar", "corpus", "advice"):
+        args += [f"--{name}", str(fixtures_dir / f"{name}.txt")]
+    report, diagnostics = tmp_path / "report.tsv", tmp_path / "diagnostics.txt"
+    args += ["--output", str(report), "--diagnostics", str(diagnostics)]
+    assert main(args) == 0
+    assert report.read_text() == GOLDEN_REPORT
+    assert diagnostics.read_text() == GOLDEN_DIAGNOSTICS
 
 
 # The first 10-sentence chunk (5-40 tokens) of the long-ambig benchmark

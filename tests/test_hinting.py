@@ -52,6 +52,20 @@ def test_match_exact_type_is_reflexive(ontology):
     assert match(hint, "bass", (3, 4), "electric-bass", ontology)
 
 
+def test_match_type_test_equals_checked_is_a(ontology):
+    # unknown names on either side never match and never raise
+    names = sorted(ontology) + ["no-such-type"]
+    for hinted in names:
+        hint = Hint("bass", (3, 4), hinted, 0.9)
+        for onto_type in names:
+            expected = (
+                hinted in ontology
+                and onto_type in ontology
+                and ontology.is_a(onto_type, hinted)
+            )
+            assert match(hint, "bass", (3, 4), onto_type, ontology) == expected
+
+
 # -- augment --------------------------------------------------------------------
 
 
@@ -187,7 +201,15 @@ def test_prehint_unknown_type_skipped_with_diagnostic(resources):
     advice = AdviceMap([Hint("bass", (3, 4), "no-such-type", 0.9)])
     additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
     assert additions == {}
-    assert diag.count("skipped-prehint") == 1
+    assert diag.lines() == ["skipped-prehint bass no-such-type: type missing from ontology"]
+
+
+def test_prehint_span_outside_sentence_skipped_with_diagnostic(resources):
+    diag = Diagnostics()
+    advice = AdviceMap([Hint("bass", (7, 8), "drum", 1.0)])
+    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
+    assert additions == {}
+    assert diag.lines() == ["skipped-prehint bass drum: span outside sentence"]
 
 
 def test_prehint_no_template_skipped_with_diagnostic(resources):
@@ -196,7 +218,7 @@ def test_prehint_no_template_skipped_with_diagnostic(resources):
     advice = AdviceMap([Hint("play", (1, 2), "bread", 0.9)])
     additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
     assert additions == {}
-    assert diag.count("skipped-prehint") == 1
+    assert diag.lines() == ["skipped-prehint play bread: no compatible template"]
 
 
 def test_prehint_empty_advice_no_entries(resources):
@@ -268,7 +290,21 @@ def test_fix_senses_never_empties_an_advised_token(resources):
         advice, base, resources.lexicon, resources.ontology, TOKENS, diag
     )
     assert fixed[1] == base[1]
-    assert diag.count("forcing-skipped") == 1
+    assert diag.lines() == [
+        "forced-entry-failed play bread: no template",
+        "forcing-skipped token 1 kept original entries",
+    ]
+
+
+def test_fix_senses_skips_hint_with_unknown_type(resources):
+    diag = Diagnostics()
+    advice = AdviceMap([Hint("bass", (3, 4), "no-such-type", 1.0)])
+    base = base_entries(resources)
+    fixed = fix_senses(
+        advice, base, resources.lexicon, resources.ontology, TOKENS, diag
+    )
+    assert fixed == base
+    assert diag.lines() == ["skipped-prehint bass no-such-type: type missing from ontology"]
 
 
 # -- hint validation ----------------------------------------------------------------

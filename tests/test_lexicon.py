@@ -108,12 +108,6 @@ def test_generated_score_compatible(mini):
     assert lex.score_entry(entry) == pytest.approx(0.5)
 
 
-def test_prehint_score_pinned_to_one(mini):
-    _, lex, _ = mini
-    entry = LexicalEntry("w", {"pos": "N"}, "n", "freshwater-fish", provenance="prehint")
-    assert lex.score_entry(entry) == 1.0
-
-
 def test_freq_pulls_score(mini):
     _, lex, _ = mini
     high = next(e for e in lex.lookup("bass", "N") if e.freq == 0.9)
@@ -181,21 +175,6 @@ def test_prune_keeps_top_k():
 def test_prune_underfull_keeps_all():
     entries = [entry("w", "t1", 0.3), entry("w", "t2", 0.6)]
     assert len(prune_entries(entries, 3)) == 2
-
-
-def test_prune_never_drops_prehint():
-    entries = [
-        entry("w", "t1", 0.9),
-        entry("w", "t2", 0.8),
-        entry("w", "t3", 0.7),
-        entry("w", "hinted", 1.0, "prehint"),
-    ]
-    kept = prune_entries(entries, 1)
-    provenances = [e.provenance for e in kept]
-    assert "prehint" in provenances
-    assert len(kept) == 2  # the reserved prehint slot plus the top regular entry
-    assert kept[0].onto_type == "hinted"
-    assert kept[1].onto_type == "t1"
 
 
 def test_prune_tie_break_by_provenance_then_type():

@@ -1,0 +1,63 @@
+"""The benchmark's per-layer tracer still finds every name it wraps.
+
+``perfbench/layers.py`` patches module globals and methods by name, so a
+rename or a changed call path in ``src/`` would leave a layer unmeasured
+(or break the traced run).  This drives the tracer over one fixture eval
+and one ``parse`` call and checks that each hooked layer counted work, and
+that uninstalling puts every original back.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from senseparse import cli, evaluation, parser
+from senseparse.evaluation import VARIANT_NAMES, VariantConfig, run_experiment
+from senseparse.lexicon import Lexicon
+from senseparse.parser import Chart, ChartParser
+from senseparse.sensemap import SynsetGraph
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PATCHED = (cli, evaluation, parser, Lexicon, ChartParser, Chart, SynsetGraph)
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_every_layer_and_restores_originals(
+    resources, corpus, advice_records, fixtures_dir, tmp_path
+):
+    before = [dict(vars(owner)) for owner in PATCHED]
+    tracer = load_layers().Tracer()
+    tracer.install()
+    try:
+        variants = [VariantConfig(name) for name in VARIANT_NAMES]
+        run_experiment(resources, corpus, advice_records, variants)
+        args = ["parse"]
+        for name in ("ontology", "synsets", "lexicon", "grammar", "advice"):
+            args += [f"--{name}", str(fixtures_dir / f"{name}.txt")]
+        args += ["--sentence", "i/PRO played/play/V the/DET bass/N", "--sentence-id", "s01",
+                 "--variant", "comb", "--output", str(tmp_path / "lf.txt")]
+        assert cli.main(args) == 0
+    finally:
+        tracer.uninstall()
+
+    for key in (
+        "lexicon.candidate_entries_calls",
+        "hinting.prehint_entries",
+        "hinting.progressive_calls",
+        "parser.pops",
+        "advice.hints",
+        "cli.load_calls",
+        "cli.parse_calls",
+    ):
+        assert tracer.acc[key] > 0, key
+
+    for owner, attrs in zip(PATCHED, before):
+        after = vars(owner)
+        assert set(after) == set(attrs), owner
+        changed = [name for name in attrs if after[name] is not attrs[name]]
+        assert changed == [], (owner, changed)
