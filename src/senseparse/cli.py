@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .advice import CorpusToken, SentenceRecord, load_advice, load_corpus
 from .diagnostics import Diagnostics
@@ -24,13 +24,14 @@ from .errors import SenseParseError
 from .evaluation import (
     VARIANT_NAMES,
     VariantConfig,
+    check_synsets,
     load_resources,
     parse_sentence_with_variant,
     run_experiment,
 )
 from .ontology import factorize, load_ontology
 from .parser import ParserConfig
-from .sensemap import SenseDistribution, SynsetGraph, load_synsets
+from .sensemap import load_synsets
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -133,34 +134,13 @@ def _parser_config(args: argparse.Namespace) -> ParserConfig:
     )
 
 
-def _require_synsets(
-    graph: SynsetGraph, source: str, uses: Iterable[tuple[str, str]]
-) -> None:
-    """Fail on the first (sentence id, synset) use naming a synset the
-    graph lacks, before any parse starts."""
-    for sentence_id, synset in uses:
-        if synset not in graph:
-            raise SenseParseError(
-                f"{source}: sentence {sentence_id}: unknown synset {synset}"
-            )
-
-
-def _load_checked_advice(
-    path: str, graph: SynsetGraph
-) -> dict[str, list[SenseDistribution]]:
-    advice = load_advice(path)
-    _require_synsets(
-        graph, path, ((sid, s) for sid, ds in advice.items() for d in ds for s in d.weights)
-    )
-    return advice
-
-
 def cmd_parse(args: argparse.Namespace) -> int:
     config = VariantConfig(args.variant, args.alpha, _parser_config(args))
     resources = load_resources(args.ontology, args.synsets, args.lexicon, args.grammar)
     records = ()
     if args.advice:
-        advice = _load_checked_advice(args.advice, resources.graph)
+        advice = load_advice(args.advice)
+        check_synsets(resources.graph, (), advice, advice_source=args.advice)
         records = tuple(advice.get(args.sentence_id, ()))
 
     raw = args.sentence if args.sentence is not None else sys.stdin.read().strip()
@@ -178,9 +158,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     variants = [VariantConfig(n, args.alpha, _parser_config(args)) for n in names]
     resources = load_resources(args.ontology, args.synsets, args.lexicon, args.grammar)
     corpus = load_corpus(args.corpus)
-    golds = ((s.sentence_id, t.gold) for s in corpus for t in s.tokens if t.gold)
-    _require_synsets(resources.graph, args.corpus, golds)
-    advice = _load_checked_advice(args.advice, resources.graph) if args.advice else {}
+    advice = load_advice(args.advice) if args.advice else {}
+    check_synsets(resources.graph, corpus, advice, args.corpus, args.advice or "")
 
     diagnostics = Diagnostics()
     report = run_experiment(resources, corpus, advice, variants, diagnostics)

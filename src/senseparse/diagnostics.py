@@ -18,6 +18,12 @@ class Diagnostics:
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self.events.append(f"{kind} {message}")
 
+    def replay(self, other: "Diagnostics") -> None:
+        """Note every event of ``other`` here, in its order."""
+        self.events.extend(other.events)
+        for kind, n in other.counts.items():
+            self.counts[kind] = self.counts.get(kind, 0) + n
+
     def count(self, kind: str) -> int:
         return self.counts.get(kind, 0)
 

@@ -8,6 +8,18 @@ those three flags, read from one table, ``_VARIANT_FLAGS``: ``plain`` sets
 none and ignores the advice, ``pre`` prehints, ``prog`` is progressive,
 ``comb`` does both, and ``fixed`` forces.
 
+What does not depend on the variant is done once per sentence:
+``run_experiment`` prepares each corpus position (tokens, base candidate
+entries, and the advice map with its dropped count) once per distinct
+entry count and blend weight, and every variant parses from that
+preparation.  The shared entry lists are tuples; prehinting and forcing
+build new lists from them, so no variant changes what the next one sees.
+The diagnostics noted while preparing are buffered and replayed into
+each variant's log where building them would have noted them, so the log
+reads as if every variant had prepared the sentence itself.  Before the
+first parse, every gold and advice synset is checked against the synset
+graph.
+
 Gold annotations are synset-level; they are mapped to ontology types
 through subsumption, and instances whose gold synset reaches no type are
 excluded from scoring but counted.  Predictions carrying the fallback
@@ -25,7 +37,7 @@ from .advice import SentenceRecord, build_advice_map
 from .diagnostics import Diagnostics
 from .errors import SenseParseError
 from .hinting import AdviceMap, apply_prehints, fix_senses, prehint, progressive_scorer
-from .lexicon import Lexicon, load_lexicon
+from .lexicon import LexicalEntry, Lexicon, load_lexicon
 from .ontology import FactorizedOntology, Ontology, factorize, load_ontology
 from .parser import ChartParser, Grammar, ParseResult, ParserConfig, Token, load_grammar
 from .sensemap import SenseDistribution, SynsetGraph, load_synsets
@@ -42,6 +54,9 @@ __all__ = [
     "InstanceOutcome",
     "instance_outcomes",
     "score_run",
+    "check_synsets",
+    "PreparedSentence",
+    "prepare_sentence",
     "parse_sentence_with_variant",
     "run_variant",
     "run_experiment",
@@ -241,36 +256,136 @@ def score_run(
 # -- running variants ----------------------------------------------------------------
 
 
-def parse_sentence_with_variant(
+def check_synsets(
+    graph: SynsetGraph,
+    corpus: Sequence[SentenceRecord],
+    advice_by_sentence: Mapping[str, Sequence[SenseDistribution]],
+    corpus_source: str = "",
+    advice_source: str = "",
+) -> None:
+    """Fail on the first gold synset of ``corpus``, then the first advice
+    synset, that the graph lacks, naming the sentence (and the file, when
+    a source is given).  Called before any parse, so a run never stops
+    half-way."""
+    uses = [
+        (corpus_source, s.sentence_id, t.gold)
+        for s in corpus for t in s.tokens if t.gold is not None
+    ]
+    uses += [
+        (advice_source, sid, synset)
+        for sid, dists in advice_by_sentence.items() for d in dists for synset in d.weights
+    ]
+    for source, sentence_id, synset in uses:
+        if synset not in graph:
+            prefix = f"{source}: " if source else ""
+            raise SenseParseError(f"{prefix}sentence {sentence_id}: unknown synset {synset}")
+
+
+@dataclass(frozen=True)
+class PreparedSentence:
+    """The work on one sentence that every variant shares.
+
+    ``entries`` are tuples, so no variant can change them for the next.
+    ``advice_map`` is empty and ``dropped`` 0 when prepared without advice.
+    ``entry_notes`` and ``advice_notes`` hold, in order, the diagnostics
+    noted while building the entries and the advice map, or are None when
+    no diagnostics were asked for.
+    """
+
+    sentence: SentenceRecord
+    tokens: tuple[Token, ...]
+    entries: tuple[tuple[LexicalEntry, ...], ...]
+    advice_map: AdviceMap
+    dropped: int
+    entry_notes: Diagnostics | None
+    advice_notes: Diagnostics | None
+
+
+def _uses_advice(config: VariantConfig) -> bool:
+    return any(_VARIANT_FLAGS[config.variant])
+
+
+def prepare_sentence(
     resources: Resources,
     sentence: SentenceRecord,
     advice_records: Sequence[SenseDistribution],
     config: VariantConfig,
-    diagnostics: Diagnostics | None = None,
-) -> tuple[ParseResult, int]:
-    """Parse one sentence under a variant; returns (result, dropped advice)."""
-    tokens = [Token(t.surface, t.lemma, t.pos) for t in sentence.tokens]
-    entries: list[list] = [
-        resources.lexicon.candidate_entries(
-            t.lemma, t.pos, resources.graph, config.parser.entry_keep, diagnostics
+    with_advice: bool,
+    keep_notes: bool,
+) -> PreparedSentence:
+    """Tokens, base entries and, when ``with_advice``, the advice map of one
+    sentence under ``config``'s entry count and blend weight; with
+    ``keep_notes`` their diagnostics are buffered for replay."""
+    entry_notes = Diagnostics() if keep_notes else None
+    advice_notes = Diagnostics() if keep_notes else None
+    entries = tuple(
+        tuple(
+            resources.lexicon.candidate_entries(
+                t.lemma, t.pos, resources.graph, config.parser.entry_keep, entry_notes
+            )
         )
         for t in sentence.tokens
-    ]
-
-    prehinting, progressive, forcing = _VARIANT_FLAGS[config.variant]
-    dropped = 0
-    advice_map = AdviceMap((), config.alpha)
-    if (prehinting or progressive or forcing) and advice_records:
+    )
+    advice_map, dropped = AdviceMap((), config.alpha), 0
+    if with_advice and advice_records:
         advice_map, dropped = build_advice_map(
             advice_records,
             sentence.tokens,
             resources.graph,
             resources.ontology,
             config.alpha,
-            diagnostics,
+            advice_notes,
             sentence.sentence_id,
         )
+    tokens = tuple(Token(t.surface, t.lemma, t.pos) for t in sentence.tokens)
+    return PreparedSentence(
+        sentence, tokens, entries, advice_map, dropped, entry_notes, advice_notes
+    )
 
+
+def _prepare_corpus(
+    resources: Resources,
+    corpus: Sequence[SentenceRecord],
+    advice_by_sentence: Mapping[str, Sequence[SenseDistribution]],
+    config: VariantConfig,
+    with_advice: bool,
+    keep_notes: bool,
+) -> list[PreparedSentence]:
+    return [
+        prepare_sentence(
+            resources, sentence, advice_by_sentence.get(sentence.sentence_id, ()),
+            config, with_advice, keep_notes,
+        )
+        for sentence in corpus
+    ]
+
+
+def _parser(resources: Resources, config: VariantConfig) -> ChartParser:
+    return ChartParser(
+        resources.grammar, resources.ontology, resources.lexicon.templates, config.parser
+    )
+
+
+def _parse_prepared(
+    resources: Resources,
+    parser: ChartParser,
+    prepared: PreparedSentence,
+    config: VariantConfig,
+    diagnostics: Diagnostics | None,
+) -> tuple[ParseResult, int]:
+    """Parse a prepared sentence under one variant; returns (result,
+    dropped advice).  The preparation's notes are replayed first, where
+    preparing the sentence for this variant would have noted them."""
+    prehinting, progressive, forcing = _VARIANT_FLAGS[config.variant]
+    uses_advice = prehinting or progressive or forcing
+    if diagnostics is not None and prepared.entry_notes is not None:
+        diagnostics.replay(prepared.entry_notes)
+        if uses_advice:
+            diagnostics.replay(prepared.advice_notes)
+
+    tokens = prepared.tokens
+    entries: Sequence[Sequence[LexicalEntry]] = prepared.entries
+    advice_map = prepared.advice_map
     if prehinting:
         additions = prehint(
             advice_map, resources.lexicon, resources.ontology, tokens, diagnostics
@@ -282,15 +397,28 @@ def parse_sentence_with_variant(
         )
 
     scorer = progressive_scorer(advice_map, resources.ontology) if progressive else None
-
-    parser = ChartParser(
-        resources.grammar, resources.ontology, resources.lexicon.templates, config.parser
-    )
     result = parser.parse(
-        tokens, entries, sentence_id=sentence.sentence_id, scorer=scorer,
+        tokens, entries, sentence_id=prepared.sentence.sentence_id, scorer=scorer,
         diagnostics=diagnostics,
     )
-    return result, dropped
+    return result, prepared.dropped if uses_advice else 0
+
+
+def parse_sentence_with_variant(
+    resources: Resources,
+    sentence: SentenceRecord,
+    advice_records: Sequence[SenseDistribution],
+    config: VariantConfig,
+    diagnostics: Diagnostics | None = None,
+) -> tuple[ParseResult, int]:
+    """Parse one sentence under a variant; returns (result, dropped advice)."""
+    prepared = prepare_sentence(
+        resources, sentence, advice_records, config, _uses_advice(config),
+        diagnostics is not None,
+    )
+    return _parse_prepared(
+        resources, _parser(resources, config), prepared, config, diagnostics
+    )
 
 
 def run_variant(
@@ -299,15 +427,27 @@ def run_variant(
     advice_by_sentence: Mapping[str, Sequence[SenseDistribution]],
     config: VariantConfig,
     diagnostics: Diagnostics | None = None,
+    prepared: Sequence[PreparedSentence] | None = None,
 ) -> tuple[dict[str, ParseResult], int]:
+    """Parse the corpus under one variant; returns the results by sentence
+    id and the dropped advice count.
+
+    ``prepared`` holds one preparation per corpus position, made under
+    this variant's entry count and blend weight, with advice if it uses
+    any and with notes kept if ``diagnostics`` is given; without it every
+    sentence is prepared here.
+    """
+    if prepared is None:
+        prepared = _prepare_corpus(
+            resources, corpus, advice_by_sentence, config, _uses_advice(config),
+            diagnostics is not None,
+        )
+    parser = _parser(resources, config)
     results: dict[str, ParseResult] = {}
     dropped_total = 0
-    for sentence in corpus:
-        records = advice_by_sentence.get(sentence.sentence_id, ())
-        result, dropped = parse_sentence_with_variant(
-            resources, sentence, records, config, diagnostics
-        )
-        results[sentence.sentence_id] = result
+    for sentence in prepared:
+        result, dropped = _parse_prepared(resources, parser, sentence, config, diagnostics)
+        results[sentence.sentence.sentence_id] = result
         dropped_total += dropped
     return results, dropped_total
 
@@ -319,12 +459,25 @@ def run_experiment(
     variants: Sequence[VariantConfig],
     diagnostics: Diagnostics | None = None,
 ) -> ScoreReport:
-    """Run every variant over the corpus and assemble the metrics table."""
+    """Run every variant over the corpus and assemble the metrics table.
+
+    Raises :class:`SenseParseError` before any parse if a gold or advice
+    synset is missing from the synset graph.
+    """
+    check_synsets(resources.graph, corpus, advice_by_sentence)
     instances = gold_instances(corpus)
+    with_advice = any(_uses_advice(config) for config in variants)
+    shared: dict[tuple[int, float], list[PreparedSentence]] = {}
     rows = []
     for config in variants:
+        key = (config.parser.entry_keep, config.alpha)
+        if key not in shared:
+            shared[key] = _prepare_corpus(
+                resources, corpus, advice_by_sentence, config, with_advice,
+                diagnostics is not None,
+            )
         results, dropped = run_variant(
-            resources, corpus, advice_by_sentence, config, diagnostics
+            resources, corpus, advice_by_sentence, config, diagnostics, shared[key]
         )
         metrics = score_run(
             results,

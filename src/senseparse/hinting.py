@@ -65,6 +65,7 @@ class AdviceMap:
         self._by_word: dict[str, list[Hint]] = {}
         for hint in self.hints:
             self._by_word.setdefault(hint.word, []).append(hint)
+        self._ranked: dict[tuple[str, str], list[Hint]] = {}
 
     def __len__(self) -> int:
         return len(self.hints)
@@ -75,13 +76,26 @@ class AdviceMap:
     def best_match(
         self, word: str, span: Span, onto_type: str, ontology: Ontology
     ) -> Hint | None:
-        """The matching hint with the highest score; ties by type name."""
-        matched = [
-            h for h in self.for_word(word) if match(h, word, span, onto_type, ontology)
-        ]
-        if not matched:
-            return None
-        return min(matched, key=lambda h: (-h.score, h.onto_type))
+        """The matching hint with the highest score; ties by type name.
+
+        The hints of ``word`` whose type is an ancestor-or-self of
+        ``onto_type`` are ranked once per (word, type), so a query only
+        scans them for the first span that intersects.  The ranking assumes
+        one ontology for every query, as within one parse.
+        """
+        key = (word, onto_type)
+        ranked = self._ranked.get(key)
+        if ranked is None:
+            ancestors = ontology.ancestor_sets.get(onto_type, ())
+            ranked = sorted(
+                (h for h in self.for_word(word) if h.onto_type in ancestors),
+                key=lambda h: (-h.score, h.onto_type),
+            )
+            self._ranked[key] = ranked
+        for hint in ranked:
+            if _spans_intersect(hint.span, span):
+                return hint
+        return None
 
 
 def _spans_intersect(a: Span, b: Span) -> bool:
@@ -166,14 +180,14 @@ def prehint(
     for hint in sorted(set(advice.hints), key=lambda h: (h.span, h.onto_type)):
         index = hint.span[0]
         if not 0 <= index < len(tokens):
-            _skip(diagnostics, hint, "span outside sentence")
+            _skip(diagnostics, "skipped-prehint", hint, "span outside sentence")
             continue
         if hint.onto_type not in ontology:
-            _skip(diagnostics, hint, "type missing from ontology")
+            _skip(diagnostics, "skipped-prehint", hint, "type missing from ontology")
             continue
         entry = _advised_entry(lexicon, hint.word, tokens[index].pos, hint.onto_type)
         if entry is None:
-            _skip(diagnostics, hint, "no compatible template")
+            _skip(diagnostics, "skipped-prehint", hint, "no compatible template")
             continue
         bucket = additions.setdefault(index, [])
         if all(e.key() != entry.key() for e in bucket):
@@ -199,9 +213,9 @@ def _advised_entry(
     )
 
 
-def _skip(diagnostics: Diagnostics | None, hint: Hint, reason: str) -> None:
+def _skip(diagnostics: Diagnostics | None, kind: str, hint: Hint, reason: str) -> None:
     if diagnostics is not None:
-        diagnostics.note("skipped-prehint", f"{hint.word} {hint.onto_type}: {reason}")
+        diagnostics.note(kind, f"{hint.word} {hint.onto_type}: {reason}")
 
 
 def apply_prehints(
@@ -245,7 +259,7 @@ def fix_senses(
     advised: dict[int, set[str]] = {}
     for hint in advice.hints:
         if hint.onto_type not in ontology:
-            _skip(diagnostics, hint, "type missing from ontology")
+            _skip(diagnostics, "skipped-forcing", hint, "type missing from ontology")
             continue
         for index in range(max(hint.span[0], 0), min(hint.span[1], len(tokens))):
             advised.setdefault(index, set()).add(hint.onto_type)

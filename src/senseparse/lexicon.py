@@ -310,10 +310,7 @@ def parse_lexicon(text: str, ontology: Ontology, source: str = "<string>") -> Le
             raise FormatError(f"unknown record '{kind}'", source, lineno)
 
     entries = [_parse_entry(tokens, source, lineno) for lineno, tokens in entry_lines]
-    try:
-        lex = Lexicon(templates, [e for e, _ in entries], defaults, ontology)
-    except StructuralError as exc:
-        raise StructuralError(f"{source}: {exc}") from exc
+    lex = records.build(Lexicon, source, templates, [e for e, _ in entries], defaults, ontology)
     # the entry line also declares a category; it must agree with the template
     for (entry, category), (lineno, _) in zip(entries, entry_lines):
         if lex.templates[entry.template].category != category:

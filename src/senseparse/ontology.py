@@ -302,10 +302,7 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
         if name in seen:
             raise FormatError(f"duplicate type {name}", source, lineno)
         seen.add(name)
-    try:
-        return Ontology(types)
-    except StructuralError as exc:
-        raise StructuralError(f"{source}: {exc}") from exc
+    return records.build(Ontology, source, types)
 
 
 def load_ontology(path: str | Path) -> Ontology:

@@ -16,11 +16,11 @@ nothing else covers.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
-from statistics import fmean
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import records
 from .diagnostics import Diagnostics
@@ -43,7 +43,6 @@ __all__ = [
     "parse_grammar",
     "fragment_fallback",
     "recursive_score",
-    "verify_role_soundness",
 ]
 
 Span = tuple[int, int]
@@ -202,8 +201,12 @@ Scorer = Callable[[Constituent, Sequence[float]], float]
 
 
 def recursive_score(root_component: float, child_scores: Sequence[float]) -> float:
-    """Mean of the root's component and its daughters' effective scores."""
-    return fmean([root_component, *child_scores])
+    """Mean of the root's component and its daughters' effective scores.
+
+    ``fsum`` over the count is exactly what ``statistics.fmean`` computes,
+    without its generic set-up on two or three numbers.
+    """
+    return math.fsum((root_component, *child_scores)) / (1 + len(child_scores))
 
 
 def plain_score(constituent: Constituent, child_scores: Sequence[float]) -> float:
@@ -214,9 +217,11 @@ def plain_score(constituent: Constituent, child_scores: Sequence[float]) -> floa
 class Chart:
     """Constituent store with per-(span, category) beam pruning.
 
-    Live items are indexed by (end, category) and (start, category), so a
-    rule daughter is looked up in exactly the cell it can come from; each
-    index keeps insertion order and drops an item when the beam prunes it.
+    Each cell is kept in beam order, so a new item is admitted (or pruned)
+    before it is indexed.  Live items are indexed by (end, category) and
+    (start, category), so a rule daughter is looked up in exactly the cell
+    it can come from; each index keeps insertion order and drops an item
+    when the beam prunes it.
     """
 
     def __init__(self, beam_width: int) -> None:
@@ -232,28 +237,31 @@ class Chart:
         """Insert and beam-prune the cell; returns False if the new item
         itself was pruned straight away."""
         cid = constituent.id
-        start, end = constituent.span
-        category = constituent.category
+        key = (constituent.span, constituent.category)
         self.items[cid] = constituent
         self.live.add(cid)
-        self._cells.setdefault((constituent.span, category), []).append(constituent)
+        insort(self._cells.setdefault(key, []), constituent, key=_beam_key)
+        self.prune_cell(key)
+        if cid not in self.live:
+            return False
+        start, end = constituent.span
+        category = constituent.category
         self._ending.setdefault((end, category), {})[cid] = constituent
         self._starting.setdefault((start, category), {})[cid] = constituent
         self._by_start.setdefault(start, {})[cid] = constituent
-        self.prune_cell((constituent.span, category))
-        return cid in self.live
+        return True
 
     def prune_cell(self, key: tuple[Span, str]) -> None:
         cell = self._cells.get(key)
         if cell is None or len(cell) <= self.beam_width:
             return
-        cell.sort(key=_beam_key)
         (start, end), category = key
         for c in cell[self.beam_width :]:
             self.live.discard(c.id)
-            del self._ending[(end, category)][c.id]
-            del self._starting[(start, category)][c.id]
-            del self._by_start[start][c.id]
+            # an item pruned on admission was never indexed
+            self._ending[(end, category)].pop(c.id, None)
+            self._starting[(start, category)].pop(c.id, None)
+            self._by_start[start].pop(c.id, None)
         del cell[self.beam_width :]
 
     def live_ending_at(self, position: int, category: str) -> list[Constituent]:
@@ -292,6 +300,7 @@ class ChartParser:
         self.ontology = ontology
         self.templates = templates
         self.config = config
+        self._role_plans: dict[tuple, tuple[str | None, ...]] = {}
 
     # -- combination --------------------------------------------------------
 
@@ -310,21 +319,21 @@ class ChartParser:
         restriction must subsume the filler's type.
         """
         head = children[rule.head_index]
-        roles = self.ontology.effective_roles(head.onto_type)
-        ancestor_sets = self.ontology.ancestor_sets
         role_children: list[tuple[str, int]] = []
-        for index, role in rule.role_links:
-            filler = children[index]
-            spec = roles.get(role)
-            if spec is None:
-                self._reject(diagnostics, sentence_id, role, "(undeclared)", filler)
-                return None
-            # leaf types were validated at seeding and restrictions at
-            # ontology construction, so the unchecked ancestry test is safe
-            if spec.restriction not in ancestor_sets[filler.onto_type]:
-                self._reject(diagnostics, sentence_id, role, spec.restriction, filler)
-                return None
-            role_children.append((role, filler.id))
+        if rule.role_links:
+            ancestor_sets = self.ontology.ancestor_sets
+            plan = self._role_plan(rule.role_links, head.onto_type)
+            for (index, role), restriction in zip(rule.role_links, plan):
+                filler = children[index]
+                # leaf types were validated at seeding and restrictions at
+                # ontology construction, so the unchecked ancestry test is
+                # safe; an undeclared role (None) is in no ancestor set
+                if restriction not in ancestor_sets[filler.onto_type]:
+                    self._reject(
+                        diagnostics, sentence_id, role, restriction or "(undeclared)", filler
+                    )
+                    return None
+                role_children.append((role, filler.id))
         own = rule.weight * _geometric_mean([c.effective_score for c in children])
         return Constituent(
             id=cid,
@@ -334,9 +343,26 @@ class ChartParser:
             word=head.word,
             own_score=own,
             role_children=tuple(role_children),
-            children_ids=tuple(c.id for c in children),
+            children_ids=tuple([c.id for c in children]),
             head_child=rule.head_index,
         )
+
+    def _role_plan(
+        self, role_links: tuple[tuple[int, str], ...], head_type: str
+    ) -> tuple[str | None, ...]:
+        """Per role link, the restriction its filler must satisfy under a
+        head of ``head_type``, or None for a role the type does not declare;
+        memoised per (links, head type)."""
+        key = (role_links, head_type)
+        plan = self._role_plans.get(key)
+        if plan is None:
+            roles = self.ontology.effective_roles(head_type)
+            plan = tuple(
+                spec.restriction if (spec := roles.get(role)) is not None else None
+                for _, role in role_links
+            )
+            self._role_plans[key] = plan
+        return plan
 
     @staticmethod
     def _reject(
@@ -372,7 +398,9 @@ class ChartParser:
         n = len(tokens)
         budget = self.config.pop_budget(n)
         chart = Chart(self.config.beam_width)
-        agenda: list[tuple[float, int, int]] = []
+        # (-score, id, constituent): ids are unique, so the constituent
+        # itself is never compared
+        agenda: list[tuple[float, int, Constituent]] = []
         next_id = 0
         seen: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -383,7 +411,7 @@ class ChartParser:
                 score, c.role_children, c.children_ids, c.head_child,
             )
             if chart.add(scored):
-                heappush(agenda, (-score, scored.id, scored.id))
+                heappush(agenda, (-score, scored.id, scored))
 
         for i in range(n):
             for entry in entries[i]:
@@ -405,12 +433,12 @@ class ChartParser:
 
         pops = 0
         accepted: Constituent | None = None
+        rules = self.grammar.rules
         while agenda and pops < budget:
-            _, _, cid = heappop(agenda)
+            _, cid, popped = heappop(agenda)
             if cid not in chart.live:
                 continue
             pops += 1
-            popped = chart.items[cid]
             if (
                 popped.span == (0, n)
                 and popped.effective_score >= self.config.accept_threshold
@@ -418,9 +446,9 @@ class ChartParser:
                 accepted = popped
                 break
             for rule_index, j in self.grammar.positions(popped.category):
-                rule = self.grammar.rules[rule_index]
+                rule = rules[rule_index]
                 for children in self._rhs_matches(chart, rule, j, popped):
-                    signature = (rule_index, tuple(c.id for c in children))
+                    signature = (rule_index, tuple([c.id for c in children]))
                     if signature in seen:
                         continue
                     seen.add(signature)
@@ -454,31 +482,39 @@ class ChartParser:
             constituents=closure,
         )
 
+    @staticmethod
     def _rhs_matches(
-        self, chart: Chart, rule: GrammarRule, j: int, fixed: Constituent
-    ) -> Iterator[list[Constituent]]:
+        chart: Chart, rule: GrammarRule, j: int, fixed: Constituent
+    ) -> list[tuple[Constituent, ...]]:
         """All ways to realize ``rule.rhs`` with ``fixed`` at position ``j``
-        and live, span-adjacent chart items elsewhere."""
-        partial: list[list[Constituent]] = [[fixed]]
+        and live, span-adjacent chart items elsewhere.
+
+        Reads the chart's indexes in place: every match is collected before
+        the caller combines (and so admits) any of them.
+        """
+        rhs = rule.rhs
+        partial: list[tuple[Constituent, ...]] = [(fixed,)]
         for k in range(j - 1, -1, -1):
+            category = rhs[k]
             extended = []
             for seq in partial:
-                start = seq[0].span[0]
-                for cand in chart.live_ending_at(start, rule.rhs[k]):
-                    extended.append([cand] + seq)
+                cell = chart._ending.get((seq[0].span[0], category))
+                if cell:
+                    extended.extend((cand, *seq) for cand in cell.values())
+            if not extended:
+                return extended
             partial = extended
-            if not partial:
-                return
-        for k in range(j + 1, len(rule.rhs)):
+        for k in range(j + 1, len(rhs)):
+            category = rhs[k]
             extended = []
             for seq in partial:
-                end = seq[-1].span[1]
-                for cand in chart.live_starting_at(end, rule.rhs[k]):
-                    extended.append(seq + [cand])
+                cell = chart._starting.get((seq[-1].span[1], category))
+                if cell:
+                    extended.extend((*seq, cand) for cand in cell.values())
+            if not extended:
+                return extended
             partial = extended
-            if not partial:
-                return
-        yield from partial
+        return partial
 
 
 def fragment_fallback(
@@ -523,6 +559,10 @@ def fragment_fallback(
 
 
 def _geometric_mean(scores: Sequence[float]) -> float:
+    # the binary case rounds exactly as the general form: prod starts from
+    # 1.0 and 1.0 / 2 is exactly 0.5
+    if len(scores) == 2:
+        return (scores[0] * scores[1]) ** 0.5
     return math.prod(scores) ** (1.0 / len(scores))
 
 
@@ -568,27 +608,6 @@ def _extract_logical_form(
             child = node_ids[_head_leaf(closure[child_id], closure).id]
             edges.append((parent, role, child))
     return LogicalForm(nodes, tuple(sorted(edges)))
-
-
-def verify_role_soundness(result: ParseResult, ontology: Ontology) -> list[str]:
-    """Return a description of every role edge violating its restriction.
-
-    An empty list means the result is sound.  Used by tests to assert the
-    parser never emits a restriction-breaking attachment.
-    """
-    problems = []
-    for c in result.constituents.values():
-        roles = ontology.effective_roles(c.onto_type)
-        for role, child_id in c.role_children:
-            filler = result.constituents[child_id]
-            spec = roles.get(role)
-            if spec is None:
-                problems.append(f"{c.id}: role {role} undeclared on {c.onto_type}")
-            elif not ontology.is_a(filler.onto_type, spec.restriction):
-                problems.append(
-                    f"{c.id}: {role} wants {spec.restriction}, got {filler.onto_type}"
-                )
-    return problems
 
 
 # -- grammar file format -------------------------------------------------------

@@ -16,7 +16,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
-from .errors import FormatError
+from .errors import FormatError, StructuralError
 
 T = TypeVar("T")
 
@@ -25,6 +25,15 @@ def load(parse: Callable[..., T], path: str | Path, *args: object) -> T:
     """Read ``path`` as UTF-8 and hand it to ``parse`` with the path as source."""
     p = Path(path)
     return parse(p.read_text(encoding="utf-8"), *args, source=str(p))
+
+
+def build(construct: Callable[..., T], source: str, *args: object) -> T:
+    """Call ``construct(*args)``; a :class:`StructuralError` it raises is
+    re-raised with ``source`` in front, so it names the file at fault."""
+    try:
+        return construct(*args)
+    except StructuralError as exc:
+        raise StructuralError(f"{source}: {exc}") from exc
 
 
 def lines(text: str) -> list[tuple[int, list[str]]]:

@@ -219,10 +219,7 @@ def parse_synsets(text: str, source: str = "<string>") -> SynsetGraph:
         lemmas = records.split_list(sections.get("lemmas", "-"))
         hypernyms = records.split_list(sections.get("hypernyms", "-"))
         synsets.append(Synset(sid, frozenset(lemmas), frozenset(hypernyms)))
-    try:
-        return SynsetGraph(synsets)
-    except StructuralError as exc:
-        raise StructuralError(f"{source}: {exc}") from exc
+    return records.build(SynsetGraph, source, synsets)
 
 
 def load_synsets(path: str | Path) -> SynsetGraph:

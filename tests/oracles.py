@@ -210,6 +210,47 @@ def best_parse_oracle(tokens, entries, grammar, ontology, templates) -> float | 
     return max(d.eff for d in cell)
 
 
+def verify_role_soundness(result, ontology: Ontology) -> list[str]:
+    """Return a description of every role edge violating its restriction.
+
+    An empty list means the result is sound: the parser never emits a
+    restriction-breaking attachment.
+    """
+    problems = []
+    for c in result.constituents.values():
+        roles = ontology.effective_roles(c.onto_type)
+        for role, child_id in c.role_children:
+            filler = result.constituents[child_id]
+            spec = roles.get(role)
+            if spec is None:
+                problems.append(f"{c.id}: role {role} undeclared on {c.onto_type}")
+            elif not ontology.is_a(filler.onto_type, spec.restriction):
+                problems.append(
+                    f"{c.id}: {role} wants {spec.restriction}, got {filler.onto_type}"
+                )
+    return problems
+
+
+# -- hint matching -----------------------------------------------------------------
+
+
+def best_match_oracle(hints, word, span, onto_type, ontology: Ontology):
+    """Scan every hint: keep those of ``word`` whose span intersects
+    ``span`` and whose type lies on ``onto_type``'s chain to the root, and
+    return the one with the highest score, ties by type name, then by hint
+    order; None when nothing matches."""
+    chain = ontology.ancestors(onto_type) if onto_type in ontology else []
+    best = None
+    for h in hints:
+        if h.word != word or h.onto_type not in chain:
+            continue
+        if not set(range(*h.span)) & set(range(*span)):
+            continue
+        if best is None or (-h.score, h.onto_type) < (-best.score, best.onto_type):
+            best = h
+    return best
+
+
 # -- random fixtures -------------------------------------------------------------
 
 

@@ -1,22 +1,38 @@
 import hashlib
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from senseparse.advice import load_advice, load_corpus
+from senseparse import evaluation
+from senseparse.advice import load_advice, load_corpus, parse_advice
 from senseparse.cli import main
+from senseparse.diagnostics import Diagnostics
+from senseparse.errors import SenseParseError
 from senseparse.evaluation import (
     VARIANT_NAMES,
     GoldInstance,
+    ScoreReport,
     VariantConfig,
+    VariantRow,
+    gold_instances,
     load_resources,
+    parse_sentence_with_variant,
     run_experiment,
     run_variant,
     score_run,
 )
-from senseparse.parser import FALLBACK_TYPE, LFNode, LogicalForm, ParseResult
+from senseparse.parser import (
+    FALLBACK_TYPE,
+    ChartParser,
+    LFNode,
+    LogicalForm,
+    ParseResult,
+    ParserConfig,
+)
+from senseparse.sensemap import parse_synsets
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,6 +116,142 @@ def test_long_ambig_chunk_matches_golden(tmp_path):
             digest.update(f"{config.variant} {sid}\n{result.logical_form}\n".encode())
     assert pops == GOLDEN_LONG_AMBIG_POPS
     assert digest.hexdigest() == GOLDEN_LONG_AMBIG_LF_SHA256
+
+
+# -- shared preparation ---------------------------------------------------------------
+
+
+def outputs_of(results, dropped):
+    lfs = {sid: (str(r.logical_form), r.spanning, r.agenda_pops) for sid, r in results.items()}
+    return lfs, dropped
+
+
+def variant_by_variant(resources, corpus, advice, variants):
+    """run_experiment's report, outputs and diagnostics, rebuilt by parsing
+    sentence by sentence under each variant with nothing shared."""
+    diagnostics = Diagnostics()
+    instances = gold_instances(corpus)
+    rows, outputs = [], []
+    for config in variants:
+        results, dropped = {}, 0
+        for sentence in corpus:
+            result, d = parse_sentence_with_variant(
+                resources, sentence, advice.get(sentence.sentence_id, ()), config, diagnostics
+            )
+            results[sentence.sentence_id] = result
+            dropped += d
+        metrics = score_run(
+            results, instances, resources.ontology, resources.factorized,
+            resources.graph, config.parser.fallback_type, diagnostics,
+        )
+        rows.append(VariantRow(config.variant, **metrics, dropped_advice=dropped))
+        outputs.append((config.variant, outputs_of(results, dropped)))
+    return ScoreReport(tuple(rows)).to_tsv(), outputs, diagnostics.lines()
+
+
+def shared_run(resources, corpus, advice, variants, monkeypatch):
+    outputs = []
+    original = evaluation.run_variant
+
+    def capture(resources, corpus, advice, config, *args, **kwargs):
+        out = original(resources, corpus, advice, config, *args, **kwargs)
+        outputs.append((config.variant, outputs_of(*out)))
+        return out
+
+    monkeypatch.setattr(evaluation, "run_variant", capture)
+    diagnostics = Diagnostics()
+    report = run_experiment(resources, corpus, advice, variants, diagnostics)
+    return report.to_tsv(), outputs, diagnostics.lines()
+
+
+def test_run_experiment_matches_variant_by_variant_on_fixture(
+    resources, corpus, fixtures_dir, monkeypatch
+):
+    # every variant's preparation notes must land where an unshared run
+    # notes them: a "bass" synset under two mapped hypernyms makes every
+    # candidate-entry lookup of "bass" note an ambiguous subsumption, and
+    # s01's advice resolving to no type makes each advice-using variant
+    # note a dropped record
+    synsets = (fixtures_dir / "synsets.txt").read_text()
+    synsets += "synset bass_hybrid.n.01 lemmas bass hypernyms bird.n.01,fish.n.01\n"
+    resources = replace(resources, graph=parse_synsets(synsets))
+    text = (fixtures_dir / "advice.txt").read_text()
+    advice = parse_advice(text.replace("bass bass_guitar.n.01=1.0", "bass entity.n.01=1.0", 1))
+    variants = [VariantConfig(name) for name in VARIANT_NAMES]
+
+    expected = variant_by_variant(resources, corpus, advice, variants)
+    assert shared_run(resources, corpus, advice, variants, monkeypatch) == expected
+    lines = expected[2]
+    assert sum(line.startswith("dropped-advice s01 ") for line in lines) == 4
+    assert any(line.startswith("ambiguous-subsumption bass_hybrid.n.01 ") for line in lines)
+    assert {v: out[1] for v, out in expected[1]} == {
+        "plain": 0, "pre": 1, "prog": 1, "comb": 1, "fixed": 1,
+    }
+
+
+def test_run_experiment_prepares_once_per_entry_count_and_blend_weight(
+    resources, corpus, advice_records, monkeypatch
+):
+    few = ParserConfig(entry_keep=1)
+    variants = [
+        VariantConfig("prog", 0.2),
+        VariantConfig("plain", parser=few),
+        VariantConfig("comb", 0.2),
+        VariantConfig("fixed", parser=few),
+        VariantConfig("pre"),
+        VariantConfig("prog", 0.2, few),
+    ]
+    calls = []
+    original = evaluation.prepare_sentence
+
+    def counted(resources, sentence, records, config, *args):
+        calls.append((config.parser.entry_keep, config.alpha))
+        return original(resources, sentence, records, config, *args)
+
+    expected = variant_by_variant(resources, corpus, advice_records, variants)
+    monkeypatch.setattr(evaluation, "prepare_sentence", counted)
+    assert shared_run(resources, corpus, advice_records, variants, monkeypatch) == expected
+    # one preparation per sentence for each distinct (entry count, blend weight)
+    assert sorted(set(calls)) == [(1, 0.2), (1, 0.5), (4, 0.2), (4, 0.5)]
+    assert len(calls) == 4 * len(corpus)
+
+
+def test_run_experiment_matches_variant_by_variant_on_long_ambig(tmp_path, monkeypatch):
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "long-ambig",
+         "--seed", "1", "--out", str(tmp_path)],
+        check=True, capture_output=True,
+    )
+    resources = load_resources(
+        *(tmp_path / f"{name}.txt" for name in ("ontology", "synsets", "lexicon", "grammar"))
+    )
+    corpus = load_corpus(tmp_path / "corpus.txt")[:10]
+    advice = load_advice(tmp_path / "advice.txt")
+    variants = [VariantConfig(name) for name in VARIANT_NAMES]
+
+    expected = variant_by_variant(resources, corpus, advice, variants)
+    assert shared_run(resources, corpus, advice, variants, monkeypatch) == expected
+
+
+@pytest.mark.parametrize("field", ["advice", "gold"])
+def test_run_experiment_rejects_unknown_synset_before_any_parse(
+    resources, corpus, fixtures_dir, monkeypatch, field
+):
+    advice_text = (fixtures_dir / "advice.txt").read_text()
+    if field == "advice":
+        advice_text = advice_text.replace("bass_guitar.n.01=1.0", "no_such.n.01=1.0", 1)
+    else:
+        s01 = corpus[0]
+        tokens = s01.tokens[:3] + (replace(s01.tokens[3], gold="no_such.n.01"),)
+        corpus = [replace(s01, tokens=tokens), *corpus[1:]]
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed before the synset check")
+
+    monkeypatch.setattr(ChartParser, "parse", no_parse)
+    variants = [VariantConfig(name) for name in VARIANT_NAMES]
+    with pytest.raises(SenseParseError, match="^sentence s01: unknown synset no_such.n.01$"):
+        run_experiment(resources, corpus, parse_advice(advice_text), variants)
 
 
 # -- score_run --------------------------------------------------------------------

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import best_match_oracle
 from senseparse.diagnostics import Diagnostics
 from senseparse.hinting import (
     AdviceMap,
@@ -144,6 +145,35 @@ def test_progressive_best_hint_highest_score_then_name(ontology):
     )
     best = tied.best_match("bass", (3, 4), "electric-bass", ontology)
     assert best.onto_type == "artifact"
+
+
+_TYPES = ("electric-bass", "musical-instrument", "artifact", "freshwater-fish", "no-such-type")
+_spans = st.tuples(st.integers(0, 4), st.integers(1, 3)).map(lambda p: (p[0], p[0] + p[1]))
+_hints = st.lists(
+    st.builds(
+        Hint,
+        word=st.sampled_from(("bass", "drum")),
+        span=_spans,
+        onto_type=st.sampled_from(_TYPES),
+        score=st.sampled_from((0.25, 0.5, 1.0)),
+    ),
+    max_size=8,
+)
+_queries = st.lists(
+    st.tuples(st.sampled_from(("bass", "drum")), _spans, st.sampled_from(_TYPES)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hints=_hints, queries=_queries)
+def test_best_match_equals_list_scan_oracle(ontology, hints, queries):
+    # repeated queries on one map also exercise the per-(word, type) ranking
+    advice = AdviceMap(hints)
+    for word, span, onto_type in queries + queries:
+        expected = best_match_oracle(hints, word, span, onto_type, ontology)
+        assert advice.best_match(word, span, onto_type, ontology) is expected
 
 
 def test_progressive_empty_advice_equals_plain_recursive_mean(ontology):
@@ -304,7 +334,7 @@ def test_fix_senses_skips_hint_with_unknown_type(resources):
         advice, base, resources.lexicon, resources.ontology, TOKENS, diag
     )
     assert fixed == base
-    assert diag.lines() == ["skipped-prehint bass no-such-type: type missing from ontology"]
+    assert diag.lines() == ["skipped-forcing bass no-such-type: type missing from ontology"]
 
 
 # -- hint validation ----------------------------------------------------------------

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from oracles import best_parse_oracle
+from oracles import best_parse_oracle, verify_role_soundness
 from senseparse.diagnostics import Diagnostics
 from senseparse.errors import ParseFailure, StructuralError
 from senseparse.evaluation import VariantConfig, parse_sentence_with_variant
@@ -17,7 +17,6 @@ from senseparse.parser import (
     Token,
     fragment_fallback,
     parse_grammar,
-    verify_role_soundness,
 )
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from senseparse.advice import load_advice, parse_advice, parse_corpus
-from senseparse.errors import FormatError
+from senseparse.errors import FormatError, StructuralError
 from senseparse.lexicon import parse_lexicon
 from senseparse.ontology import parse_ontology
 from senseparse.parser import parse_grammar
@@ -121,3 +121,18 @@ def test_parse_advice_groups_distributions_by_sentence():
 def test_parse_advice_rejects_mass_above_one():
     with pytest.raises(FormatError, match="src.txt:1: weights for w sum to"):
         parse_advice("advice s 0 4 w a.n=0.7,b.n=0.7\n", source="src.txt")
+
+
+# a record set that reads cleanly but breaks a structural invariant; the
+# error names the file even though the text was passed in directly
+STRUCTURAL = [
+    ("ontology", "type a parent b\n\ntype b parent a\n", "no root"),
+    ("synsets", "synset a.n hypernyms b.n\n", "missing hypernym"),
+    ("lexicon", "entry w cat N template n type root\n", "missing template"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, problem", STRUCTURAL)
+def test_structural_error_names_its_source(fmt, text, problem):
+    with pytest.raises(StructuralError, match=f"^src.txt: .*{problem}"):
+        PARSERS[fmt](text, source="src.txt")
