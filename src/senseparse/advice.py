@@ -23,18 +23,6 @@ from .hinting import AdviceMap, Hint, _spans_intersect
 from .ontology import Ontology
 from .sensemap import SenseDistribution, SynsetGraph, best_types, transform_advice
 
-__all__ = [
-    "TokenRecord",
-    "CorpusToken",
-    "SentenceRecord",
-    "unify",
-    "build_advice_map",
-    "load_corpus",
-    "parse_corpus",
-    "load_advice",
-    "parse_advice",
-]
-
 
 @dataclass(frozen=True)
 class TokenRecord:
@@ -192,7 +180,6 @@ def build_advice_map(
     parser_tokens: Sequence[CorpusToken],
     graph: SynsetGraph,
     ontology: Ontology,
-    alpha: float = 0.5,
     diagnostics: Diagnostics | None = None,
     sentence_id: str = "",
 ) -> tuple[AdviceMap, int]:
@@ -236,4 +223,4 @@ def build_advice_map(
                     score=score,
                 )
             )
-    return AdviceMap(hints, alpha), dropped
+    return AdviceMap(hints), dropped

@@ -8,17 +8,17 @@ those three flags, read from one table, ``_VARIANT_FLAGS``: ``plain`` sets
 none and ignores the advice, ``pre`` prehints, ``prog`` is progressive,
 ``comb`` does both, and ``fixed`` forces.
 
-What does not depend on the variant is done once per sentence:
-``run_experiment`` prepares each corpus position (tokens, base candidate
-entries, and the advice map with its dropped count) once per distinct
-entry count and blend weight, and every variant parses from that
-preparation.  The shared entry lists are tuples; prehinting and forcing
-build new lists from them, so no variant changes what the next one sees.
-The diagnostics noted while preparing are buffered and replayed into
-each variant's log where building them would have noted them, so the log
-reads as if every variant had prepared the sentence itself.  Before the
-first parse, every gold and advice synset is checked against the synset
-graph.
+Preparing a sentence (tokens, base candidate entries, and the advice map
+with its dropped count) depends on no variant setting, so
+``run_experiment`` prepares each corpus position once and every variant
+parses from that preparation through ``run_variant``, the one parse path;
+the blend weight only enters through the progressive scorer.  The shared
+entry lists are tuples; prehinting and forcing build new lists from them,
+so no variant changes what the next one sees.  The diagnostics noted while
+preparing are buffered and replayed into each variant's log where
+building them would have noted them, so the log reads as if every variant
+had prepared the sentence itself.  Before the first parse, every gold and
+advice synset is checked against the synset graph.
 
 Gold annotations are synset-level; they are mapped to ontology types
 through subsumption, and instances whose gold synset reaches no type are
@@ -37,30 +37,10 @@ from .advice import SentenceRecord, build_advice_map
 from .diagnostics import Diagnostics
 from .errors import SenseParseError
 from .hinting import AdviceMap, apply_prehints, fix_senses, prehint, progressive_scorer
-from .lexicon import LexicalEntry, Lexicon, load_lexicon
+from .lexicon import ENTRY_KEEP, LexicalEntry, Lexicon, load_lexicon
 from .ontology import FactorizedOntology, Ontology, factorize, load_ontology
 from .parser import ChartParser, Grammar, ParseResult, ParserConfig, Token, load_grammar
 from .sensemap import SenseDistribution, SynsetGraph, load_synsets
-
-__all__ = [
-    "VARIANT_NAMES",
-    "VariantConfig",
-    "VariantRow",
-    "ScoreReport",
-    "Resources",
-    "load_resources",
-    "gold_instances",
-    "GoldInstance",
-    "InstanceOutcome",
-    "instance_outcomes",
-    "score_run",
-    "check_synsets",
-    "PreparedSentence",
-    "prepare_sentence",
-    "parse_sentence_with_variant",
-    "run_variant",
-    "run_experiment",
-]
 
 # variant -> (prehint, progressive, force)
 _VARIANT_FLAGS = {
@@ -286,10 +266,8 @@ class PreparedSentence:
     """The work on one sentence that every variant shares.
 
     ``entries`` are tuples, so no variant can change them for the next.
-    ``advice_map`` is empty and ``dropped`` 0 when prepared without advice.
     ``entry_notes`` and ``advice_notes`` hold, in order, the diagnostics
-    noted while building the entries and the advice map, or are None when
-    no diagnostics were asked for.
+    noted while building the entries and the advice map.
     """
 
     sentence: SentenceRecord
@@ -297,43 +275,33 @@ class PreparedSentence:
     entries: tuple[tuple[LexicalEntry, ...], ...]
     advice_map: AdviceMap
     dropped: int
-    entry_notes: Diagnostics | None
-    advice_notes: Diagnostics | None
-
-
-def _uses_advice(config: VariantConfig) -> bool:
-    return any(_VARIANT_FLAGS[config.variant])
+    entry_notes: Diagnostics
+    advice_notes: Diagnostics
 
 
 def prepare_sentence(
     resources: Resources,
     sentence: SentenceRecord,
     advice_records: Sequence[SenseDistribution],
-    config: VariantConfig,
-    with_advice: bool,
-    keep_notes: bool,
 ) -> PreparedSentence:
-    """Tokens, base entries and, when ``with_advice``, the advice map of one
-    sentence under ``config``'s entry count and blend weight; with
-    ``keep_notes`` their diagnostics are buffered for replay."""
-    entry_notes = Diagnostics() if keep_notes else None
-    advice_notes = Diagnostics() if keep_notes else None
+    """Tokens, base entries and advice map of one sentence, with their
+    diagnostics buffered for replay."""
+    entry_notes, advice_notes = Diagnostics(), Diagnostics()
     entries = tuple(
         tuple(
             resources.lexicon.candidate_entries(
-                t.lemma, t.pos, resources.graph, config.parser.entry_keep, entry_notes
+                t.lemma, t.pos, resources.graph, ENTRY_KEEP, entry_notes
             )
         )
         for t in sentence.tokens
     )
-    advice_map, dropped = AdviceMap((), config.alpha), 0
-    if with_advice and advice_records:
+    advice_map, dropped = AdviceMap(), 0
+    if advice_records:
         advice_map, dropped = build_advice_map(
             advice_records,
             sentence.tokens,
             resources.graph,
             resources.ontology,
-            config.alpha,
             advice_notes,
             sentence.sentence_id,
         )
@@ -341,67 +309,6 @@ def prepare_sentence(
     return PreparedSentence(
         sentence, tokens, entries, advice_map, dropped, entry_notes, advice_notes
     )
-
-
-def _prepare_corpus(
-    resources: Resources,
-    corpus: Sequence[SentenceRecord],
-    advice_by_sentence: Mapping[str, Sequence[SenseDistribution]],
-    config: VariantConfig,
-    with_advice: bool,
-    keep_notes: bool,
-) -> list[PreparedSentence]:
-    return [
-        prepare_sentence(
-            resources, sentence, advice_by_sentence.get(sentence.sentence_id, ()),
-            config, with_advice, keep_notes,
-        )
-        for sentence in corpus
-    ]
-
-
-def _parser(resources: Resources, config: VariantConfig) -> ChartParser:
-    return ChartParser(
-        resources.grammar, resources.ontology, resources.lexicon.templates, config.parser
-    )
-
-
-def _parse_prepared(
-    resources: Resources,
-    parser: ChartParser,
-    prepared: PreparedSentence,
-    config: VariantConfig,
-    diagnostics: Diagnostics | None,
-) -> tuple[ParseResult, int]:
-    """Parse a prepared sentence under one variant; returns (result,
-    dropped advice).  The preparation's notes are replayed first, where
-    preparing the sentence for this variant would have noted them."""
-    prehinting, progressive, forcing = _VARIANT_FLAGS[config.variant]
-    uses_advice = prehinting or progressive or forcing
-    if diagnostics is not None and prepared.entry_notes is not None:
-        diagnostics.replay(prepared.entry_notes)
-        if uses_advice:
-            diagnostics.replay(prepared.advice_notes)
-
-    tokens = prepared.tokens
-    entries: Sequence[Sequence[LexicalEntry]] = prepared.entries
-    advice_map = prepared.advice_map
-    if prehinting:
-        additions = prehint(
-            advice_map, resources.lexicon, resources.ontology, tokens, diagnostics
-        )
-        entries = apply_prehints(entries, additions)
-    if forcing:
-        entries = fix_senses(
-            advice_map, entries, resources.lexicon, resources.ontology, tokens, diagnostics
-        )
-
-    scorer = progressive_scorer(advice_map, resources.ontology) if progressive else None
-    result = parser.parse(
-        tokens, entries, sentence_id=prepared.sentence.sentence_id, scorer=scorer,
-        diagnostics=diagnostics,
-    )
-    return result, prepared.dropped if uses_advice else 0
 
 
 def parse_sentence_with_variant(
@@ -412,13 +319,10 @@ def parse_sentence_with_variant(
     diagnostics: Diagnostics | None = None,
 ) -> tuple[ParseResult, int]:
     """Parse one sentence under a variant; returns (result, dropped advice)."""
-    prepared = prepare_sentence(
-        resources, sentence, advice_records, config, _uses_advice(config),
-        diagnostics is not None,
+    results, dropped = run_variant(
+        resources, [sentence], {sentence.sentence_id: advice_records}, config, diagnostics
     )
-    return _parse_prepared(
-        resources, _parser(resources, config), prepared, config, diagnostics
-    )
+    return results[sentence.sentence_id], dropped
 
 
 def run_variant(
@@ -432,24 +336,52 @@ def run_variant(
     """Parse the corpus under one variant; returns the results by sentence
     id and the dropped advice count.
 
-    ``prepared`` holds one preparation per corpus position, made under
-    this variant's entry count and blend weight, with advice if it uses
-    any and with notes kept if ``diagnostics`` is given; without it every
-    sentence is prepared here.
+    ``prepared`` holds one preparation per corpus position; without it
+    every sentence is prepared here, with no advice for a variant that uses
+    none.  Each preparation's notes are replayed before its parse, where
+    preparing the sentence for this variant alone would have noted them.
     """
+    prehinting, progressive, forcing = _VARIANT_FLAGS[config.variant]
+    uses_advice = prehinting or progressive or forcing
     if prepared is None:
-        prepared = _prepare_corpus(
-            resources, corpus, advice_by_sentence, config, _uses_advice(config),
-            diagnostics is not None,
-        )
-    parser = _parser(resources, config)
+        prepared = [
+            prepare_sentence(
+                resources, s, advice_by_sentence.get(s.sentence_id, ()) if uses_advice else ()
+            )
+            for s in corpus
+        ]
+    parser = ChartParser(
+        resources.grammar, resources.ontology, resources.lexicon.templates, config.parser
+    )
     results: dict[str, ParseResult] = {}
-    dropped_total = 0
+    dropped = 0
     for sentence in prepared:
-        result, dropped = _parse_prepared(resources, parser, sentence, config, diagnostics)
-        results[sentence.sentence.sentence_id] = result
-        dropped_total += dropped
-    return results, dropped_total
+        if diagnostics is not None:
+            diagnostics.replay(sentence.entry_notes)
+            if uses_advice:
+                diagnostics.replay(sentence.advice_notes)
+        tokens = sentence.tokens
+        entries: Sequence[Sequence[LexicalEntry]] = sentence.entries
+        advice_map = sentence.advice_map
+        if prehinting:
+            additions = prehint(
+                advice_map, resources.lexicon, resources.ontology, tokens, diagnostics
+            )
+            entries = apply_prehints(entries, additions)
+        if forcing:
+            entries = fix_senses(
+                advice_map, entries, resources.lexicon, resources.ontology, tokens, diagnostics
+            )
+        scorer = None
+        if progressive:
+            scorer = progressive_scorer(advice_map, resources.ontology, config.alpha)
+        sentence_id = sentence.sentence.sentence_id
+        results[sentence_id] = parser.parse(
+            tokens, entries, sentence_id=sentence_id, scorer=scorer, diagnostics=diagnostics
+        )
+        if uses_advice:
+            dropped += sentence.dropped
+    return results, dropped
 
 
 def run_experiment(
@@ -466,18 +398,14 @@ def run_experiment(
     """
     check_synsets(resources.graph, corpus, advice_by_sentence)
     instances = gold_instances(corpus)
-    with_advice = any(_uses_advice(config) for config in variants)
-    shared: dict[tuple[int, float], list[PreparedSentence]] = {}
+    prepared = [
+        prepare_sentence(resources, s, advice_by_sentence.get(s.sentence_id, ()))
+        for s in corpus
+    ]
     rows = []
     for config in variants:
-        key = (config.parser.entry_keep, config.alpha)
-        if key not in shared:
-            shared[key] = _prepare_corpus(
-                resources, corpus, advice_by_sentence, config, with_advice,
-                diagnostics is not None,
-            )
         results, dropped = run_variant(
-            resources, corpus, advice_by_sentence, config, diagnostics, shared[key]
+            resources, corpus, advice_by_sentence, config, diagnostics, prepared
         )
         metrics = score_run(
             results,
@@ -488,16 +416,5 @@ def run_experiment(
             config.parser.fallback_type,
             diagnostics,
         )
-        rows.append(
-            VariantRow(
-                variant=config.variant,
-                f_score=metrics["f_score"],
-                wu_palmer=metrics["wu_palmer"],
-                semfac=metrics["semfac"],
-                frag=int(metrics["frag"]),
-                attempted=int(metrics["attempted"]),
-                scored=int(metrics["scored"]),
-                dropped_advice=dropped,
-            )
-        )
+        rows.append(VariantRow(config.variant, **metrics, dropped_advice=dropped))
     return ScoreReport(tuple(rows))

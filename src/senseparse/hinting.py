@@ -23,18 +23,6 @@ from .lexicon import LexicalEntry, Lexicon
 from .ontology import Ontology
 from .parser import Constituent, Scorer, Token, recursive_score
 
-__all__ = [
-    "Hint",
-    "AdviceMap",
-    "match",
-    "augment",
-    "progressive_score",
-    "progressive_scorer",
-    "prehint",
-    "apply_prehints",
-    "fix_senses",
-]
-
 Span = tuple[int, int]
 
 
@@ -55,13 +43,10 @@ class Hint:
 
 
 class AdviceMap:
-    """All hints for one sentence, indexed by word, plus the blend weight."""
+    """All hints for one sentence, indexed by word."""
 
-    def __init__(self, hints: Sequence[Hint] = (), alpha: float = 0.5) -> None:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+    def __init__(self, hints: Sequence[Hint] = ()) -> None:
         self.hints = tuple(hints)
-        self.alpha = alpha
         self._by_word: dict[str, list[Hint]] = {}
         for hint in self.hints:
             self._by_word.setdefault(hint.word, []).append(hint)
@@ -102,20 +87,6 @@ def _spans_intersect(a: Span, b: Span) -> bool:
     return max(a[0], b[0]) < min(a[1], b[1])
 
 
-def match(
-    hint: Hint, word: str, span: Span, onto_type: str, ontology: Ontology
-) -> bool:
-    """A hint matches a constituent query when the words agree, the spans
-    intersect, and the hinted type is an ancestor-or-self of the
-    constituent's type (ancestry is reflexive, so an exact-type hint
-    matches)."""
-    return (
-        hint.word == word
-        and _spans_intersect(hint.span, span)
-        and hint.onto_type in ontology.ancestor_sets.get(onto_type, ())
-    )
-
-
 def augment(s_c: float, s: float, alpha: float) -> float:
     """Blend a constituent score with a hint score.
 
@@ -132,14 +103,15 @@ def progressive_score(
     constituent: Constituent,
     advice: AdviceMap,
     ontology: Ontology,
+    alpha: float,
     child_scores: Sequence[float] = (),
 ) -> float:
     """Effective score of a constituent under progressive hinting.
 
     The root component is the augment of the constituent's own score with
-    the best matching hint (or the own score unchanged when nothing
-    matches); the result is the mean of the root component and the
-    daughters' effective scores.
+    the best matching hint, blended by ``alpha`` (or the own score
+    unchanged when nothing matches); the result is the mean of the root
+    component and the daughters' effective scores.
     """
     hint = advice.best_match(
         constituent.word, constituent.span, constituent.onto_type, ontology
@@ -147,15 +119,15 @@ def progressive_score(
     if hint is None:
         root = constituent.own_score
     else:
-        root = augment(constituent.own_score, hint.score, advice.alpha)
+        root = augment(constituent.own_score, hint.score, alpha)
     return recursive_score(root, child_scores)
 
 
-def progressive_scorer(advice: AdviceMap, ontology: Ontology) -> Scorer:
+def progressive_scorer(advice: AdviceMap, ontology: Ontology, alpha: float) -> Scorer:
     """Scoring hook for the parser that applies progressive hinting."""
 
     def scorer(constituent: Constituent, child_scores: Sequence[float]) -> float:
-        return progressive_score(constituent, advice, ontology, child_scores)
+        return progressive_score(constituent, advice, ontology, alpha, child_scores)
 
     return scorer
 

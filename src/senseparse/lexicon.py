@@ -19,16 +19,6 @@ from .errors import FormatError, StructuralError
 from .ontology import Ontology
 from .sensemap import SynsetGraph
 
-__all__ = [
-    "SyntacticTemplate",
-    "LexicalEntry",
-    "Lexicon",
-    "load_lexicon",
-    "parse_lexicon",
-    "prune_entries",
-    "PROVENANCE_RANK",
-]
-
 # Scoring configuration.  Priors by provenance, the penalty applied when a
 # template's category disagrees with the requested part of speech, and how
 # strongly a file-declared frequency pulls the score toward itself.
@@ -38,6 +28,9 @@ FREQ_WEIGHT = 0.25
 
 # Tie-break order when pruning: core entries outrank generated entries.
 PROVENANCE_RANK = {"core": 0, "generated": 1}
+
+# How many candidate entries each token keeps for parsing.
+ENTRY_KEEP = 4
 
 
 @dataclass(frozen=True)

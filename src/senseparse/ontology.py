@@ -26,16 +26,6 @@ from typing import Iterable, Iterator, Mapping
 from . import records
 from .errors import FormatError, StructuralError, UnknownName
 
-__all__ = [
-    "RoleSpec",
-    "OntologyType",
-    "Ontology",
-    "FactorizedOntology",
-    "load_ontology",
-    "parse_ontology",
-    "factorize",
-]
-
 
 @dataclass(frozen=True)
 class RoleSpec:

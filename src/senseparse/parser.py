@@ -6,11 +6,11 @@ with adjacent chart items under the grammar rules; a combination that
 violates a role restriction is rejected outright rather than penalized.
 Every newly built constituent is scored through a caller-supplied hook
 (this is where progressive hinting plugs in) and each (span, category)
-cell is beam-pruned.  Parsing stops when a spanning constituent at or
-above the acceptance threshold is popped, when the agenda drains, or at
-the pop budget; without an accepted root the result is a best-effort
-greedy fragment cover, with sense-neutral fallback fragments over tokens
-nothing else covers.
+cell is beam-pruned.  Parsing stops when a spanning constituent of the
+grammar's goal category at or above the acceptance threshold is popped,
+when the agenda drains, or at the pop budget; without an accepted root
+the result is a best-effort greedy fragment cover, with sense-neutral
+fallback fragments over tokens nothing else covers.
 """
 
 from __future__ import annotations
@@ -27,23 +27,6 @@ from .diagnostics import Diagnostics
 from .errors import FormatError, ParseFailure, StructuralError
 from .lexicon import LexicalEntry, SyntacticTemplate
 from .ontology import Ontology
-
-__all__ = [
-    "Token",
-    "GrammarRule",
-    "Grammar",
-    "Constituent",
-    "ParserConfig",
-    "Chart",
-    "ChartParser",
-    "ParseResult",
-    "LogicalForm",
-    "LFNode",
-    "load_grammar",
-    "parse_grammar",
-    "fragment_fallback",
-    "recursive_score",
-]
 
 Span = tuple[int, int]
 
@@ -86,8 +69,12 @@ class GrammarRule:
 
 
 class Grammar:
+    """Rules plus the goal category: the first rule's left-hand side, the
+    only category a full parse may have (None for an empty grammar)."""
+
     def __init__(self, rules: Sequence[GrammarRule]) -> None:
         self.rules = tuple(rules)
+        self.goal = self.rules[0].lhs if self.rules else None
         self._positions: dict[str, list[tuple[int, int]]] = {}
         for rule_index, rule in enumerate(self.rules):
             for j, category in enumerate(rule.rhs):
@@ -135,7 +122,6 @@ class ParserConfig:
     beam_width: int = 3
     max_pops: int | None = None  # None: 10 * n^2 for an n-token sentence
     accept_threshold: float = 0.0
-    entry_keep: int = 4
     fallback_type: str = FALLBACK_TYPE
 
     def __post_init__(self) -> None:
@@ -145,8 +131,6 @@ class ParserConfig:
             raise ValueError("max_pops must be >= 1")
         if not 0.0 <= self.accept_threshold <= 1.0:
             raise ValueError("accept_threshold must be in [0, 1]")
-        if self.entry_keep < 1:
-            raise ValueError("entry_keep must be >= 1")
 
     def pop_budget(self, n_tokens: int) -> int:
         if self.max_pops is not None:
@@ -264,13 +248,8 @@ class Chart:
             self._by_start[start].pop(c.id, None)
         del cell[self.beam_width :]
 
-    def live_ending_at(self, position: int, category: str) -> list[Constituent]:
-        return list(self._ending.get((position, category), {}).values())
-
-    def live_starting_at(self, position: int, category: str | None = None) -> list[Constituent]:
-        if category is None:
-            return list(self._by_start.get(position, {}).values())
-        return list(self._starting.get((position, category), {}).values())
+    def live_starting_at(self, position: int) -> list[Constituent]:
+        return list(self._by_start.get(position, {}).values())
 
 
 def _beam_key(c: Constituent) -> tuple[float, str, int]:
@@ -434,6 +413,7 @@ class ChartParser:
         pops = 0
         accepted: Constituent | None = None
         rules = self.grammar.rules
+        goal = self.grammar.goal
         while agenda and pops < budget:
             _, cid, popped = heappop(agenda)
             if cid not in chart.live:
@@ -441,6 +421,7 @@ class ChartParser:
             pops += 1
             if (
                 popped.span == (0, n)
+                and popped.category == goal
                 and popped.effective_score >= self.config.accept_threshold
             ):
                 accepted = popped
@@ -470,7 +451,11 @@ class ChartParser:
                 if frag.id not in chart.items:
                     chart.items[frag.id] = frag
 
-        spanning = len(fragments) == 1 and fragments[0].span == (0, n)
+        spanning = (
+            len(fragments) == 1
+            and fragments[0].span == (0, n)
+            and fragments[0].category == goal
+        )
         closure = _derivation_closure(fragments, chart.items)
         logical_form = _extract_logical_form(fragments, closure)
         return ParseResult(
@@ -620,6 +605,10 @@ def parse_grammar(text: str, source: str = "<string>") -> Grammar:
     """Parse the grammar file format, one rule per line::
 
         rule <lhs> -> <rhs...> head <index> weight <w> [link <index>:<role>,...]
+
+    The first rule's left-hand side is the goal category: only a
+    constituent of that category spanning the whole sentence is a full
+    parse.
     """
     rules: list[GrammarRule] = []
     for lineno, tokens in records.lines(text):

@@ -19,17 +19,6 @@ from . import records
 from .diagnostics import Diagnostics
 from .errors import FormatError, StructuralError, UnknownName
 
-__all__ = [
-    "Synset",
-    "SynsetGraph",
-    "SenseDistribution",
-    "TypeAdvice",
-    "load_synsets",
-    "parse_synsets",
-    "transform_advice",
-    "best_types",
-]
-
 _WEIGHT_SLACK = 1e-9
 
 
@@ -182,7 +171,9 @@ def transform_advice(
     """Push each synset's probability onto its subsumed ontology type.
 
     Synsets that resolve to no type contribute nothing, so the total score
-    can be less than the total input mass.
+    can be less than the total input mass.  Each type's score is capped at
+    1, so rounding in a sum (or a reader's slack) never yields a score
+    above 1.
     """
     totals: dict[str, float] = {}
     for sid in sorted(dist.weights):
@@ -190,7 +181,7 @@ def transform_advice(
         if onto_type is None:
             continue
         totals[onto_type] = totals.get(onto_type, 0.0) + dist.weights[sid]
-    scored = {t: totals[t] for t in sorted(totals)}
+    scored = {t: min(totals[t], 1.0) for t in sorted(totals)}
     return TypeAdvice(dist.word, dist.span, scored)
 
 

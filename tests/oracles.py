@@ -202,9 +202,11 @@ def enumerate_derivations(tokens, entries, grammar, ontology: Ontology, template
 
 
 def best_parse_oracle(tokens, entries, grammar, ontology, templates) -> float | None:
-    """Maximum effective score over all full-span derivations, or None."""
+    """Maximum effective score over all full-span derivations of the goal
+    category (the first rule's left-hand side), or None."""
     table = enumerate_derivations(tokens, entries, grammar, ontology, templates)
-    cell = table[(0, len(tokens))]
+    goal = grammar.rules[0].lhs
+    cell = [d for d in table[(0, len(tokens))] if d.category == goal]
     if not cell:
         return None
     return max(d.eff for d in cell)

@@ -28,6 +28,14 @@ def test_parse_exit_code_two_for_fragmented_parse(resource_args, tmp_path):
     assert "node 3 3 4 xyzzy referential-sem" in out.read_text().splitlines()
 
 
+@pytest.mark.parametrize("sentence", ["bass/N", "the/DET bass/N"])
+def test_parse_exit_code_two_when_no_goal_category_spans(resource_args, tmp_path, sentence):
+    # a bare noun or noun phrase covers the input but is not an S
+    code = main(["parse", *resource_args, "--sentence", sentence,
+                 "--output", str(tmp_path / "lf.txt")])
+    assert code == 2
+
+
 def test_exit_code_one_for_missing_file(resource_args, tmp_path, capsys):
     args = list(resource_args)
     args[args.index("--ontology") + 1] = str(tmp_path / "missing.txt")

@@ -30,7 +30,6 @@ from senseparse.parser import (
     LFNode,
     LogicalForm,
     ParseResult,
-    ParserConfig,
 )
 from senseparse.sensemap import parse_synsets
 
@@ -189,31 +188,56 @@ def test_run_experiment_matches_variant_by_variant_on_fixture(
     }
 
 
-def test_run_experiment_prepares_once_per_entry_count_and_blend_weight(
+def test_run_experiment_prepares_once_per_sentence(
     resources, corpus, advice_records, monkeypatch
 ):
-    few = ParserConfig(entry_keep=1)
     variants = [
         VariantConfig("prog", 0.2),
-        VariantConfig("plain", parser=few),
+        VariantConfig("plain"),
         VariantConfig("comb", 0.2),
-        VariantConfig("fixed", parser=few),
+        VariantConfig("fixed", 0.9),
         VariantConfig("pre"),
-        VariantConfig("prog", 0.2, few),
+        VariantConfig("prog", 0.9),
     ]
     calls = []
     original = evaluation.prepare_sentence
 
-    def counted(resources, sentence, records, config, *args):
-        calls.append((config.parser.entry_keep, config.alpha))
-        return original(resources, sentence, records, config, *args)
+    def counted(resources, sentence, records):
+        calls.append(sentence.sentence_id)
+        return original(resources, sentence, records)
 
     expected = variant_by_variant(resources, corpus, advice_records, variants)
     monkeypatch.setattr(evaluation, "prepare_sentence", counted)
     assert shared_run(resources, corpus, advice_records, variants, monkeypatch) == expected
-    # one preparation per sentence for each distinct (entry count, blend weight)
-    assert sorted(set(calls)) == [(1, 0.2), (1, 0.5), (4, 0.2), (4, 0.5)]
-    assert len(calls) == 4 * len(corpus)
+    # one preparation per sentence, whatever the variants' blend weights
+    assert calls == [sentence.sentence_id for sentence in corpus]
+
+
+def test_advice_summing_past_one_gives_a_score_one_hint(
+    resources, corpus, fixtures_dir, monkeypatch
+):
+    # 0.33 + 0.56 + 0.11 sums to 1.0000000000000002 in floats, all three
+    # synsets subsume to freshwater-fish; the advice reader accepts a single
+    # weight up to 1e-9 above 1
+    text = (fixtures_dir / "advice.txt").read_text()
+    maps = {}
+    original = evaluation.prepare_sentence
+
+    def captured(resources, sentence, records):
+        prepared = original(resources, sentence, records)
+        maps[sentence.sentence_id] = prepared.advice_map
+        return prepared
+
+    monkeypatch.setattr(evaluation, "prepare_sentence", captured)
+    variants = [VariantConfig(name) for name in VARIANT_NAMES]
+
+    def run(weights):
+        advice = parse_advice(text.replace("bass bass_guitar.n.01=1.0", f"bass {weights}", 1))
+        return run_experiment(resources, corpus, advice, variants).to_tsv()
+
+    run("bass.n.07=0.33,freshwater_fish.n.01=0.56,perch.n.01=0.11")
+    assert [(h.onto_type, h.score) for h in maps["s01"].hints] == [("freshwater-fish", 1.0)]
+    assert run("bass_guitar.n.01=1.0000000005") == GOLDEN_REPORT
 
 
 def test_run_experiment_matches_variant_by_variant_on_long_ambig(tmp_path, monkeypatch):

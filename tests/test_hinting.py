@@ -11,7 +11,6 @@ from senseparse.hinting import (
     apply_prehints,
     augment,
     fix_senses,
-    match,
     prehint,
     progressive_score,
 )
@@ -25,46 +24,37 @@ def constituent(word, span, onto_type, own, cid=0):
     return Constituent(cid, span, "X", onto_type, word, own, own)
 
 
-# -- match ---------------------------------------------------------------------
+# -- matching ----------------------------------------------------------------------
+
+
+def matches(hint, word, span, onto_type, ontology):
+    """Whether a query on a map holding only ``hint`` matches it."""
+    return AdviceMap([hint]).best_match(word, span, onto_type, ontology) is hint
 
 
 def test_match_hint_on_descendant_type(ontology):
     hint = Hint("bass", (3, 4), "musical-instrument", 0.9)
-    assert match(hint, "bass", (3, 4), "electric-bass", ontology)
+    assert matches(hint, "bass", (3, 4), "electric-bass", ontology)
 
 
 def test_match_fails_on_unrelated_type(ontology):
     hint = Hint("bass", (3, 4), "musical-instrument", 0.9)
-    assert not match(hint, "bass", (3, 4), "freshwater-fish", ontology)
+    assert not matches(hint, "bass", (3, 4), "freshwater-fish", ontology)
 
 
 def test_match_fails_on_disjoint_spans(ontology):
     hint = Hint("bass", (0, 1), "musical-instrument", 0.9)
-    assert not match(hint, "bass", (2, 3), "electric-bass", ontology)
+    assert not matches(hint, "bass", (2, 3), "electric-bass", ontology)
 
 
 def test_match_fails_on_word_mismatch(ontology):
     hint = Hint("bass", (3, 4), "musical-instrument", 0.9)
-    assert not match(hint, "drum", (3, 4), "electric-bass", ontology)
+    assert not matches(hint, "drum", (3, 4), "electric-bass", ontology)
 
 
 def test_match_exact_type_is_reflexive(ontology):
     hint = Hint("bass", (3, 4), "electric-bass", 0.9)
-    assert match(hint, "bass", (3, 4), "electric-bass", ontology)
-
-
-def test_match_type_test_equals_checked_is_a(ontology):
-    # unknown names on either side never match and never raise
-    names = sorted(ontology) + ["no-such-type"]
-    for hinted in names:
-        hint = Hint("bass", (3, 4), hinted, 0.9)
-        for onto_type in names:
-            expected = (
-                hinted in ontology
-                and onto_type in ontology
-                and ontology.is_a(onto_type, hinted)
-            )
-            assert match(hint, "bass", (3, 4), onto_type, ontology) == expected
+    assert matches(hint, "bass", (3, 4), "electric-bass", ontology)
 
 
 # -- augment --------------------------------------------------------------------
@@ -108,21 +98,21 @@ def test_augment_bounds_and_monotonicity(s_c, s, alpha):
 
 
 def test_progressive_leaf_without_hint_is_own_score(ontology):
-    advice = AdviceMap((), alpha=0.5)
+    advice = AdviceMap(())
     c = constituent("bass", (3, 4), "electric-bass", 0.6)
-    assert progressive_score(c, advice, ontology) == pytest.approx(0.6)
+    assert progressive_score(c, advice, ontology, 0.5) == pytest.approx(0.6)
 
 
 def test_progressive_leaf_with_hint_is_augment(ontology):
-    advice = AdviceMap([Hint("bass", (3, 4), "musical-instrument", 0.8)], alpha=0.5)
+    advice = AdviceMap([Hint("bass", (3, 4), "musical-instrument", 0.8)])
     c = constituent("bass", (3, 4), "electric-bass", 0.5)
-    assert progressive_score(c, advice, ontology) == pytest.approx(0.7)
+    assert progressive_score(c, advice, ontology, 0.5) == pytest.approx(0.7)
 
 
 def test_progressive_parent_averages_root_and_children(ontology):
-    advice = AdviceMap([Hint("bass", (2, 4), "musical-instrument", 0.8)], alpha=0.5)
+    advice = AdviceMap([Hint("bass", (2, 4), "musical-instrument", 0.8)])
     parent = constituent("bass", (2, 4), "electric-bass", 0.5)
-    got = progressive_score(parent, advice, ontology, [0.6, 0.9])
+    got = progressive_score(parent, advice, ontology, 0.5, [0.6, 0.9])
     assert got == pytest.approx((0.7 + 0.6 + 0.9) / 3)
 
 
@@ -131,17 +121,16 @@ def test_progressive_best_hint_highest_score_then_name(ontology):
         Hint("bass", (3, 4), "musical-instrument", 0.6),
         Hint("bass", (3, 4), "electric-bass", 0.9),
     ]
-    advice = AdviceMap(hints, alpha=1.0)
+    advice = AdviceMap(hints)
     c = constituent("bass", (3, 4), "electric-bass", 1.0)
     # alpha=1: augment = s_c * s = the chosen hint's score
-    assert progressive_score(c, advice, ontology) == pytest.approx(0.9)
+    assert progressive_score(c, advice, ontology, 1.0) == pytest.approx(0.9)
 
     tied = AdviceMap(
         [
             Hint("bass", (3, 4), "musical-instrument", 0.9),
             Hint("bass", (3, 4), "artifact", 0.9),
-        ],
-        alpha=1.0,
+        ]
     )
     best = tied.best_match("bass", (3, 4), "electric-bass", ontology)
     assert best.onto_type == "artifact"
@@ -179,13 +168,13 @@ def test_best_match_equals_list_scan_oracle(ontology, hints, queries):
 def test_progressive_empty_advice_equals_plain_recursive_mean(ontology):
     from senseparse.parser import plain_score
 
-    advice = AdviceMap((), alpha=0.5)
+    advice = AdviceMap(())
     rng = Random(5)
     for _ in range(50):
         own = rng.random()
         children = [rng.random() for _ in range(rng.randrange(0, 4))]
         c = constituent("bass", (0, 2), "electric-bass", own)
-        assert progressive_score(c, advice, ontology, children) == plain_score(
+        assert progressive_score(c, advice, ontology, 0.5, children) == plain_score(
             c, children
         )
 
@@ -195,13 +184,12 @@ def test_alpha_zero_hinted_order_determined_by_children(ontology):
     # so only the children decide the ordering
     advice = AdviceMap(
         [Hint("bass", (0, 2), "musical-instrument", 0.2),
-         Hint("bass", (0, 2), "electric-bass", 0.9)],
-        alpha=0.0,
+         Hint("bass", (0, 2), "electric-bass", 0.9)]
     )
     weak_root = constituent("bass", (0, 2), "electric-bass", 0.1)
     strong_root = constituent("bass", (0, 2), "musical-instrument", 0.9)
-    low = progressive_score(weak_root, advice, ontology, [0.9, 0.9])
-    high = progressive_score(strong_root, advice, ontology, [0.2, 0.2])
+    low = progressive_score(weak_root, advice, ontology, 0.0, [0.9, 0.9])
+    high = progressive_score(strong_root, advice, ontology, 0.0, [0.2, 0.2])
     assert low > high  # children at 0.9 beat children at 0.2 regardless of roots
 
 
@@ -350,6 +338,8 @@ def test_hint_rejects_empty_span():
         Hint("w", (1, 1), "t", 0.5)
 
 
-def test_advice_map_rejects_bad_alpha():
+def test_progressive_score_rejects_bad_alpha(ontology):
+    advice = AdviceMap([Hint("bass", (3, 4), "electric-bass", 0.9)])
+    c = constituent("bass", (3, 4), "electric-bass", 0.5)
     with pytest.raises(ValueError):
-        AdviceMap((), alpha=1.5)
+        progressive_score(c, advice, ontology, 1.5)

@@ -114,6 +114,17 @@ def test_ancestry_is_reflexive(ontology):
             assert parent in chain
 
 
+def test_ancestor_sets_equal_checked_is_a(ontology):
+    # an unknown name has no ancestor set and is in none
+    names = sorted(ontology) + ["no-such-type"]
+    for ancestor in names:
+        for name in names:
+            expected = (
+                ancestor in ontology and name in ontology and ontology.is_a(name, ancestor)
+            )
+            assert (ancestor in ontology.ancestor_sets.get(name, ())) == expected
+
+
 # -- effective roles -------------------------------------------------------------
 
 

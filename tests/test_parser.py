@@ -145,11 +145,14 @@ def test_chart_indexes_match_filter_over_live_items():
                 assert chart.live_starting_at(position) == [
                     a for a in live if a.span[0] == position
                 ]
+                # the (end|start, category) indexes ChartParser._rhs_matches reads
                 for category in categories:
-                    assert chart.live_ending_at(position, category) == [
+                    ending = chart._ending.get((position, category), {})
+                    assert list(ending.values()) == [
                         a for a in live if a.span[1] == position and a.category == category
                     ]
-                    assert chart.live_starting_at(position, category) == [
+                    starting = chart._starting.get((position, category), {})
+                    assert list(starting.values()) == [
                         a for a in live if a.span[0] == position and a.category == category
                     ]
 

@@ -61,3 +61,20 @@ def test_tracer_counts_every_layer_and_restores_originals(
         assert set(after) == set(attrs), owner
         changed = [name for name in attrs if after[name] is not attrs[name]]
         assert changed == [], (owner, changed)
+
+
+def test_traced_fixture_eval_looks_up_each_corpus_token_once(
+    resources, corpus, advice_records
+):
+    # every sentence is prepared once for all five variants
+    tracer = load_layers().Tracer()
+    tracer.install()
+    try:
+        run_experiment(
+            resources, corpus, advice_records, [VariantConfig(name) for name in VARIANT_NAMES]
+        )
+    finally:
+        tracer.uninstall()
+    tokens = sum(len(sentence.tokens) for sentence in corpus)
+    assert tokens == 120
+    assert tracer.acc["lexicon.candidate_entries_calls"] == tokens
