@@ -12,9 +12,8 @@ Also hosts the corpus and advice file readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import records
 from .diagnostics import Diagnostics
@@ -24,8 +23,7 @@ from .ontology import Ontology
 from .sensemap import SenseDistribution, SynsetGraph, best_types, transform_advice
 
 
-@dataclass(frozen=True)
-class TokenRecord:
+class TokenRecord(NamedTuple):
     """One token in one system's tokenization of a sentence."""
 
     index: int
@@ -70,8 +68,7 @@ def unify(
 # -- corpus ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusToken:
+class CorpusToken(NamedTuple):
     index: int
     start: int
     end: int
@@ -81,8 +78,7 @@ class CorpusToken:
     gold: str | None = None
 
 
-@dataclass(frozen=True)
-class SentenceRecord:
+class SentenceRecord(NamedTuple):
     sentence_id: str
     tokens: tuple[CorpusToken, ...]
 

@@ -42,55 +42,54 @@ class _CliParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = _CliParser(prog="senseparse")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _add_resource_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ontology", required=True)
+    p.add_argument("--synsets", required=True)
+    p.add_argument("--lexicon", required=True)
+    p.add_argument("--grammar", required=True)
 
-    def add_resource_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--ontology", required=True)
-        p.add_argument("--synsets", required=True)
-        p.add_argument("--lexicon", required=True)
-        p.add_argument("--grammar", required=True)
 
-    # value ranges are checked once, by VariantConfig and ParserConfig
-    def add_parser_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--variant", choices=VARIANT_NAMES, default="plain")
-        p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--beam-width", type=int, default=3)
-        p.add_argument("--max-pops", type=int, default=None)
-        p.add_argument("--accept-threshold", type=float, default=0.0)
+# value ranges are checked once, by VariantConfig and ParserConfig
+def _add_parser_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=VARIANT_NAMES, default="plain")
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--beam-width", type=int, default=3)
+    p.add_argument("--max-pops", type=int, default=None)
+    p.add_argument("--accept-threshold", type=float, default=0.0)
 
-    p_parse = sub.add_parser("parse", help="parse one sentence")
-    add_resource_args(p_parse)
-    add_parser_flags(p_parse)
-    p_parse.add_argument("--sentence", help="sentence text; read from stdin if omitted")
-    p_parse.add_argument("--sentence-id", default="cli", help="id used to select advice records")
-    p_parse.add_argument("--advice", help="advice file path")
-    p_parse.add_argument("--output", help="write logical form here instead of stdout")
 
-    p_eval = sub.add_parser("eval", help="run variants over a corpus")
-    add_resource_args(p_eval)
-    add_parser_flags(p_eval)
-    p_eval.add_argument("--corpus", required=True)
-    p_eval.add_argument("--advice", help="advice file path (optional)")
-    p_eval.add_argument(
+def _add_parse_args(p: argparse.ArgumentParser) -> None:
+    _add_resource_args(p)
+    _add_parser_flags(p)
+    p.add_argument("--sentence", help="sentence text; read from stdin if omitted")
+    p.add_argument("--sentence-id", default="cli", help="id used to select advice records")
+    p.add_argument("--advice", help="advice file path")
+    p.add_argument("--output", help="write logical form here instead of stdout")
+
+
+def _add_eval_args(p: argparse.ArgumentParser) -> None:
+    _add_resource_args(p)
+    _add_parser_flags(p)
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--advice", help="advice file path (optional)")
+    p.add_argument(
         "--variants",
         default=",".join(VARIANT_NAMES),
         help="comma-separated subset of " + "|".join(VARIANT_NAMES),
     )
-    p_eval.add_argument("--output", help="write report TSV here instead of stdout")
-    p_eval.add_argument("--diagnostics", help="write per-sentence diagnostics here")
+    p.add_argument("--output", help="write report TSV here instead of stdout")
+    p.add_argument("--diagnostics", help="write per-sentence diagnostics here")
 
-    p_fact = sub.add_parser("factorize", help="dump the factor assignment table")
-    p_fact.add_argument("--ontology", required=True)
-    p_fact.add_argument("--output", help="write table here instead of stdout")
 
-    p_map = sub.add_parser("map", help="list synset-to-type assignments")
-    p_map.add_argument("--ontology", required=True)
-    p_map.add_argument("--synsets", required=True)
-    p_map.add_argument("--output", help="write listing here instead of stdout")
+def _add_factorize_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ontology", required=True)
+    p.add_argument("--output", help="write table here instead of stdout")
 
-    return parser
+
+def _add_map_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ontology", required=True)
+    p.add_argument("--synsets", required=True)
+    p.add_argument("--output", help="write listing here instead of stdout")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -159,10 +158,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     resources = load_resources(args.ontology, args.synsets, args.lexicon, args.grammar)
     corpus = load_corpus(args.corpus)
     advice = load_advice(args.advice) if args.advice else {}
-    check_synsets(resources.graph, corpus, advice, args.corpus, args.advice or "")
-
     diagnostics = Diagnostics()
-    report = run_experiment(resources, corpus, advice, variants, diagnostics)
+    report = run_experiment(
+        resources, corpus, advice, variants, diagnostics, args.corpus, args.advice or ""
+    )
     _emit(report.to_tsv(), args.output)
     if args.diagnostics:
         with open(args.diagnostics, "w", encoding="utf-8") as handle:
@@ -200,19 +199,46 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "parse": cmd_parse,
-    "eval": cmd_eval,
-    "factorize": cmd_factorize,
-    "map": cmd_map,
+# subcommand -> (help line, argument builder, handler)
+_SUBCOMMANDS = {
+    "parse": ("parse one sentence", _add_parse_args, cmd_parse),
+    "eval": ("run variants over a corpus", _add_eval_args, cmd_eval),
+    "factorize": ("dump the factor assignment table", _add_factorize_args, cmd_factorize),
+    "map": ("list synset-to-type assignments", _add_map_args, cmd_map),
 }
 
 
+def build_arg_parser() -> argparse.ArgumentParser:
+    parser = _CliParser(prog="senseparse")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_line, add_args, _) in _SUBCOMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
+    return parser
+
+
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """The arguments of ``argv``, as ``build_arg_parser().parse_args`` reads them.
+
+    When ``argv`` starts with a subcommand name, only that subcommand's
+    parser is built: the full parser would hand it everything after the name
+    unchanged.  If any argument is left over, the full parser reads ``argv``
+    again, so its own error message reports it.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        sub = _CliParser(prog=f"senseparse {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](sub)
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.subcommand = argv[0]
+            return args
+    return build_arg_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return _SUBCOMMANDS[args.subcommand][2](args)
     except (SenseParseError, OSError, ValueError) as exc:
         print(f"senseparse: error: {exc}", file=sys.stderr)
         return 1

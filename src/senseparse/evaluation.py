@@ -390,13 +390,16 @@ def run_experiment(
     advice_by_sentence: Mapping[str, Sequence[SenseDistribution]],
     variants: Sequence[VariantConfig],
     diagnostics: Diagnostics | None = None,
+    corpus_source: str = "",
+    advice_source: str = "",
 ) -> ScoreReport:
     """Run every variant over the corpus and assemble the metrics table.
 
     Raises :class:`SenseParseError` before any parse if a gold or advice
-    synset is missing from the synset graph.
+    synset is missing from the synset graph; the message names the
+    corpus or advice file when its source is given.
     """
-    check_synsets(resources.graph, corpus, advice_by_sentence)
+    check_synsets(resources.graph, corpus, advice_by_sentence, corpus_source, advice_source)
     instances = gold_instances(corpus)
     prepared = [
         prepare_sentence(resources, s, advice_by_sentence.get(s.sentence_id, ()))

@@ -9,9 +9,8 @@ with simple deterministic heuristics and pruned before parsing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import records
 from .diagnostics import Diagnostics
@@ -33,8 +32,7 @@ PROVENANCE_RANK = {"core": 0, "generated": 1}
 ENTRY_KEEP = 4
 
 
-@dataclass(frozen=True)
-class SyntacticTemplate:
+class SyntacticTemplate(NamedTuple):
     """A named syntactic frame: the category it builds and its role slots."""
 
     name: str
@@ -45,8 +43,7 @@ class SyntacticTemplate:
         return [role for _, role in self.arg_slots]
 
 
-@dataclass(frozen=True)
-class LexicalEntry:
+class LexicalEntry(NamedTuple):
     word: str
     features: Mapping[str, str]
     template: str
@@ -104,7 +101,7 @@ class Lexicon:
                     f"duplicate entry {entry.word}/{entry.template}/{entry.onto_type}"
                 )
             seen.add(entry.key())
-            scored = replace(entry, score=self.score_entry(entry))
+            scored = entry._replace(score=self.score_entry(entry))
             self._entries.setdefault(entry.word, []).append(scored)
             donors.setdefault(entry.onto_type, set()).add(entry.template)
 
@@ -239,7 +236,7 @@ class Lexicon:
                 onto_type=onto_type,
                 provenance="generated",
             )
-            out.append(replace(entry, score=self.score_entry(entry)))
+            out.append(entry._replace(score=self.score_entry(entry)))
         return out
 
     def candidate_entries(

@@ -19,16 +19,15 @@ On top of the tree this module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import records
 from .errors import FormatError, StructuralError, UnknownName
 
 
-@dataclass(frozen=True)
-class RoleSpec:
+class RoleSpec(NamedTuple):
     """A labelled argument slot with a selectional restriction.
 
     A filler for the role must be a descendant-or-self of ``restriction``.
@@ -38,17 +37,12 @@ class RoleSpec:
     restriction: str
     required: bool = False
 
-    def signature(self) -> tuple[str, str, bool]:
-        return (self.name, self.restriction, self.required)
 
-
-@dataclass(frozen=True)
-class OntologyType:
+class OntologyType(NamedTuple):
     """One node of the hierarchy as declared (roles not yet inherited)."""
 
     name: str
     parent: str | None
-    features: Mapping[str, str] = field(default_factory=dict)
     roles: tuple[RoleSpec, ...] = ()
     synsets: frozenset[str] = frozenset()
 
@@ -195,9 +189,10 @@ class Ontology:
         self._check(name)
         return self._effective[name]
 
-    def role_signature(self, name: str) -> frozenset[tuple[str, str, bool]]:
+    def role_signature(self, name: str) -> frozenset[RoleSpec]:
+        """The effective roles as a set of (name, restriction, required)."""
         self._check(name)
-        return frozenset(r.signature() for r in self._effective[name].values())
+        return frozenset(self._effective[name].values())
 
 
 # -- semantic factorization --------------------------------------------------
@@ -283,6 +278,8 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
 
         type <name> parent <name|-> [features k=v,...]
             [roles name:restriction[:required],...] [synsets id,...]
+
+    ``features`` must be well-formed but are not kept: nothing reads them.
     """
     types: list[OntologyType] = []
     seen: set[str] = set()
@@ -310,20 +307,16 @@ def _parse_type_block(tokens: list[str], source: str, lineno: int) -> OntologyTy
         raise FormatError(f"type {name} missing parent", source, lineno)
 
     parent = None if sections["parent"] == "-" else sections["parent"]
-    features = _parse_features(sections.get("features", "-"), name, source, lineno)
+    _check_features(sections.get("features", "-"), name, source, lineno)
     roles = _parse_roles(sections.get("roles", "-"), name, source, lineno)
     synsets = records.split_list(sections.get("synsets", "-"))
-    return OntologyType(name, parent, features, roles, frozenset(synsets))
+    return OntologyType(name, parent, roles, frozenset(synsets))
 
 
-def _parse_features(value: str, name: str, source: str, lineno: int) -> dict[str, str]:
-    features: dict[str, str] = {}
+def _check_features(value: str, name: str, source: str, lineno: int) -> None:
     for item in records.split_list(value):
         if "=" not in item:
             raise FormatError(f"bad feature '{item}' for type {name}", source, lineno)
-        k, v = item.split("=", 1)
-        features[k] = v
-    return features
 
 
 def _parse_roles(value: str, name: str, source: str, lineno: int) -> tuple[RoleSpec, ...]:

@@ -8,6 +8,15 @@ a list value is comma-separated with ``-`` for the empty list.  Every
 malformed record raises :class:`FormatError` naming ``file:line`` and the
 offending token.  The format modules keep only what is particular to
 their own records.
+
+Record types built once per input line, token or parse follow one rule:
+
+- A record that validates nothing is a ``typing.NamedTuple``, which is
+  built several times faster than a frozen dataclass.  It is immutable
+  and compares equal to a plain tuple of its values.  Its ``index``
+  field, on ``CorpusToken`` and ``TokenRecord``, hides ``tuple.index``.
+- A record that validates its values in ``__post_init__`` stays a frozen
+  dataclass, so no instance skips the check.
 """
 
 from __future__ import annotations

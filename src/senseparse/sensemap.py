@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import records
 from .diagnostics import Diagnostics
@@ -22,8 +22,7 @@ from .errors import FormatError, StructuralError, UnknownName
 _WEIGHT_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class Synset:
+class Synset(NamedTuple):
     id: str
     lemmas: frozenset[str] = frozenset()
     hypernyms: frozenset[str] = frozenset()

@@ -1,6 +1,7 @@
 import pytest
 
-from senseparse.cli import main
+from senseparse import cli, evaluation
+from senseparse.cli import build_arg_parser, main, parse_args
 
 
 @pytest.fixture
@@ -94,6 +95,23 @@ def test_eval_rejects_unknown_synset_before_parsing(
     assert not output.exists()
 
 
+def test_eval_checks_synsets_once(resource_args, fixtures_dir, tmp_path, monkeypatch):
+    calls = []
+    original = evaluation.check_synsets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, evaluation):
+        monkeypatch.setattr(module, "check_synsets", counted)
+    code = main(["eval", *resource_args, "--corpus", str(fixtures_dir / "corpus.txt"),
+                 "--advice", str(fixtures_dir / "advice.txt"), "--variants", "plain",
+                 "--output", str(tmp_path / "report.tsv")])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_parse_rejects_unknown_advice_synset(resource_args, fixtures_dir, tmp_path, capsys):
     advice = renamed_s01_copy(fixtures_dir, tmp_path, "advice.txt")
     output = tmp_path / "lf.txt"
@@ -104,3 +122,56 @@ def test_parse_rejects_unknown_advice_synset(resource_args, fixtures_dir, tmp_pa
         f"senseparse: error: {advice}: sentence s01: unknown synset no_such.n.01\n"
     )
     assert not output.exists()
+
+
+
+# argv read by the one-subcommand parser and by the full parser: valid calls,
+# abbreviations, help, and every kind of usage error, including leftovers
+ARGV_CASES = [
+    ["parse", "--ontology", "o", "--synsets", "s", "--lexicon", "l", "--grammar", "g"],
+    ["parse", "--ontology", "o", "--synsets", "s", "--lexicon", "l", "--grammar", "g",
+     "--variant", "pre", "--alpha", "0.9", "--beam-width", "1", "--sent", "a b", "--out", "x"],
+    ["eval", "--ontology", "o", "--synsets", "s", "--lexicon", "l", "--grammar", "g",
+     "--corpus", "c", "--variants", "plain,fixed", "--max-pops", "7"],
+    ["factorize", "--ontology", "o"],
+    ["map", "--ontology", "o", "--synsets", "s", "--output", "x"],
+    ["parse", "--ontology", "o"],
+    ["parse", "--ontology", "o", "--synsets", "s", "--lexicon", "l", "--grammar", "g",
+     "--max-pops", "many"],
+    ["parse", "--ontology", "o", "--synsets", "s", "--lexicon", "l", "--grammar", "g",
+     "--variant", "nope"],
+    ["parse", "--ontology", "o", "--synsets", "s", "--lexicon", "l", "--grammar", "g",
+     "--corpus", "c"],
+    ["factorize", "--ontology", "o", "stray", "--", "x"],
+    ["map", "--ontology"],
+    ["parse", "-h"],
+    ["eval", "--help"],
+    ["-h"],
+    [],
+    ["frobnicate", "--ontology", "o"],
+    ["--ontology", "o", "parse"],
+]
+
+
+def _outcome(read, argv, capsys):
+    try:
+        result = vars(read(argv))
+    except SystemExit as exited:
+        result = exited.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=[" ".join(a) or "-" for a in ARGV_CASES])
+def test_parse_args_reads_argv_as_the_full_parser_does(argv, capsys):
+    expected = _outcome(build_arg_parser().parse_args, argv, capsys)
+    assert _outcome(parse_args, argv, capsys) == expected
+
+
+def test_well_formed_call_builds_only_its_subcommand(resource_args, tmp_path, monkeypatch):
+    def full_parser():
+        raise AssertionError("built the parser of every subcommand")
+
+    monkeypatch.setattr(cli, "build_arg_parser", full_parser)
+    code = main(["parse", *resource_args, "--sentence", "i/PRO cooked/cook/V the/DET bass/N",
+                 "--output", str(tmp_path / "lf.txt")])
+    assert code == 0

@@ -266,8 +266,8 @@ def test_run_experiment_rejects_unknown_synset_before_any_parse(
         advice_text = advice_text.replace("bass_guitar.n.01=1.0", "no_such.n.01=1.0", 1)
     else:
         s01 = corpus[0]
-        tokens = s01.tokens[:3] + (replace(s01.tokens[3], gold="no_such.n.01"),)
-        corpus = [replace(s01, tokens=tokens), *corpus[1:]]
+        tokens = s01.tokens[:3] + (s01.tokens[3]._replace(gold="no_such.n.01"),)
+        corpus = [s01._replace(tokens=tokens), *corpus[1:]]
 
     def no_parse(*args, **kwargs):
         raise AssertionError("parsed before the synset check")

@@ -84,9 +84,15 @@ def test_features_and_required_roles_parse():
         "type root parent - features k=v,m=n\n\n"
         "type a parent root roles agent:root:required,theme:a:optional\n"
     )
-    assert ont.get("root").features == {"k": "v", "m": "n"}
+    # well-formed features are accepted and not kept
+    assert "features" not in OntologyType._fields
+    assert not hasattr(ont.get("root"), "features")
     roles = ont.effective_roles("a")
     assert roles["agent"].required and not roles["theme"].required
+    with pytest.raises(FormatError, match=r"^onto\.txt:3: bad feature 'm' for type a$"):
+        parse_ontology(
+            "type root parent -\n\ntype a parent root features k=v,m\n", source="onto.txt"
+        )
 
 
 # -- ancestry -------------------------------------------------------------------

@@ -1,11 +1,18 @@
 import pytest
 
-from senseparse.advice import load_advice, parse_advice, parse_corpus
+from senseparse.advice import (
+    CorpusToken,
+    SentenceRecord,
+    TokenRecord,
+    load_advice,
+    parse_advice,
+    parse_corpus,
+)
 from senseparse.errors import FormatError, StructuralError
-from senseparse.lexicon import parse_lexicon
-from senseparse.ontology import parse_ontology
-from senseparse.parser import parse_grammar
-from senseparse.sensemap import parse_synsets
+from senseparse.lexicon import LexicalEntry, SyntacticTemplate, parse_lexicon
+from senseparse.ontology import OntologyType, RoleSpec, parse_ontology
+from senseparse.parser import LFNode, Token, parse_grammar
+from senseparse.sensemap import Synset, parse_synsets
 
 MINI_ONTOLOGY = parse_ontology("type root parent -\n")
 
@@ -136,3 +143,43 @@ STRUCTURAL = [
 def test_structural_error_names_its_source(fmt, text, problem):
     with pytest.raises(StructuralError, match=f"^src.txt: .*{problem}"):
         PARSERS[fmt](text, source="src.txt")
+
+
+# -- record types -----------------------------------------------------------------
+
+# records that validate nothing: (type, field names in order, defaults)
+NAMED_TUPLES = [
+    (CorpusToken, ("index", "start", "end", "surface", "lemma", "pos", "gold"), {"gold": None}),
+    (SentenceRecord, ("sentence_id", "tokens"), {}),
+    (TokenRecord, ("index", "span", "surface", "lemma"), {}),
+    (Synset, ("id", "lemmas", "hypernyms"), {"lemmas": frozenset(), "hypernyms": frozenset()}),
+    (OntologyType, ("name", "parent", "roles", "synsets"), {"roles": (), "synsets": frozenset()}),
+    (RoleSpec, ("name", "restriction", "required"), {"required": False}),
+    (SyntacticTemplate, ("name", "category", "arg_slots"), {"arg_slots": ()}),
+    (
+        LexicalEntry,
+        ("word", "features", "template", "onto_type", "score", "provenance", "freq"),
+        {"score": 0.0, "provenance": "core", "freq": None},
+    ),
+    (Token, ("surface", "lemma", "pos"), {"pos": None}),
+    (LFNode, ("id", "start", "end", "word", "onto_type"), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "record_type, names, defaults", NAMED_TUPLES, ids=[t.__name__ for t, _, _ in NAMED_TUPLES]
+)
+def test_record_without_checks_is_an_immutable_named_tuple(record_type, names, defaults):
+    assert record_type._fields == names
+    assert record_type._field_defaults == defaults
+    values = {name: f"v{i}" for i, name in enumerate(names)}
+    record = record_type(**values)
+    assert record == record_type(*values.values())
+    # each field reads its own value, ``index`` included
+    assert [getattr(record, name) for name in names] == list(values.values())
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, "changed")
+    required = {name: v for name, v in values.items() if name not in defaults}
+    assert record_type(**required)._asdict() == {**values, **defaults}
+
