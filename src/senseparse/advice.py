@@ -181,7 +181,7 @@ def build_advice_map(
 ) -> tuple[AdviceMap, int]:
     """Turn raw advice for one sentence into an advice map of hints.
 
-    Each record is transformed to type advice, its best (tied) types kept,
+    Each record is transformed to type scores, its best (tied) types kept,
     and its span re-anchored onto the parser tokenization through
     :func:`unify`.  Records whose token cannot be matched, and records
     none of whose synsets resolves to a type, yield no hint and are
@@ -200,8 +200,8 @@ def build_advice_map(
         parser_index = wsd_to_parser.get(k)
         best: set[tuple[str, float]] = set()
         if parser_index is not None:
-            advice = transform_advice(record, graph, ontology.synset_mapping, diagnostics)
-            best = best_types(advice)
+            scored = transform_advice(record, graph, ontology.synset_mapping, diagnostics)
+            best = best_types(scored)
         if not best:
             dropped += 1
             if diagnostics is not None:

@@ -20,18 +20,22 @@ building them would have noted them, so the log reads as if every variant
 had prepared the sentence itself.  Before the first parse, every gold and
 advice synset is checked against the synset graph.
 
-Gold annotations are synset-level; they are mapped to ontology types
-through subsumption, and instances whose gold synset reaches no type are
-excluded from scoring but counted.  Predictions carrying the fallback
-type count as abstentions: they hurt recall, not precision, and the
-similarity means are taken over attempted instances only.
+Gold annotations are synset-level.  No variant setting enters them, so
+``run_experiment`` maps each gold synset to an ontology type through
+subsumption once per run, and factorizes the ontology once for the
+semantic-factor scores.  Instances whose gold synset reaches no type are
+excluded from scoring and noted.  The gold notes are buffered and replayed
+after each variant's parse notes, where scoring that variant would have
+noted them.  Predictions carrying the fallback type count as abstentions:
+they hurt recall, not precision, and the similarity means are taken over
+attempted instances only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .advice import SentenceRecord, build_advice_map
 from .diagnostics import Diagnostics
@@ -100,7 +104,6 @@ class ScoreReport:
 @dataclass(frozen=True)
 class Resources:
     ontology: Ontology
-    factorized: FactorizedOntology
     graph: SynsetGraph
     lexicon: Lexicon
     grammar: Grammar
@@ -115,7 +118,6 @@ def load_resources(
     ontology = load_ontology(ontology_path)
     return Resources(
         ontology=ontology,
-        factorized=factorize(ontology),
         graph=load_synsets(synsets_path),
         lexicon=load_lexicon(lexicon_path, ontology),
         grammar=load_grammar(grammar_path),
@@ -125,52 +127,56 @@ def load_resources(
 # -- gold handling ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoldInstance:
+class GoldInstance(NamedTuple):
     sentence_id: str
     token_index: int
-    synset: str
+    onto_type: str
 
 
-def gold_instances(corpus: Sequence[SentenceRecord]) -> list[GoldInstance]:
+def gold_instances(
+    corpus: Sequence[SentenceRecord],
+    graph: SynsetGraph,
+    ontology: Ontology,
+    diagnostics: Diagnostics,
+) -> list[GoldInstance]:
+    """Each gold token of ``corpus`` with the type its synset subsumes to.
+
+    A token whose gold synset maps to no type is left out and noted.
+    """
     out = []
     for sentence in corpus:
         for token in sentence.tokens:
-            if token.gold is not None:
-                out.append(GoldInstance(sentence.sentence_id, token.index, token.gold))
+            if token.gold is None:
+                continue
+            onto_type = graph.assign_type(token.gold, ontology.synset_mapping, diagnostics)
+            if onto_type is None:
+                diagnostics.note("unmapped-gold", token.gold)
+                continue
+            out.append(GoldInstance(sentence.sentence_id, token.index, onto_type))
     return out
 
 
 # -- scoring -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceOutcome:
-    instance: GoldInstance
-    gold_type: str
-    predicted: str
-
-
-def instance_outcomes(
+def score_run(
     results: Mapping[str, ParseResult],
     instances: Sequence[GoldInstance],
-    graph: SynsetGraph,
     ontology: Ontology,
-    diagnostics: Diagnostics | None = None,
-) -> list[InstanceOutcome]:
-    """Resolve each scorable gold instance to (gold type, predicted type).
+    factorized: FactorizedOntology,
+    fallback_type: str,
+) -> dict[str, float | int]:
+    """Exact/similarity agreement metrics for one variant's parse results.
 
-    Instances whose gold synset maps to no type are excluded (and noted);
-    every remaining instance must be covered by a logical-form node of its
-    sentence's parse.
+    Every instance must be covered by a logical-form node of its
+    sentence's parse; that node's type is the prediction.  A fallback-typed
+    prediction is an abstention: it is not attempted, so it cannot be wrong
+    for precision, but the instance still counts toward recall.  Wu-Palmer
+    and factor-similarity means are over attempted instances.  ``frag``
+    counts non-spanning sentences in the whole run.
     """
-    out = []
+    attempted: list[tuple[str, str]] = []  # (predicted, gold) type pairs
     for instance in instances:
-        mapped = graph.assign_type(instance.synset, ontology.synset_mapping, diagnostics)
-        if mapped is None:
-            if diagnostics is not None:
-                diagnostics.note("unmapped-gold", instance.synset)
-            continue
         result = results.get(instance.sentence_id)
         if result is None:
             raise SenseParseError(f"no parse result for sentence {instance.sentence_id}")
@@ -180,44 +186,20 @@ def instance_outcomes(
                 f"no logical-form node covers token {instance.token_index} "
                 f"of {instance.sentence_id}"
             )
-        out.append(InstanceOutcome(instance, mapped, node.onto_type))
-    return out
-
-
-def score_run(
-    results: Mapping[str, ParseResult],
-    instances: Sequence[GoldInstance],
-    ontology: Ontology,
-    factorized: FactorizedOntology,
-    graph: SynsetGraph,
-    fallback_type: str,
-    diagnostics: Diagnostics | None = None,
-) -> dict[str, float | int]:
-    """Exact/similarity agreement metrics for one variant's parse results.
-
-    A fallback-typed prediction is an abstention: it is not attempted, so
-    it cannot be wrong for precision, but the instance still counts toward
-    recall.  Wu-Palmer and factor-similarity means are over attempted
-    instances.  ``frag`` counts non-spanning sentences in the whole run.
-    """
-    outcomes = instance_outcomes(results, instances, graph, ontology, diagnostics)
-    attempted = [o for o in outcomes if o.predicted != fallback_type]
-    correct = sum(1 for o in attempted if o.predicted == o.gold_type)
+        if node.onto_type != fallback_type:
+            attempted.append((node.onto_type, instance.onto_type))
+    correct = sum(1 for predicted, gold in attempted if predicted == gold)
 
     precision = correct / len(attempted) if attempted else 0.0
-    recall = correct / len(outcomes) if outcomes else 0.0
+    recall = correct / len(instances) if instances else 0.0
     if precision + recall > 0:
         f_score = 2 * precision * recall / (precision + recall)
     else:
         f_score = 0.0
 
     if attempted:
-        wu = sum(ontology.wu_palmer(o.predicted, o.gold_type) for o in attempted) / len(
-            attempted
-        )
-        semfac = sum(
-            factorized.similarity(o.predicted, o.gold_type) for o in attempted
-        ) / len(attempted)
+        wu = sum(ontology.wu_palmer(p, g) for p, g in attempted) / len(attempted)
+        semfac = sum(factorized.similarity(p, g) for p, g in attempted) / len(attempted)
     else:
         wu = 0.0
         semfac = 0.0
@@ -229,7 +211,7 @@ def score_run(
         "semfac": semfac,
         "frag": frag,
         "attempted": len(attempted),
-        "scored": len(outcomes),
+        "scored": len(instances),
     }
 
 
@@ -400,7 +382,9 @@ def run_experiment(
     corpus or advice file when its source is given.
     """
     check_synsets(resources.graph, corpus, advice_by_sentence, corpus_source, advice_source)
-    instances = gold_instances(corpus)
+    gold_notes = Diagnostics()
+    instances = gold_instances(corpus, resources.graph, resources.ontology, gold_notes)
+    factorized = factorize(resources.ontology)
     prepared = [
         prepare_sentence(resources, s, advice_by_sentence.get(s.sentence_id, ()))
         for s in corpus
@@ -410,14 +394,10 @@ def run_experiment(
         results, dropped = run_variant(
             resources, corpus, advice_by_sentence, config, diagnostics, prepared
         )
+        if diagnostics is not None:
+            diagnostics.replay(gold_notes)
         metrics = score_run(
-            results,
-            instances,
-            resources.ontology,
-            resources.factorized,
-            resources.graph,
-            config.parser.fallback_type,
-            diagnostics,
+            results, instances, resources.ontology, factorized, config.parser.fallback_type
         )
         rows.append(VariantRow(config.variant, **metrics, dropped_advice=dropped))
     return ScoreReport(tuple(rows))

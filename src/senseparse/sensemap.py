@@ -152,22 +152,14 @@ class SenseDistribution:
             raise ValueError(f"weights for {self.word} sum to {total} > 1")
 
 
-@dataclass(frozen=True)
-class TypeAdvice:
-    """A sense distribution re-expressed over ontology types."""
-
-    word: str
-    span: tuple[int, int]
-    scored_types: Mapping[str, float] = field(default_factory=dict)
-
-
 def transform_advice(
     dist: SenseDistribution,
     graph: SynsetGraph,
     mapping: Mapping[str, str],
     diagnostics: Diagnostics | None = None,
-) -> TypeAdvice:
-    """Push each synset's probability onto its subsumed ontology type.
+) -> dict[str, float]:
+    """Push each synset's probability onto its subsumed ontology type,
+    returning each reached type's score.
 
     Synsets that resolve to no type contribute nothing, so the total score
     can be less than the total input mass.  Each type's score is capped at
@@ -180,16 +172,15 @@ def transform_advice(
         if onto_type is None:
             continue
         totals[onto_type] = totals.get(onto_type, 0.0) + dist.weights[sid]
-    scored = {t: min(totals[t], 1.0) for t in sorted(totals)}
-    return TypeAdvice(dist.word, dist.span, scored)
+    return {t: min(totals[t], 1.0) for t in sorted(totals)}
 
 
-def best_types(advice: TypeAdvice) -> set[tuple[str, float]]:
+def best_types(scored_types: Mapping[str, float]) -> set[tuple[str, float]]:
     """All (type, score) entries tied for the maximum score; empty if none."""
-    if not advice.scored_types:
+    if not scored_types:
         return set()
-    top = max(advice.scored_types.values())
-    return {(t, s) for t, s in advice.scored_types.items() if s == top}
+    top = max(scored_types.values())
+    return {(t, s) for t, s in scored_types.items() if s == top}
 
 
 # -- file format --------------------------------------------------------------

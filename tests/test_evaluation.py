@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from senseparse import evaluation
-from senseparse.advice import load_advice, load_corpus, parse_advice
+from senseparse.advice import (
+    CorpusToken,
+    SentenceRecord,
+    load_advice,
+    load_corpus,
+    parse_advice,
+)
 from senseparse.cli import main
 from senseparse.diagnostics import Diagnostics
 from senseparse.errors import SenseParseError
@@ -24,6 +30,7 @@ from senseparse.evaluation import (
     run_variant,
     score_run,
 )
+from senseparse.ontology import factorize
 from senseparse.parser import (
     FALLBACK_TYPE,
     ChartParser,
@@ -71,6 +78,45 @@ def test_fixture_eval_diagnostics_match_golden(fixtures_dir, tmp_path):
     assert main(args) == 0
     assert report.read_text() == GOLDEN_REPORT
     assert diagnostics.read_text() == GOLDEN_DIAGNOSTICS
+
+
+# The fixture with two notes raised while scoring gold: s09's gold is a
+# synset under two mapped hypernyms (ambiguous subsumption) and s15's gold
+# maps to no type (not scored).  Each variant's gold notes follow its parse
+# notes; `plain` rejects no role filler.
+GOLDEN_GOLD_NOTES_REPORT = (
+    "variant\tf_score\twu_palmer\tsemfac\tfrag\tattempted\tscored\tdropped_advice\n"
+    "plain\t0.4138\t0.6582\t0.8161\t0\t29\t29\t0\n"
+    "pre\t0.7931\t0.8674\t0.9425\t0\t29\t29\t0\n"
+    "prog\t0.7931\t0.8674\t0.9425\t0\t29\t29\t0\n"
+    "comb\t0.7931\t0.8674\t0.9425\t0\t29\t29\t0\n"
+    "fixed\t0.9655\t0.9906\t1.0000\t6\t29\t29\t0\n"
+)
+_GOLD_NOTES = [
+    "ambiguous-subsumption bass_hybrid.n.01 candidates bird,fish",
+    "unmapped-gold entity.n.01",
+]
+_ROLE_NOTES = [f"role-violation s{n} affected phys-obj composition" for n in range(13, 19)]
+GOLDEN_GOLD_NOTES_DIAGNOSTICS = _GOLD_NOTES + 4 * (_ROLE_NOTES + _GOLD_NOTES)
+
+
+def test_gold_notes_land_after_each_variants_parse_notes(
+    resources, corpus, advice_records, fixtures_dir
+):
+    synsets = (fixtures_dir / "synsets.txt").read_text()
+    synsets += "synset bass_hybrid.n.01 hypernyms bird.n.01,fish.n.01\n"
+    resources = replace(resources, graph=parse_synsets(synsets))
+    golds = {"s09": "bass_hybrid.n.01", "s15": "entity.n.01"}
+    corpus = [
+        s._replace(tokens=s.tokens[:3] + (s.tokens[3]._replace(gold=golds[s.sentence_id]),))
+        if s.sentence_id in golds else s
+        for s in corpus
+    ]
+    diagnostics = Diagnostics()
+    variants = [VariantConfig(name) for name in VARIANT_NAMES]
+    report = run_experiment(resources, corpus, advice_records, variants, diagnostics)
+    assert report.to_tsv() == GOLDEN_GOLD_NOTES_REPORT
+    assert diagnostics.lines() == GOLDEN_GOLD_NOTES_DIAGNOSTICS
 
 
 # The first 10-sentence chunk (5-40 tokens) of the long-ambig benchmark
@@ -129,7 +175,6 @@ def variant_by_variant(resources, corpus, advice, variants):
     """run_experiment's report, outputs and diagnostics, rebuilt by parsing
     sentence by sentence under each variant with nothing shared."""
     diagnostics = Diagnostics()
-    instances = gold_instances(corpus)
     rows, outputs = [], []
     for config in variants:
         results, dropped = {}, 0
@@ -139,9 +184,10 @@ def variant_by_variant(resources, corpus, advice, variants):
             )
             results[sentence.sentence_id] = result
             dropped += d
+        instances = gold_instances(corpus, resources.graph, resources.ontology, diagnostics)
         metrics = score_run(
-            results, instances, resources.ontology, resources.factorized,
-            resources.graph, config.parser.fallback_type, diagnostics,
+            results, instances, resources.ontology, factorize(resources.ontology),
+            config.parser.fallback_type,
         )
         rows.append(VariantRow(config.variant, **metrics, dropped_advice=dropped))
         outputs.append((config.variant, outputs_of(results, dropped)))
@@ -291,15 +337,28 @@ def test_score_run_abstention_lowers_recall_not_precision(resources):
         "a": lf_result("a", True, ["electric-bass", FALLBACK_TYPE]),
         "b": lf_result("b", False, ["saltwater-fish", "bread"]),
     }
-    instances = [
-        GoldInstance("a", 0, "bass_guitar.n.01"),  # electric-bass: correct
-        GoldInstance("a", 1, "drum.n.01"),  # drum: abstained (fallback type)
-        GoldInstance("b", 0, "trout.n.01"),  # freshwater-fish: wrong
-        GoldInstance("b", 1, "entity.n.01"),  # no type: not scored
+    golds = {
+        "a": ["bass_guitar.n.01",  # electric-bass: correct
+              "drum.n.01"],  # drum: abstained (fallback type)
+        "b": ["trout.n.01",  # freshwater-fish: wrong
+              "entity.n.01"],  # no type: not scored
+    }
+    corpus = [
+        SentenceRecord(sid, tuple(
+            CorpusToken(i, i, i + 1, f"w{i}", f"w{i}", "N", gold) for i, gold in enumerate(g)
+        ))
+        for sid, g in golds.items()
     ]
+    diagnostics = Diagnostics()
+    instances = gold_instances(corpus, resources.graph, resources.ontology, diagnostics)
+    assert instances == [
+        GoldInstance("a", 0, "electric-bass"),
+        GoldInstance("a", 1, "drum"),
+        GoldInstance("b", 0, "freshwater-fish"),
+    ]
+    assert diagnostics.lines() == ["unmapped-gold entity.n.01"]
     metrics = score_run(
-        results, instances, resources.ontology, resources.factorized,
-        resources.graph, FALLBACK_TYPE,
+        results, instances, resources.ontology, factorize(resources.ontology), FALLBACK_TYPE
     )
     # precision 1/2 over the attempted, recall 1/3 over the scored:
     # F = 2 * (1/2) * (1/3) / (1/2 + 1/3) = 2/5

@@ -119,20 +119,17 @@ def test_transform_advice_sums_probability_per_type():
     graph = graph_of(("sa", ["t1"]), ("sb", ["t1"]), ("sc", ["t2"]), ("t1", []), ("t2", []))
     mapping = {"t1": "T1", "t2": "T2"}
     dist = SenseDistribution("w", (0, 1), {"sa": 0.6, "sb": 0.3, "sc": 0.1})
-    advice = transform_advice(dist, graph, mapping)
-    assert advice.scored_types == {"T1": pytest.approx(0.9), "T2": pytest.approx(0.1)}
-    assert advice.word == "w" and advice.span == (0, 1)
+    scored = transform_advice(dist, graph, mapping)
+    assert scored == {"T1": pytest.approx(0.9), "T2": pytest.approx(0.1)}
 
 
 def test_transform_advice_empty_distribution():
-    advice = transform_advice(SenseDistribution("w", (0, 1), {}), CHAIN, {})
-    assert advice.scored_types == {}
+    assert transform_advice(SenseDistribution("w", (0, 1), {}), CHAIN, {}) == {}
 
 
 def test_transform_advice_drops_unassignable_mass():
     dist = SenseDistribution("w", (0, 1), {"s1": 1.0})
-    advice = transform_advice(dist, CHAIN, {})
-    assert advice.scored_types == {}
+    assert transform_advice(dist, CHAIN, {}) == {}
 
 
 def test_transform_advice_unknown_synset():
@@ -151,8 +148,7 @@ def test_conservation_with_leakage(seed, n):
     scale = sum(raw.values()) or 1.0
     weights = {sid: w / scale for sid, w in raw.items()}
     dist = SenseDistribution("w", (0, 1), weights)
-    advice = transform_advice(dist, graph, mapping)
-    total_out = sum(advice.scored_types.values())
+    total_out = sum(transform_advice(dist, graph, mapping).values())
     total_in = sum(weights.values())
     assert total_out <= total_in + 1e-9
     all_assignable = all(
@@ -168,23 +164,15 @@ def test_conservation_with_leakage(seed, n):
 
 
 def test_best_types_single_maximum():
-    from senseparse.sensemap import TypeAdvice
-
-    advice = TypeAdvice("w", (0, 1), {"T1": 0.9, "T2": 0.1})
-    assert best_types(advice) == {("T1", 0.9)}
+    assert best_types({"T1": 0.9, "T2": 0.1}) == {("T1", 0.9)}
 
 
 def test_best_types_tie_returns_all():
-    from senseparse.sensemap import TypeAdvice
-
-    advice = TypeAdvice("w", (0, 1), {"T1": 0.5, "T2": 0.5})
-    assert best_types(advice) == {("T1", 0.5), ("T2", 0.5)}
+    assert best_types({"T1": 0.5, "T2": 0.5}) == {("T1", 0.5), ("T2", 0.5)}
 
 
 def test_best_types_empty():
-    from senseparse.sensemap import TypeAdvice
-
-    assert best_types(TypeAdvice("w", (0, 1), {})) == set()
+    assert best_types({}) == set()
 
 
 # -- distribution validation -------------------------------------------------------------

@@ -4,7 +4,8 @@
 rename or a changed call path in ``src/`` would leave a layer unmeasured
 (or break the traced run).  This drives the tracer over one fixture eval
 and one ``parse`` call and checks that each hooked layer counted work, and
-that uninstalling puts every original back.
+that uninstalling puts every original back.  The other tests pin traced
+counts that show work shared across variants being done once per run.
 """
 
 import importlib.util
@@ -63,18 +64,46 @@ def test_tracer_counts_every_layer_and_restores_originals(
         assert changed == [], (owner, changed)
 
 
+def traced(run):
+    """The tracer's accumulator after ``run()``."""
+    tracer = load_layers().Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    return tracer.acc
+
+
+def traced_eval(resources, corpus, advice_records, names):
+    variants = [VariantConfig(name) for name in names]
+    return traced(lambda: run_experiment(resources, corpus, advice_records, variants))
+
+
 def test_traced_fixture_eval_looks_up_each_corpus_token_once(
     resources, corpus, advice_records
 ):
     # every sentence is prepared once for all five variants
-    tracer = load_layers().Tracer()
-    tracer.install()
-    try:
-        run_experiment(
-            resources, corpus, advice_records, [VariantConfig(name) for name in VARIANT_NAMES]
-        )
-    finally:
-        tracer.uninstall()
+    acc = traced_eval(resources, corpus, advice_records, VARIANT_NAMES)
     tokens = sum(len(sentence.tokens) for sentence in corpus)
     assert tokens == 120
-    assert tracer.acc["lexicon.candidate_entries_calls"] == tokens
+    assert acc["lexicon.candidate_entries_calls"] == tokens
+
+
+def test_traced_fixture_eval_resolves_gold_once_per_run(resources, corpus, advice_records):
+    # preparation and gold resolution are shared, so adding variants adds
+    # no subsumption
+    plain = traced_eval(resources, corpus, advice_records, ["plain"])
+    every = traced_eval(resources, corpus, advice_records, VARIANT_NAMES)
+    assert plain["sensemap.assign_type_calls"] == every["sensemap.assign_type_calls"] > 0
+
+
+def test_traced_parse_computes_no_factorization(fixtures_dir, tmp_path):
+    args = ["parse"]
+    for name in ("ontology", "synsets", "lexicon", "grammar", "advice"):
+        args += [f"--{name}", str(fixtures_dir / f"{name}.txt")]
+    args += ["--sentence", "i/PRO played/play/V the/DET bass/N", "--sentence-id", "s01",
+             "--output", str(tmp_path / "lf.txt")]
+    acc = traced(lambda: cli.main(args))
+    assert acc["cli.load_calls"] == 1
+    assert acc["load.factorize_calls"] == 0
