@@ -2,10 +2,11 @@
 
 The parser, the external disambiguator, and gold annotations may each
 tokenize a sentence differently.  Rather than forcing one tokenization on
-everything, tokens are matched pairwise: first by intersecting character
-spans with exactly equal base forms, then, among leftovers, by identical
-surface words.  Advice that cannot be matched onto a parser token is
-dropped (and counted) instead of being attached to a guess.
+everything, each advice record (a character span and one word) is matched
+onto a corpus token as read: first by intersecting character spans with
+the word equal to the token's base form, then, among leftovers, by the
+word equal to its surface.  Advice that cannot be matched onto a parser
+token is dropped (and counted) instead of being attached to a guess.
 
 Also hosts the corpus and advice file readers.
 """
@@ -23,44 +24,35 @@ from .ontology import Ontology
 from .sensemap import SenseDistribution, SynsetGraph, best_types, transform_advice
 
 
-class TokenRecord(NamedTuple):
-    """One token in one system's tokenization of a sentence."""
-
-    index: int
-    span: tuple[int, int]  # character interval in the raw sentence
-    surface: str
-    lemma: str
-
-
 def unify(
-    parser_tokens: Sequence[TokenRecord], wsd_tokens: Sequence[TokenRecord]
+    parser_tokens: Sequence[CorpusToken], records: Sequence[SenseDistribution]
 ) -> dict[int, int]:
-    """Match the disambiguator's tokens onto parser tokens, one-to-one;
-    returns disambiguator token index -> parser token index.
+    """Match advice records onto parser tokens, one-to-one; returns record
+    position -> parser token index.
 
-    Pass 1 claims pairs whose character spans intersect and whose lemmas
-    are exactly equal; pass 2 claims remaining pairs with identical
-    surface words, greedily left-to-right by parser index.  Unmatched
-    tokens on either side are absent from the map.
+    Pass 1 claims pairs whose character spans intersect and whose advised
+    word equals the token's lemma exactly; pass 2 claims remaining pairs
+    whose advised word equals the token's surface, greedily left-to-right
+    by parser index.  Unmatched tokens and records are absent from the map.
     """
     matched: dict[int, int] = {}
     claimed: set[int] = set()
     for p in parser_tokens:
-        for o in wsd_tokens:
-            if o.index in matched:
+        for k, r in enumerate(records):
+            if k in matched:
                 continue
-            if _spans_intersect(p.span, o.span) and p.lemma == o.lemma:
-                matched[o.index] = p.index
+            if _spans_intersect((p.start, p.end), r.span) and p.lemma == r.word:
+                matched[k] = p.index
                 claimed.add(p.index)
                 break
     for p in parser_tokens:
         if p.index in claimed:
             continue
-        for o in wsd_tokens:
-            if o.index in matched:
+        for k, r in enumerate(records):
+            if k in matched:
                 continue
-            if p.surface == o.surface:
-                matched[o.index] = p.index
+            if p.surface == r.word:
+                matched[k] = p.index
                 break
     return matched
 
@@ -187,11 +179,7 @@ def build_advice_map(
     none of whose synsets resolves to a type, yield no hint and are
     dropped; the second return value counts them.
     """
-    parser_records = [
-        TokenRecord(t.index, (t.start, t.end), t.surface, t.lemma) for t in parser_tokens
-    ]
-    wsd_records = [TokenRecord(k, r.span, r.word, r.word) for k, r in enumerate(records)]
-    wsd_to_parser = unify(parser_records, wsd_records)
+    wsd_to_parser = unify(parser_tokens, records)
 
     hints: list[Hint] = []
     dropped = 0

@@ -173,15 +173,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     ontology = load_ontology(args.ontology)
-    factorized = factorize(ontology)
-    lines = [
-        f"type {name} factor {factorized.factor_of[name]}"
-        for name in sorted(ontology)
-    ]
-    for factor in sorted(factorized.factor_parent):
-        parent = factorized.factor_parent[factor] or "-"
-        depth = factorized.factor_depth[factor]
-        lines.append(f"factor {factor} parent {parent} depth {depth}")
+    factor_of, factors = factorize(ontology)
+    lines = [f"type {name} factor {factor_of[name]}" for name in sorted(ontology)]
+    for factor in sorted(factors):
+        parent = factors.get(factor).parent or "-"
+        lines.append(f"factor {factor} parent {parent} depth {factors.depth(factor)}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

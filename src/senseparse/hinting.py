@@ -99,35 +99,24 @@ def augment(s_c: float, s: float, alpha: float) -> float:
     return alpha * (s_c * s) + (1.0 - alpha)
 
 
-def progressive_score(
-    constituent: Constituent,
-    advice: AdviceMap,
-    ontology: Ontology,
-    alpha: float,
-    child_scores: Sequence[float] = (),
-) -> float:
-    """Effective score of a constituent under progressive hinting.
-
-    The root component is the augment of the constituent's own score with
-    the best matching hint, blended by ``alpha`` (or the own score
-    unchanged when nothing matches); the result is the mean of the root
-    component and the daughters' effective scores.
-    """
-    hint = advice.best_match(
-        constituent.word, constituent.span, constituent.onto_type, ontology
-    )
-    if hint is None:
-        root = constituent.own_score
-    else:
-        root = augment(constituent.own_score, hint.score, alpha)
-    return recursive_score(root, child_scores)
-
-
 def progressive_scorer(advice: AdviceMap, ontology: Ontology, alpha: float) -> Scorer:
-    """Scoring hook for the parser that applies progressive hinting."""
+    """Scoring hook for the parser that applies progressive hinting.
+
+    The hook's root component is the augment of the constituent's own
+    score with the best matching hint, blended by ``alpha`` (or the own
+    score unchanged when nothing matches); its result is the mean of the
+    root component and the daughters' effective scores.
+    """
 
     def scorer(constituent: Constituent, child_scores: Sequence[float]) -> float:
-        return progressive_score(constituent, advice, ontology, alpha, child_scores)
+        hint = advice.best_match(
+            constituent.word, constituent.span, constituent.onto_type, ontology
+        )
+        if hint is None:
+            root = constituent.own_score
+        else:
+            root = augment(constituent.own_score, hint.score, alpha)
+        return recursive_score(root, child_scores)
 
     return scorer
 
@@ -177,7 +166,7 @@ def _advised_entry(
         return None
     return LexicalEntry(
         word=word,
-        features={"pos": pos or template.category},
+        pos=pos or template.category,
         template=template.name,
         onto_type=onto_type,
         score=1.0,

@@ -1,7 +1,7 @@
 """Lexical entries pairing syntactic templates with semantic types.
 
-An entry is the (features, template, type) triple the parser seeds its
-chart with.  Core entries come from the lexicon file; additional entries
+An entry is the (part of speech, template, type) triple the parser seeds
+its chart with.  Core entries come from the lexicon file; additional entries
 are generated on demand for words reachable through the synset graph, so
 coverage extends well beyond the hand-written core.  Entries are scored
 with simple deterministic heuristics and pruned before parsing.
@@ -33,19 +33,17 @@ ENTRY_KEEP = 4
 
 
 class SyntacticTemplate(NamedTuple):
-    """A named syntactic frame: the category it builds and its role slots."""
+    """A named syntactic frame: the category it builds and the roles its
+    slots name."""
 
     name: str
     category: str
-    arg_slots: tuple[tuple[str, str], ...] = ()
-
-    def role_names(self) -> list[str]:
-        return [role for _, role in self.arg_slots]
+    roles: tuple[str, ...] = ()
 
 
 class LexicalEntry(NamedTuple):
     word: str
-    features: Mapping[str, str]
+    pos: str | None
     template: str
     onto_type: str
     score: float = 0.0
@@ -133,7 +131,7 @@ class Lexicon:
     def template_fits(self, template: SyntacticTemplate, onto_type: str) -> bool:
         """True when every role the template names exists on the type."""
         effective = self._ontology.effective_roles(onto_type)
-        return all(role in effective for role in template.role_names())
+        return all(role in effective for role in template.roles)
 
     # -- lookup and generation ---------------------------------------------
 
@@ -155,8 +153,7 @@ class Lexicon:
         and blended with the file-declared frequency when one exists.
         """
         score = PROVENANCE_PRIOR[entry.provenance]
-        pos = entry.features.get("pos")
-        if not compatible(self.templates[entry.template].category, pos):
+        if not compatible(self.templates[entry.template].category, entry.pos):
             score *= INCOMPATIBLE_POS_PENALTY
         if entry.freq is not None:
             score = (1.0 - FREQ_WEIGHT) * score + FREQ_WEIGHT * entry.freq
@@ -231,7 +228,7 @@ class Lexicon:
             emitted.add((tpl.name, onto_type))
             entry = LexicalEntry(
                 word=word,
-                features={"pos": pos if pos is not None else tpl.category},
+                pos=pos if pos is not None else tpl.category,
                 template=tpl.name,
                 onto_type=onto_type,
                 provenance="generated",
@@ -324,13 +321,12 @@ def _parse_template(tokens: list[str], source: str, lineno: int) -> SyntacticTem
     fields = records.fields(tokens, 2, ("cat", "slots"), source, lineno)
     if "cat" not in fields:
         raise FormatError(f"template {name} missing cat", source, lineno)
-    slots: list[tuple[str, str]] = []
+    roles: list[str] = []
     for item in records.split_list(fields.get("slots", "-")):
         if ":" not in item:
             raise FormatError(f"bad slot '{item}' in template {name}", source, lineno)
-        position, role = item.split(":", 1)
-        slots.append((position, role))
-    return SyntacticTemplate(name, fields["cat"], tuple(slots))
+        roles.append(item.split(":", 1)[1])
+    return SyntacticTemplate(name, fields["cat"], tuple(roles))
 
 
 def _parse_entry(tokens: list[str], source: str, lineno: int) -> tuple[LexicalEntry, str]:
@@ -346,7 +342,7 @@ def _parse_entry(tokens: list[str], source: str, lineno: int) -> tuple[LexicalEn
         freq = records.finite(fields["freq"], "freq", source, lineno)
     entry = LexicalEntry(
         word=word,
-        features={"pos": fields["cat"]},
+        pos=fields["cat"],
         template=fields["template"],
         onto_type=fields["type"],
         provenance="core",

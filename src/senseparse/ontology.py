@@ -12,14 +12,14 @@ On top of the tree this module provides:
 - Wu-Palmer similarity, ``2*depth(lcs(a, b)) / (depth(a) + depth(b))``
   with ``depth(root) = 1``,
 - semantic factorization: a partition of the hierarchy into maximal
-  connected regions whose members share an identical effective role set,
-- the same Wu-Palmer formula evaluated over the factor quotient tree,
-  which measures whether two types are interchangeable structurally.
+  connected regions whose members share an identical effective role set;
+  the factor quotient tree is itself an :class:`Ontology`, so the
+  semantic-factor similarity is Wu-Palmer over that tree, which measures
+  whether two types are interchangeable structurally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -198,73 +198,45 @@ class Ontology:
 # -- semantic factorization --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizedOntology:
+class FactorizedOntology(NamedTuple):
     """The quotient of a hierarchy by identical effective role structure.
 
     ``factor_of`` sends each type to its factor; a factor is named after
-    the shallowest type that opened it.  Factors form a tree (a quotient
-    of the type tree) with the root factor at depth 1.
+    the shallowest type that opened it.  ``factors`` is the quotient tree
+    itself, an :class:`Ontology` of factor types whose root factor is the
+    hierarchy's root, at depth 1.  A named tuple by the rule in
+    :mod:`senseparse.records`.
     """
 
     factor_of: Mapping[str, str]
-    factor_parent: Mapping[str, str | None]
-    factor_depth: Mapping[str, int]
-
-    def factor_ancestors(self, factor: str) -> list[str]:
-        chain = [factor]
-        while (parent := self.factor_parent[chain[-1]]) is not None:
-            chain.append(parent)
-        return chain
+    factors: Ontology
 
     def similarity(self, a: str, b: str) -> float:
         """Wu-Palmer similarity computed over the factor tree."""
         for name in (a, b):
             if name not in self.factor_of:
                 raise UnknownName(f"unknown ontology type {name}")
-        fa = self.factor_of[a]
-        fb = self.factor_of[b]
-        fb_chain = set(self.factor_ancestors(fb))
-        lcs = next(f for f in self.factor_ancestors(fa) if f in fb_chain)
-        return (
-            2.0
-            * self.factor_depth[lcs]
-            / (self.factor_depth[fa] + self.factor_depth[fb])
-        )
+        return self.factors.wu_palmer(self.factor_of[a], self.factor_of[b])
 
 
 def factorize(ontology: Ontology) -> FactorizedOntology:
     """Partition the hierarchy at nodes whose role structure changes.
 
-    A type joins its parent's factor iff its effective role set (name,
-    restriction, required triples) equals the parent's; otherwise it opens
-    a new factor whose factor-parent is the parent's factor.
+    Types are visited parents first.  A type joins its parent's factor iff
+    its effective role set (name, restriction, required triples) equals
+    the parent's; otherwise it opens a new factor whose factor-parent is
+    the parent's factor.
     """
-    children: dict[str, list[str]] = {name: [] for name in ontology}
-    for name in ontology:
+    factor_of: dict[str, str] = {}
+    factors: list[OntologyType] = []
+    for name in sorted(ontology, key=ontology.depth):
         parent = ontology.get(name).parent
-        if parent is not None:
-            children[parent].append(name)
-
-    root = ontology.root
-    factor_of: dict[str, str] = {root: root}
-    factor_parent: dict[str, str | None] = {root: None}
-    factor_depth: dict[str, int] = {root: 1}
-
-    queue = sorted(children[root])
-    while queue:
-        name = queue.pop(0)
-        parent = ontology.get(name).parent
-        assert parent is not None
-        if ontology.role_signature(name) == ontology.role_signature(parent):
+        if parent is not None and ontology.role_signature(name) == ontology.role_signature(parent):
             factor_of[name] = factor_of[parent]
         else:
             factor_of[name] = name
-            factor_parent[name] = factor_of[parent]
-            factor_depth[name] = factor_depth[factor_of[parent]] + 1
-        queue.extend(sorted(children[name]))
-
-    return FactorizedOntology(factor_of, factor_parent, factor_depth)
+            factors.append(OntologyType(name, None if parent is None else factor_of[parent]))
+    return FactorizedOntology(factor_of, Ontology(factors))
 
 
 # -- file format --------------------------------------------------------------

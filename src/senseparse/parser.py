@@ -3,7 +3,8 @@
 The chart is seeded with one constituent per lexical entry.  A priority
 agenda repeatedly pops the highest-scoring constituent and combines it
 with adjacent chart items under the grammar rules; a combination that
-violates a role restriction is rejected outright rather than penalized.
+violates a role restriction is rejected outright rather than penalized,
+and each distinct rejection is noted once per parse.
 Every newly built constituent is scored through a caller-supplied hook
 (this is where progressive hinting plugs in) and each (span, category)
 cell is beam-pruned.  Parsing stops when a spanning constituent of the
@@ -379,6 +380,8 @@ class ChartParser:
         agenda: list[tuple[float, int, Constituent]] = []
         next_id = 0
         seen: set[tuple[int, tuple[int, ...]]] = set()
+        # rejections repeat once per combine attempt; keep each first one
+        rejections = Diagnostics() if diagnostics is not None else None
 
         def admit(c: Constituent, child_scores: Sequence[float]) -> None:
             score = scorer(c, child_scores)
@@ -431,13 +434,15 @@ class ChartParser:
                         continue
                     seen.add(signature)
                     built = self.combine(
-                        rule, children, next_id, diagnostics, sentence_id
+                        rule, children, next_id, rejections, sentence_id
                     )
                     if built is None:
                         continue
                     next_id += 1
                     admit(built, [c.effective_score for c in children])
 
+        if diagnostics is not None:
+            diagnostics.events.extend(dict.fromkeys(rejections.events))
         if accepted is not None:
             fragments: list[Constituent] = [accepted]
         else:

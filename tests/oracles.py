@@ -70,7 +70,7 @@ def assign_type_oracle(
 
 def _fits(ontology: Ontology, template: SyntacticTemplate, onto_type: str) -> bool:
     effective = ontology.effective_roles(onto_type)
-    return all(role in effective for _, role in template.arg_slots)
+    return all(role in effective for role in template.roles)
 
 
 def template_for_type_oracle(
@@ -312,8 +312,7 @@ def random_lexicon(rng: Random, ontology: Ontology) -> Lexicon:
     templates = []
     for i in range(rng.randrange(2, 7)):
         roles = rng.sample(("r1", "r2", "r3"), rng.randrange(0, 3))
-        slots = tuple((f"a{k}", role) for k, role in enumerate(roles))
-        templates.append(SyntacticTemplate(f"tpl{i}", rng.choice(categories), slots))
+        templates.append(SyntacticTemplate(f"tpl{i}", rng.choice(categories), tuple(roles)))
     defaults = {}
     for category in categories:
         own = [t.name for t in templates if t.category == category]
@@ -324,7 +323,7 @@ def random_lexicon(rng: Random, ontology: Ontology) -> Lexicon:
         tpl = rng.choice(templates)
         onto_type = rng.choice(types)
         if _fits(ontology, tpl, onto_type):
-            entry = LexicalEntry(f"w{k % 7}", {"pos": tpl.category}, tpl.name, onto_type)
+            entry = LexicalEntry(f"w{k % 7}", tpl.category, tpl.name, onto_type)
             entries.setdefault(entry.key(), entry)
     return Lexicon(templates, entries.values(), defaults, ontology)
 
@@ -332,6 +331,6 @@ def random_lexicon(rng: Random, ontology: Ontology) -> Lexicon:
 def entries_to_seeds(entries: list[tuple[str, str, str, float]]) -> list[LexicalEntry]:
     """(word, template, type, score) shorthand for hand-built entry lists."""
     return [
-        LexicalEntry(word, {"pos": None}, template, onto_type, score, "core")
+        LexicalEntry(word, None, template, onto_type, score, "core")
         for word, template, onto_type, score in entries
     ]

@@ -1,15 +1,16 @@
-from senseparse.advice import TokenRecord, build_advice_map, unify
+from senseparse.advice import CorpusToken, build_advice_map, unify
 from senseparse.diagnostics import Diagnostics
 from senseparse.evaluation import VARIANT_NAMES, VariantConfig, run_experiment
 from senseparse.sensemap import SenseDistribution
 
 
 def parser_token(index, span, surface, lemma):
-    return TokenRecord(index, span, surface, lemma)
+    return CorpusToken(index, span[0], span[1], surface, lemma, "N")
 
 
-def wsd_token(index, span, surface, lemma=None):
-    return TokenRecord(index, span, surface, lemma or surface)
+def wsd_token(span, word):
+    """An advice record: its span and the one word the advisor reports."""
+    return SenseDistribution(word, span, {"s.n.01": 1.0})
 
 
 # -- unify ---------------------------------------------------------------------------
@@ -17,20 +18,20 @@ def wsd_token(index, span, surface, lemma=None):
 
 def test_unify_matches_intersecting_span_with_equal_lemma():
     parser = [parser_token(0, (0, 1), "i", "i"), parser_token(1, (2, 8), "played", "play")]
-    wsd = [wsd_token(0, (3, 7), "play")]
+    wsd = [wsd_token((3, 7), "play")]
     assert unify(parser, wsd) == {0: 1}
 
 
 def test_unify_falls_back_to_surface_word():
     # the spans are disjoint and the lemmas differ, but the surface agrees
     parser = [parser_token(0, (0, 6), "played", "play")]
-    wsd = [wsd_token(0, (20, 26), "played")]
+    wsd = [wsd_token((20, 26), "played")]
     assert unify(parser, wsd) == {0: 0}
 
 
 def test_unify_needs_equal_lemma_for_a_span_match():
     parser = [parser_token(0, (0, 6), "played", "play")]
-    wsd = [wsd_token(0, (0, 6), "plays", "plays")]
+    wsd = [wsd_token((0, 6), "plays")]
     assert unify(parser, wsd) == {}
 
 
@@ -42,13 +43,13 @@ def test_unify_claims_one_to_one_span_pass_first():
         parser_token(1, (5, 8), "saw", "see"),
         parser_token(2, (9, 13), "bass", "bass"),
     ]
-    wsd = [wsd_token(0, (9, 13), "bass")]
+    wsd = [wsd_token((9, 13), "bass")]
     assert unify(parser, wsd) == {0: 2}
 
 
 def test_unify_surface_pass_is_greedy_left_to_right():
     parser = [parser_token(0, (0, 4), "bass", "bass"), parser_token(1, (5, 9), "bass", "bass")]
-    wsd = [wsd_token(0, (40, 44), "bass"), wsd_token(1, (50, 54), "bass")]
+    wsd = [wsd_token((40, 44), "bass"), wsd_token((50, 54), "bass")]
     assert unify(parser, wsd) == {0: 0, 1: 1}
 
 

@@ -175,3 +175,61 @@ def test_well_formed_call_builds_only_its_subcommand(resource_args, tmp_path, mo
     code = main(["parse", *resource_args, "--sentence", "i/PRO cooked/cook/V the/DET bass/N",
                  "--output", str(tmp_path / "lf.txt")])
     assert code == 0
+
+
+# The fixture `factorize` table: every type's factor, then every factor's
+# parent and depth in the factor tree.
+GOLDEN_FACTORIZE = (
+    "type abstract-obj factor root\n"
+    "type action factor action\n"
+    "type animal factor animate\n"
+    "type animate factor animate\n"
+    "type artifact factor artifact\n"
+    "type barrel factor artifact\n"
+    "type bird factor animate\n"
+    "type body-part factor root\n"
+    "type bread factor root\n"
+    "type chain-artifact factor artifact\n"
+    "type cheese factor root\n"
+    "type composition factor root\n"
+    "type container factor artifact\n"
+    "type cook-action factor action\n"
+    "type discuss-action factor discuss-action\n"
+    "type drum factor artifact\n"
+    "type electric-bass factor artifact\n"
+    "type fish factor animate\n"
+    "type food factor root\n"
+    "type freshwater-fish factor animate\n"
+    "type hammer factor artifact\n"
+    "type horn-growth factor root\n"
+    "type horn-instrument factor artifact\n"
+    "type idea-type factor root\n"
+    "type musical-instrument factor artifact\n"
+    "type perceive-action factor action\n"
+    "type person factor animate\n"
+    "type phys-obj factor root\n"
+    "type pipe-instrument factor artifact\n"
+    "type pipe-tube factor artifact\n"
+    "type plan-type factor root\n"
+    "type play-music factor action\n"
+    "type recording factor artifact\n"
+    "type referential-sem factor root\n"
+    "type roost factor artifact\n"
+    "type root factor root\n"
+    "type saltwater-fish factor animate\n"
+    "type situation factor root\n"
+    "type strike-action factor action\n"
+    "type tool factor artifact\n"
+    "factor action parent root depth 2\n"
+    "factor animate parent root depth 2\n"
+    "factor artifact parent root depth 2\n"
+    "factor discuss-action parent action depth 3\n"
+    "factor root parent - depth 1\n"
+)
+
+
+def test_fixture_factorize_matches_golden(fixtures_dir, tmp_path):
+    out = tmp_path / "factors.txt"
+    assert main(["factorize", "--ontology", str(fixtures_dir / "ontology.txt"),
+                 "--output", str(out)]) == 0
+    assert out.read_text() == GOLDEN_FACTORIZE

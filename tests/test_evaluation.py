@@ -163,6 +163,37 @@ def test_long_ambig_chunk_matches_golden(tmp_path):
     assert digest.hexdigest() == GOLDEN_LONG_AMBIG_LF_SHA256
 
 
+def test_long_ambig_chunk_notes_each_role_violation_once_per_parse(tmp_path, monkeypatch):
+    # a rejected filler is retried on every combine attempt that meets it;
+    # each parse notes the rejection once
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "long-ambig",
+         "--seed", "1", "--out", str(tmp_path)],
+        check=True, capture_output=True,
+    )
+    resources = load_resources(
+        *(tmp_path / f"{name}.txt" for name in ("ontology", "synsets", "lexicon", "grammar"))
+    )
+    corpus = load_corpus(tmp_path / "corpus.txt")[:10]
+    advice = load_advice(tmp_path / "advice.txt")
+    per_parse = []
+    original = ChartParser.parse
+
+    def capture(self, tokens, entries, sentence_id="", scorer=None, diagnostics=None):
+        start = len(diagnostics.events)
+        result = original(self, tokens, entries, sentence_id, scorer, diagnostics)
+        per_parse.append(diagnostics.events[start:])
+        return result
+
+    monkeypatch.setattr(ChartParser, "parse", capture)
+    diagnostics = Diagnostics()
+    variants = [VariantConfig(name) for name in VARIANT_NAMES]
+    run_experiment(resources, corpus, advice, variants, diagnostics)
+    assert len(per_parse) == 5 * len(corpus)
+    assert all(len(set(notes)) == len(notes) for notes in per_parse)
+    assert len(diagnostics.lines()) == 332
+
+
 # -- shared preparation ---------------------------------------------------------------
 
 

@@ -12,9 +12,8 @@ from senseparse.hinting import (
     augment,
     fix_senses,
     prehint,
-    progressive_score,
+    progressive_scorer,
 )
-from senseparse.lexicon import LexicalEntry
 from senseparse.parser import Constituent, Token
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -100,19 +99,19 @@ def test_augment_bounds_and_monotonicity(s_c, s, alpha):
 def test_progressive_leaf_without_hint_is_own_score(ontology):
     advice = AdviceMap(())
     c = constituent("bass", (3, 4), "electric-bass", 0.6)
-    assert progressive_score(c, advice, ontology, 0.5) == pytest.approx(0.6)
+    assert progressive_scorer(advice, ontology, 0.5)(c, ()) == pytest.approx(0.6)
 
 
 def test_progressive_leaf_with_hint_is_augment(ontology):
     advice = AdviceMap([Hint("bass", (3, 4), "musical-instrument", 0.8)])
     c = constituent("bass", (3, 4), "electric-bass", 0.5)
-    assert progressive_score(c, advice, ontology, 0.5) == pytest.approx(0.7)
+    assert progressive_scorer(advice, ontology, 0.5)(c, ()) == pytest.approx(0.7)
 
 
 def test_progressive_parent_averages_root_and_children(ontology):
     advice = AdviceMap([Hint("bass", (2, 4), "musical-instrument", 0.8)])
     parent = constituent("bass", (2, 4), "electric-bass", 0.5)
-    got = progressive_score(parent, advice, ontology, 0.5, [0.6, 0.9])
+    got = progressive_scorer(advice, ontology, 0.5)(parent, [0.6, 0.9])
     assert got == pytest.approx((0.7 + 0.6 + 0.9) / 3)
 
 
@@ -124,7 +123,7 @@ def test_progressive_best_hint_highest_score_then_name(ontology):
     advice = AdviceMap(hints)
     c = constituent("bass", (3, 4), "electric-bass", 1.0)
     # alpha=1: augment = s_c * s = the chosen hint's score
-    assert progressive_score(c, advice, ontology, 1.0) == pytest.approx(0.9)
+    assert progressive_scorer(advice, ontology, 1.0)(c, ()) == pytest.approx(0.9)
 
     tied = AdviceMap(
         [
@@ -174,7 +173,7 @@ def test_progressive_empty_advice_equals_plain_recursive_mean(ontology):
         own = rng.random()
         children = [rng.random() for _ in range(rng.randrange(0, 4))]
         c = constituent("bass", (0, 2), "electric-bass", own)
-        assert progressive_score(c, advice, ontology, 0.5, children) == plain_score(
+        assert progressive_scorer(advice, ontology, 0.5)(c, children) == plain_score(
             c, children
         )
 
@@ -188,8 +187,8 @@ def test_alpha_zero_hinted_order_determined_by_children(ontology):
     )
     weak_root = constituent("bass", (0, 2), "electric-bass", 0.1)
     strong_root = constituent("bass", (0, 2), "musical-instrument", 0.9)
-    low = progressive_score(weak_root, advice, ontology, 0.0, [0.9, 0.9])
-    high = progressive_score(strong_root, advice, ontology, 0.0, [0.2, 0.2])
+    low = progressive_scorer(advice, ontology, 0.0)(weak_root, [0.9, 0.9])
+    high = progressive_scorer(advice, ontology, 0.0)(strong_root, [0.2, 0.2])
     assert low > high  # children at 0.9 beat children at 0.2 regardless of roots
 
 
@@ -342,4 +341,4 @@ def test_progressive_score_rejects_bad_alpha(ontology):
     advice = AdviceMap([Hint("bass", (3, 4), "electric-bass", 0.9)])
     c = constituent("bass", (3, 4), "electric-bass", 0.5)
     with pytest.raises(ValueError):
-        progressive_score(c, advice, ontology, 1.5)
+        progressive_scorer(advice, ontology, 1.5)(c, ())

@@ -98,13 +98,13 @@ def test_lookup_filters_incompatible_pos(mini):
 
 def test_core_score_compatible_no_freq(mini):
     _, lex, _ = mini
-    entry = LexicalEntry("w", {"pos": "V"}, "tv", "cook-type", provenance="core")
+    entry = LexicalEntry("w", "V", "tv", "cook-type", provenance="core")
     assert lex.score_entry(entry) == pytest.approx(0.8)
 
 
 def test_generated_score_compatible(mini):
     _, lex, _ = mini
-    entry = LexicalEntry("w", {"pos": "N"}, "n", "freshwater-fish", provenance="generated")
+    entry = LexicalEntry("w", "N", "n", "freshwater-fish", provenance="generated")
     assert lex.score_entry(entry) == pytest.approx(0.5)
 
 
@@ -156,14 +156,14 @@ def test_generated_entry_roles_exist_on_type(mini, resources):
         for entry in lex.generate_entries(word, "N", graph):
             template = lex.templates[entry.template]
             effective = resources.ontology.effective_roles(entry.onto_type)
-            assert all(role in effective for role in template.role_names())
+            assert all(role in effective for role in template.roles)
 
 
 # -- pruning ---------------------------------------------------------------------
 
 
 def entry(word, onto_type, score, provenance="core"):
-    return LexicalEntry(word, {"pos": "N"}, "n", onto_type, score, provenance)
+    return LexicalEntry(word, "N", "n", onto_type, score, provenance)
 
 
 def test_prune_keeps_top_k():

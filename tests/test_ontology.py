@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import chain_to_root, random_ontology, random_tree, wu_palmer_oracle
+from oracles import random_ontology, random_tree, wu_palmer_oracle
 from senseparse.errors import FormatError, StructuralError, UnknownName
 from senseparse.ontology import (
     Ontology,
@@ -215,7 +215,7 @@ def test_factorize_every_type_distinct_roles_one_factor_each():
     # factor tree is isomorphic to the type tree
     for t in types:
         if t.parent is not None:
-            assert fact.factor_parent[fact.factor_of[t.name]] == fact.factor_of[t.parent]
+            assert fact.factors.get(fact.factor_of[t.name]).parent == fact.factor_of[t.parent]
 
 
 def test_factor_fixture_partition(factor_tree):
@@ -223,7 +223,7 @@ def test_factor_fixture_partition(factor_tree):
     assert fact.factor_of["A"] == fact.factor_of["A1"]
     assert fact.factor_of["B"] != fact.factor_of["A"]
     assert fact.factor_of["root"] not in (fact.factor_of["A"], fact.factor_of["B"])
-    assert fact.factor_depth[fact.factor_of["A"]] == 2
+    assert fact.factors.depth(fact.factor_of["A"]) == 2
 
 
 def test_semfac_fixture_values(factor_tree):
@@ -261,7 +261,7 @@ def test_factor_soundness_and_quotient_on_random_ontologies(seed, n):
         if parent is None:
             continue
         f, pf = fact.factor_of[name], fact.factor_of[parent]
-        assert f == pf or fact.factor_parent[f] == pf
+        assert f == pf or fact.factors.get(f).parent == pf
     # completeness: role set equal to parent's implies the same factor
     for name in ont:
         parent = ont.get(name).parent
@@ -274,7 +274,7 @@ def test_factor_soundness_and_quotient_on_random_ontologies(seed, n):
 def test_semfac_equals_wu_palmer_on_factor_tree(seed, n):
     ont = random_ontology(Random(seed), n)
     fact = factorize(ont)
-    factor_parents = dict(fact.factor_parent)
+    factor_parents = {f: fact.factors.get(f).parent for f in fact.factors}
     rng = Random(seed + 1)
     names = sorted(ont)
     for _ in range(10):

@@ -6,7 +6,7 @@ import pytest
 from oracles import best_parse_oracle, verify_role_soundness
 from senseparse.diagnostics import Diagnostics
 from senseparse.errors import ParseFailure, StructuralError
-from senseparse.evaluation import VariantConfig, parse_sentence_with_variant
+from senseparse.evaluation import VariantConfig, parse_sentence_with_variant, run_variant
 from senseparse.lexicon import LexicalEntry
 from senseparse.parser import (
     Chart,
@@ -227,7 +227,7 @@ def test_parse_empty_token_list_is_an_error(resources):
 def test_parse_rejects_entry_with_unknown_type(resources):
     parser = make_parser(resources)
     entries = entries_for(resources, COOKED_BASS)
-    entries[3] = entries[3] + [LexicalEntry("bass", {"pos": "N"}, entries[3][0].template, "no-such-type", 0.9)]
+    entries[3] = entries[3] + [LexicalEntry("bass", "N", entries[3][0].template, "no-such-type", 0.9)]
     with pytest.raises(ParseFailure, match="'bass' names unknown type no-such-type"):
         parser.parse(COOKED_BASS, entries, "t1")
 
@@ -286,6 +286,40 @@ def test_best_first_matches_exhaustive_oracle(resources):
         result = parser.parse(tokens, entries, "oracle")
         assert result.spanning
         assert result.fragments[0].effective_score == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant, spanning", [("plain", 30), ("pre", 30), ("fixed", 24)])
+def test_best_first_root_is_optimal_on_fixture(
+    resources, corpus, advice_records, monkeypatch, variant, spanning
+):
+    # default parser config and the entries run_variant builds: the first
+    # spanning pop is the best spanning derivation, and fixed's other
+    # sentences have none, so the forced senses fragment them, not the search
+    parses = []
+    original = ChartParser.parse
+
+    def capture(self, tokens, entries, *args, **kwargs):
+        result = original(self, tokens, entries, *args, **kwargs)
+        parses.append((tokens, entries, result))
+        return result
+
+    monkeypatch.setattr(ChartParser, "parse", capture)
+    run_variant(resources, corpus, advice_records, VariantConfig(variant))
+    assert len(parses) == 30
+    optimal = 0
+    for tokens, entries, result in parses:
+        want = best_parse_oracle(
+            tokens, entries, resources.grammar, resources.ontology,
+            resources.lexicon.templates,
+        )
+        if not result.spanning:
+            assert want is None
+            continue
+        root = result.fragments[0].effective_score
+        assert root <= want + 1e-9
+        assert root == pytest.approx(want, abs=1e-9)
+        optimal += 1
+    assert optimal == spanning
 
 
 def test_fallback_type_must_exist(resources):

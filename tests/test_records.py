@@ -3,14 +3,13 @@ import pytest
 from senseparse.advice import (
     CorpusToken,
     SentenceRecord,
-    TokenRecord,
     load_advice,
     parse_advice,
     parse_corpus,
 )
 from senseparse.errors import FormatError, StructuralError
 from senseparse.lexicon import LexicalEntry, SyntacticTemplate, parse_lexicon
-from senseparse.ontology import OntologyType, RoleSpec, parse_ontology
+from senseparse.ontology import FactorizedOntology, OntologyType, RoleSpec, parse_ontology
 from senseparse.parser import LFNode, Token, parse_grammar
 from senseparse.sensemap import Synset, parse_synsets
 
@@ -151,14 +150,14 @@ def test_structural_error_names_its_source(fmt, text, problem):
 NAMED_TUPLES = [
     (CorpusToken, ("index", "start", "end", "surface", "lemma", "pos", "gold"), {"gold": None}),
     (SentenceRecord, ("sentence_id", "tokens"), {}),
-    (TokenRecord, ("index", "span", "surface", "lemma"), {}),
     (Synset, ("id", "lemmas", "hypernyms"), {"lemmas": frozenset(), "hypernyms": frozenset()}),
     (OntologyType, ("name", "parent", "roles", "synsets"), {"roles": (), "synsets": frozenset()}),
     (RoleSpec, ("name", "restriction", "required"), {"required": False}),
-    (SyntacticTemplate, ("name", "category", "arg_slots"), {"arg_slots": ()}),
+    (FactorizedOntology, ("factor_of", "factors"), {}),
+    (SyntacticTemplate, ("name", "category", "roles"), {"roles": ()}),
     (
         LexicalEntry,
-        ("word", "features", "template", "onto_type", "score", "provenance", "freq"),
+        ("word", "pos", "template", "onto_type", "score", "provenance", "freq"),
         {"score": 0.0, "provenance": "core", "freq": None},
     ),
     (Token, ("surface", "lemma", "pos"), {"pos": None}),
