@@ -158,6 +158,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     resources = load_resources(args.ontology, args.synsets, args.lexicon, args.grammar)
     corpus = load_corpus(args.corpus)
     advice = load_advice(args.advice) if args.advice else {}
+    # run_experiment ignores advice for other sentences, as a caller that
+    # evaluates part of a corpus wants; a whole file must match its corpus
+    corpus_ids = {s.sentence_id for s in corpus}
+    stray = next((sid for sid in advice if sid not in corpus_ids), None)
+    if stray is not None:
+        raise SenseParseError(f"{args.advice}: sentence {stray}: not in corpus {args.corpus}")
     diagnostics = Diagnostics()
     report = run_experiment(
         resources, corpus, advice, variants, diagnostics, args.corpus, args.advice or ""

@@ -43,7 +43,9 @@ from .errors import SenseParseError
 from .hinting import AdviceMap, apply_prehints, fix_senses, prehint, progressive_scorer
 from .lexicon import ENTRY_KEEP, LexicalEntry, Lexicon, load_lexicon
 from .ontology import FactorizedOntology, Ontology, factorize, load_ontology
-from .parser import ChartParser, Grammar, ParseResult, ParserConfig, Token, load_grammar
+from .parser import (
+    FALLBACK_TYPE, ChartParser, Grammar, ParseResult, ParserConfig, Token, load_grammar
+)
 from .sensemap import SenseDistribution, SynsetGraph, load_synsets
 
 # variant -> (prehint, progressive, force)
@@ -74,8 +76,7 @@ class VariantConfig:
             raise ValueError("alpha must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class VariantRow:
+class VariantRow(NamedTuple):
     variant: str
     f_score: float
     wu_palmer: float
@@ -164,16 +165,15 @@ def score_run(
     instances: Sequence[GoldInstance],
     ontology: Ontology,
     factorized: FactorizedOntology,
-    fallback_type: str,
 ) -> dict[str, float | int]:
     """Exact/similarity agreement metrics for one variant's parse results.
 
     Every instance must be covered by a logical-form node of its
-    sentence's parse; that node's type is the prediction.  A fallback-typed
-    prediction is an abstention: it is not attempted, so it cannot be wrong
-    for precision, but the instance still counts toward recall.  Wu-Palmer
-    and factor-similarity means are over attempted instances.  ``frag``
-    counts non-spanning sentences in the whole run.
+    sentence's parse; that node's type is the prediction.  A prediction of
+    the parser's ``FALLBACK_TYPE`` is an abstention: it is not attempted, so
+    it cannot be wrong for precision, but the instance still counts toward
+    recall.  Wu-Palmer and factor-similarity means are over attempted
+    instances.  ``frag`` counts non-spanning sentences in the whole run.
     """
     attempted: list[tuple[str, str]] = []  # (predicted, gold) type pairs
     for instance in instances:
@@ -186,7 +186,7 @@ def score_run(
                 f"no logical-form node covers token {instance.token_index} "
                 f"of {instance.sentence_id}"
             )
-        if node.onto_type != fallback_type:
+        if node.onto_type != FALLBACK_TYPE:
             attempted.append((node.onto_type, instance.onto_type))
     correct = sum(1 for predicted, gold in attempted if predicted == gold)
 
@@ -243,8 +243,7 @@ def check_synsets(
             raise SenseParseError(f"{prefix}sentence {sentence_id}: unknown synset {synset}")
 
 
-@dataclass(frozen=True)
-class PreparedSentence:
+class PreparedSentence(NamedTuple):
     """The work on one sentence that every variant shares.
 
     ``entries`` are tuples, so no variant can change them for the next.
@@ -396,8 +395,6 @@ def run_experiment(
         )
         if diagnostics is not None:
             diagnostics.replay(gold_notes)
-        metrics = score_run(
-            results, instances, resources.ontology, factorized, config.parser.fallback_type
-        )
+        metrics = score_run(results, instances, resources.ontology, factorized)
         rows.append(VariantRow(config.variant, **metrics, dropped_advice=dropped))
     return ScoreReport(tuple(rows))

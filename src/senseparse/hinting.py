@@ -21,9 +21,7 @@ from typing import Mapping, Sequence
 from .diagnostics import Diagnostics
 from .lexicon import LexicalEntry, Lexicon
 from .ontology import Ontology
-from .parser import Constituent, Scorer, Token, recursive_score
-
-Span = tuple[int, int]
+from .parser import Constituent, Scorer, Span, Token, recursive_score
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,6 @@ class AdviceMap:
     def __len__(self) -> int:
         return len(self.hints)
 
-    def for_word(self, word: str) -> list[Hint]:
-        return self._by_word.get(word, [])
-
     def best_match(
         self, word: str, span: Span, onto_type: str, ontology: Ontology
     ) -> Hint | None:
@@ -73,7 +68,7 @@ class AdviceMap:
         if ranked is None:
             ancestors = ontology.ancestor_sets.get(onto_type, ())
             ranked = sorted(
-                (h for h in self.for_word(word) if h.onto_type in ancestors),
+                (h for h in self._by_word.get(word, ()) if h.onto_type in ancestors),
                 key=lambda h: (-h.score, h.onto_type),
             )
             self._ranked[key] = ranked

@@ -86,10 +86,7 @@ class Ontology:
                 chain.append(cur.parent)
                 seen.add(cur.parent)
                 cur = self._types[cur.parent]
-            if chain[-1] != self.root:
-                # a cycle not reaching the root is caught above; this is a
-                # second root's subtree, already rejected by the root count
-                raise StructuralError(f"type {name} does not reach the root")
+            # the chain ends at a type with no parent: the one root
             self._ancestors[name] = tuple(chain)
             self._ancestor_sets[name] = frozenset(chain)
 
@@ -147,8 +144,8 @@ class Ontology:
 
     @property
     def ancestor_sets(self) -> Mapping[str, frozenset[str]]:
-        """Read-only map of each type to its reflexive ancestor set; the
-        unchecked form of :meth:`is_a` for callers that validated types."""
+        """Read-only map of each type to its reflexive ancestor set, for
+        callers that validated the types they ask about."""
         return self._ancestor_sets
 
     # -- hierarchy queries -------------------------------------------------
@@ -163,25 +160,14 @@ class Ontology:
         self._check(name)
         return len(self._ancestors[name])
 
-    def is_a(self, name: str, ancestor: str) -> bool:
-        """True iff ``name`` is a descendant-or-self of ``ancestor``."""
-        self._check(name)
-        self._check(ancestor)
-        return ancestor in self._ancestor_sets[name]
-
-    def lcs(self, a: str, b: str) -> str:
-        """Deepest common ancestor; unique under single inheritance."""
+    def wu_palmer(self, a: str, b: str) -> float:
+        """Wu-Palmer similarity over the type tree, in (0, 1].  The deepest
+        common ancestor is unique under single inheritance, and the root is
+        common to every pair, so the first of ``a``'s chain in ``b``'s is it."""
         self._check(a)
         self._check(b)
         b_set = self._ancestor_sets[b]
-        for t in self._ancestors[a]:
-            if t in b_set:
-                return t
-        raise StructuralError(f"no common ancestor for {a} and {b}")  # unreachable
-
-    def wu_palmer(self, a: str, b: str) -> float:
-        """Wu-Palmer similarity over the type tree, in (0, 1]."""
-        lcs = self.lcs(a, b)
+        lcs = next(t for t in self._ancestors[a] if t in b_set)
         return 2.0 * self.depth(lcs) / (self.depth(a) + self.depth(b))
 
     def effective_roles(self, name: str) -> Mapping[str, RoleSpec]:

@@ -21,7 +21,7 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 from . import records
 from .diagnostics import Diagnostics
@@ -121,7 +121,7 @@ class ParserConfig:
     beam_width: int = 3
     max_pops: int | None = None  # None: 10 * n^2 for an n-token sentence
     accept_threshold: float = 0.0
-    fallback_type: str = FALLBACK_TYPE
+    fallback_type: ClassVar[str] = FALLBACK_TYPE  # read-only: not a setting
 
     def __post_init__(self) -> None:
         if self.beam_width < 1:
@@ -145,8 +145,7 @@ class LFNode(NamedTuple):
     onto_type: str
 
 
-@dataclass(frozen=True)
-class LogicalForm:
+class LogicalForm(NamedTuple):
     """Sense-typed nodes plus directed, role-labelled edges."""
 
     nodes: tuple[LFNode, ...]
@@ -169,8 +168,7 @@ class LogicalForm:
         return None
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     sentence_id: str
     spanning: bool
     fragments: tuple[Constituent, ...]
@@ -200,10 +198,12 @@ class Chart:
     """Constituent store with per-(span, category) beam pruning.
 
     Each cell is kept in beam order, so a new item is admitted (or pruned)
-    before it is indexed.  Live items are indexed by (end, category) and
-    (start, category), so a rule daughter is looked up in exactly the cell
-    it can come from; each index keeps insertion order and drops an item
-    when the beam prunes it.
+    before it is stored.  An item the beam prunes on arrival is never
+    stored: it cannot become a daughter, so no derivation reaches it.
+    ``items`` holds every item that was ever live.  Live items are indexed
+    by (end, category) and (start, category), so a rule daughter is looked
+    up in exactly the cell it can come from; each index keeps insertion
+    (id) order and drops an item when the beam prunes it.
     """
 
     def __init__(self, beam_width: int) -> None:
@@ -213,24 +213,22 @@ class Chart:
         self._cells: dict[tuple[Span, str], list[Constituent]] = {}
         self._ending: dict[tuple[int, str], dict[int, Constituent]] = {}
         self._starting: dict[tuple[int, str], dict[int, Constituent]] = {}
-        self._by_start: dict[int, dict[int, Constituent]] = {}
 
     def add(self, constituent: Constituent) -> bool:
         """Insert and beam-prune the cell; returns False if the new item
         itself was pruned straight away."""
         cid = constituent.id
         key = (constituent.span, constituent.category)
-        self.items[cid] = constituent
         self.live.add(cid)
         insort(self._cells.setdefault(key, []), constituent, key=_beam_key)
         self.prune_cell(key)
         if cid not in self.live:
             return False
+        self.items[cid] = constituent
         start, end = constituent.span
         category = constituent.category
         self._ending.setdefault((end, category), {})[cid] = constituent
         self._starting.setdefault((start, category), {})[cid] = constituent
-        self._by_start.setdefault(start, {})[cid] = constituent
         return True
 
     def prune_cell(self, key: tuple[Span, str]) -> None:
@@ -243,11 +241,12 @@ class Chart:
             # an item pruned on admission was never indexed
             self._ending[(end, category)].pop(c.id, None)
             self._starting[(start, category)].pop(c.id, None)
-            self._by_start[start].pop(c.id, None)
         del cell[self.beam_width :]
 
     def live_starting_at(self, position: int) -> list[Constituent]:
-        return list(self._by_start.get(position, {}).values())
+        """Every live item starting at ``position``, in id order."""
+        cells = [cell for (start, _), cell in self._starting.items() if start == position]
+        return sorted((c for cell in cells for c in cell.values()), key=lambda c: c.id)
 
 
 def _beam_key(c: Constituent) -> tuple[float, str, int]:
@@ -269,10 +268,8 @@ class ChartParser:
         templates: Mapping[str, SyntacticTemplate],
         config: ParserConfig = ParserConfig(),
     ) -> None:
-        if config.fallback_type not in ontology:
-            raise StructuralError(
-                f"fallback type {config.fallback_type} missing from ontology"
-            )
+        if FALLBACK_TYPE not in ontology:
+            raise StructuralError(f"fallback type {FALLBACK_TYPE} missing from ontology")
         self.grammar = grammar
         self.ontology = ontology
         self.templates = templates
@@ -446,12 +443,7 @@ class ChartParser:
         if accepted is not None:
             fragments: list[Constituent] = [accepted]
         else:
-            fragments, next_id = fragment_fallback(
-                chart, tokens, self.config.fallback_type, next_id
-            )
-            for frag in fragments:
-                if frag.id not in chart.items:
-                    chart.items[frag.id] = frag
+            fragments, _ = fragment_fallback(chart, tokens, next_id)
 
         spanning = (
             len(fragments) == 1
@@ -507,7 +499,6 @@ class ChartParser:
 def fragment_fallback(
     chart: Chart,
     tokens: Sequence[Token],
-    fallback_type: str,
     next_id: int,
 ) -> tuple[list[Constituent], int]:
     """Greedy left-to-right cover of the sentence by chart constituents.
@@ -534,7 +525,7 @@ def fragment_fallback(
                     id=next_id,
                     span=(position, position + 1),
                     category=token.pos if token.pos is not None else "X",
-                    onto_type=fallback_type,
+                    onto_type=FALLBACK_TYPE,
                     word=token.lemma,
                     own_score=0.0,
                     effective_score=0.0,

@@ -1,10 +1,10 @@
 """Independent brute-force oracles and random fixture generators.
 
 Everything here recomputes expected answers from definitions, without
-touching the implementation paths under test: similarity by enumerating
-common ancestors, subsumption by enumerating hypernym paths, template
-choice by scanning every core entry, and parsing by exhaustively
-enumerating derivations CKY-style.
+touching the implementation paths under test: ancestry by walking parent
+chains, similarity by enumerating common ancestors, subsumption by
+enumerating hypernym paths, template choice by scanning every core entry,
+and parsing by exhaustively enumerating derivations CKY-style.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from senseparse.lexicon import LexicalEntry, Lexicon, SyntacticTemplate
 from senseparse.ontology import Ontology, OntologyType, RoleSpec
 from senseparse.sensemap import Synset, SynsetGraph
 
-# -- similarity ------------------------------------------------------------
+# -- ancestry and similarity ------------------------------------------------
 
 
 def chain_to_root(parents: dict[str, str | None], node: str) -> list[str]:
@@ -24,6 +24,18 @@ def chain_to_root(parents: dict[str, str | None], node: str) -> list[str]:
     while parents[chain[-1]] is not None:
         chain.append(parents[chain[-1]])  # type: ignore[arg-type]
     return chain
+
+
+def is_a(ontology: Ontology, name: str, ancestor: str) -> bool:
+    """Walk ``name``'s parent chain looking for ``ancestor``; both must be
+    types of ``ontology``."""
+    ontology.get(ancestor)
+    node: str | None = name
+    while node is not None:
+        if node == ancestor:
+            return True
+        node = ontology.get(node).parent
+    return False
 
 
 def wu_palmer_oracle(parents: dict[str, str | None], a: str, b: str) -> float:
@@ -90,7 +102,7 @@ def template_for_type_oracle(
             tpl = lexicon.templates[entry.template]
             if pos is not None and tpl.category != pos:
                 continue
-            if not ontology.is_a(onto_type, entry.onto_type):
+            if not is_a(ontology, onto_type, entry.onto_type):
                 continue
             if not _fits(ontology, tpl, onto_type):
                 continue
@@ -147,7 +159,7 @@ def enumerate_derivations(tokens, entries, grammar, ontology: Ontology, template
         roles = ontology.effective_roles(head.onto_type)
         for index, role in rule.role_links:
             spec = roles.get(role)
-            if spec is None or not ontology.is_a(children[index].onto_type, spec.restriction):
+            if spec is None or not is_a(ontology, children[index].onto_type, spec.restriction):
                 return None
         product_score = 1.0
         for c in children:
@@ -226,7 +238,7 @@ def verify_role_soundness(result, ontology: Ontology) -> list[str]:
             spec = roles.get(role)
             if spec is None:
                 problems.append(f"{c.id}: role {role} undeclared on {c.onto_type}")
-            elif not ontology.is_a(filler.onto_type, spec.restriction):
+            elif not is_a(ontology, filler.onto_type, spec.restriction):
                 problems.append(
                     f"{c.id}: {role} wants {spec.restriction}, got {filler.onto_type}"
                 )

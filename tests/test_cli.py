@@ -124,6 +124,27 @@ def test_parse_rejects_unknown_advice_synset(resource_args, fixtures_dir, tmp_pa
     assert not output.exists()
 
 
+def test_eval_rejects_advice_for_a_sentence_not_in_the_corpus(
+    resource_args, fixtures_dir, tmp_path, capsys
+):
+    # a valid record for s99, which the corpus lacks, after s01's advice
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text((fixtures_dir / "corpus.txt").read_text())
+    advice = tmp_path / "advice.txt"
+    advice.write_text(
+        (fixtures_dir / "advice.txt").read_text() + "advice s99 0 4 bass bass.n.07=1.0\n"
+    )
+    output, notes = tmp_path / "report.tsv", tmp_path / "diagnostics.txt"
+    code = main(["eval", *resource_args, "--corpus", str(corpus), "--advice", str(advice),
+                 "--output", str(output), "--diagnostics", str(notes)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"senseparse: error: {advice}: sentence s99: not in corpus {corpus}\n"
+    )
+    assert not output.exists()
+    assert not notes.exists()
+
+
 
 # argv read by the one-subcommand parser and by the full parser: valid calls,
 # abbreviations, help, and every kind of usage error, including leftovers

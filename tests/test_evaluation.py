@@ -217,8 +217,7 @@ def variant_by_variant(resources, corpus, advice, variants):
             dropped += d
         instances = gold_instances(corpus, resources.graph, resources.ontology, diagnostics)
         metrics = score_run(
-            results, instances, resources.ontology, factorize(resources.ontology),
-            config.parser.fallback_type,
+            results, instances, resources.ontology, factorize(resources.ontology)
         )
         rows.append(VariantRow(config.variant, **metrics, dropped_advice=dropped))
         outputs.append((config.variant, outputs_of(results, dropped)))
@@ -388,9 +387,7 @@ def test_score_run_abstention_lowers_recall_not_precision(resources):
         GoldInstance("b", 0, "freshwater-fish"),
     ]
     assert diagnostics.lines() == ["unmapped-gold entity.n.01"]
-    metrics = score_run(
-        results, instances, resources.ontology, factorize(resources.ontology), FALLBACK_TYPE
-    )
+    metrics = score_run(results, instances, resources.ontology, factorize(resources.ontology))
     # precision 1/2 over the attempted, recall 1/3 over the scored:
     # F = 2 * (1/2) * (1/3) / (1/2 + 1/3) = 2/5
     assert metrics["f_score"] == pytest.approx(0.4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from random import Random
 
@@ -9,6 +10,7 @@ from senseparse.errors import ParseFailure, StructuralError
 from senseparse.evaluation import VariantConfig, parse_sentence_with_variant, run_variant
 from senseparse.lexicon import LexicalEntry
 from senseparse.parser import (
+    FALLBACK_TYPE,
     Chart,
     ChartParser,
     Constituent,
@@ -121,6 +123,7 @@ def test_chart_indexes_match_filter_over_live_items():
         beam_width = 1 + seed % 3
         chart = Chart(beam_width)
         added: list[Constituent] = []
+        ever_live: set[int] = set()
         for cid in range(rng.randrange(5, 60)):
             start = rng.randrange(5)
             c = leaf(
@@ -139,6 +142,9 @@ def test_chart_indexes_match_filter_over_live_items():
                 cell.sort(key=lambda a: (-a.effective_score, a.onto_type, a.id))
                 expected_live.update(a.id for a in cell[:beam_width])
             assert chart.live == expected_live
+            # an item the beam pruned on arrival was never live, so never stored
+            ever_live |= expected_live
+            assert set(chart.items) == ever_live
 
             live = [chart.items[i] for i in sorted(chart.items) if i in chart.live]
             for position in range(8):
@@ -165,7 +171,7 @@ def test_fallback_returns_single_full_span_fragment():
     chart.add(leaf(0, (0, 3), "S", "action", "cook", 0.2))
     chart.add(leaf(1, (0, 1), "N", "bread", "bread", 0.9))
     tokens = [Token("a", "a", None)] * 3
-    fragments, _ = fragment_fallback(chart, tokens, "referential-sem", 10)
+    fragments, _ = fragment_fallback(chart, tokens, 10)
     assert [f.span for f in fragments] == [(0, 3)]
 
 
@@ -174,14 +180,14 @@ def test_fallback_two_fragments():
     chart.add(leaf(0, (0, 2), "NP", "bread", "bread", 0.5))
     chart.add(leaf(1, (2, 3), "N", "cheese", "cheese", 0.5))
     tokens = [Token("a", "a", None)] * 3
-    fragments, _ = fragment_fallback(chart, tokens, "referential-sem", 10)
+    fragments, _ = fragment_fallback(chart, tokens, 10)
     assert [f.span for f in fragments] == [(0, 2), (2, 3)]
 
 
 def test_fallback_fills_gaps_with_fallback_type():
     chart = Chart(beam_width=5)
     tokens = [Token(w, w, "N") for w in ("a", "b", "c")]
-    fragments, _ = fragment_fallback(chart, tokens, "referential-sem", 0)
+    fragments, _ = fragment_fallback(chart, tokens, 0)
     assert len(fragments) == 3
     assert all(f.onto_type == "referential-sem" for f in fragments)
     assert [f.word for f in fragments] == ["a", "b", "c"]
@@ -328,6 +334,10 @@ def test_fallback_type_must_exist(resources):
     tiny = parse_ontology("type root parent -\n")
     with pytest.raises(StructuralError, match="fallback"):
         ChartParser(resources.grammar, tiny, resources.lexicon.templates)
+    # the abstention type is read from the config but is not a setting of it
+    names = [f.name for f in dataclasses.fields(ParserConfig)]
+    assert names == ["beam_width", "max_pops", "accept_threshold"]
+    assert ParserConfig().fallback_type == FALLBACK_TYPE
 
 
 # -- grammar file ----------------------------------------------------------------------

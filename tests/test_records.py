@@ -8,9 +8,10 @@ from senseparse.advice import (
     parse_corpus,
 )
 from senseparse.errors import FormatError, StructuralError
+from senseparse.evaluation import PreparedSentence, VariantRow
 from senseparse.lexicon import LexicalEntry, SyntacticTemplate, parse_lexicon
 from senseparse.ontology import FactorizedOntology, OntologyType, RoleSpec, parse_ontology
-from senseparse.parser import LFNode, Token, parse_grammar
+from senseparse.parser import LFNode, LogicalForm, ParseResult, Token, parse_grammar
 from senseparse.sensemap import Synset, parse_synsets
 
 MINI_ONTOLOGY = parse_ontology("type root parent -\n")
@@ -162,6 +163,23 @@ NAMED_TUPLES = [
     ),
     (Token, ("surface", "lemma", "pos"), {"pos": None}),
     (LFNode, ("id", "start", "end", "word", "onto_type"), {}),
+    (LogicalForm, ("nodes", "edges"), {}),
+    (
+        ParseResult,
+        ("sentence_id", "spanning", "fragments", "logical_form", "agenda_pops", "constituents"),
+        {},
+    ),
+    (
+        PreparedSentence,
+        ("sentence", "tokens", "entries", "advice_map", "dropped", "entry_notes", "advice_notes"),
+        {},
+    ),
+    (
+        VariantRow,
+        ("variant", "f_score", "wu_palmer", "semfac", "frag", "attempted", "scored",
+         "dropped_advice"),
+        {},
+    ),
 ]
 
 
