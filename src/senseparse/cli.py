@@ -140,7 +140,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if args.advice:
         advice = load_advice(args.advice)
         check_synsets(resources.graph, (), advice, advice_source=args.advice)
-        records = tuple(advice.get(args.sentence_id, ()))
+        if args.sentence_id not in advice:
+            raise SenseParseError(f"{args.advice}: no advice for sentence {args.sentence_id}")
+        records = tuple(advice[args.sentence_id])
 
     raw = args.sentence if args.sentence is not None else sys.stdin.read().strip()
     tokens = _tokenize_sentence(raw)

@@ -5,13 +5,15 @@ agenda repeatedly pops the highest-scoring constituent and combines it
 with adjacent chart items under the grammar rules; a combination that
 violates a role restriction is rejected outright rather than penalized,
 and each distinct rejection is noted once per parse.
-Every newly built constituent is scored through a caller-supplied hook
-(this is where progressive hinting plugs in) and each (span, category)
-cell is beam-pruned.  Parsing stops when a spanning constituent of the
-grammar's goal category at or above the acceptance threshold is popped,
-when the agenda drains, or at the pop budget; without an accepted root
-the result is a best-effort greedy fragment cover, with sense-neutral
-fallback fragments over tokens nothing else covers.
+Each constituent is scored where it is built, as the recursive mean of its
+own score and its daughters'; a caller-supplied hook (this is where
+progressive hinting plugs in) may replace that score.  Each (span,
+category) cell is beam-pruned; an item that loses to a full cell is
+appended and pruned, never inserted.  Parsing stops when a spanning
+constituent of the grammar's goal category at or above the acceptance
+threshold is popped, when the agenda drains, or at the pop budget; without
+an accepted root the result is a best-effort greedy fragment cover, with
+sense-neutral fallback fragments over tokens nothing else covers.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ class Constituent(NamedTuple):
     attachments; ``children_ids`` are the derivation daughters.
 
     A named tuple by the rule in :mod:`senseparse.records`: it validates
-    nothing, and the chart builds two per combination.
+    nothing, and the chart builds one per combination (two when a scoring
+    hook changes the plain score).
     """
 
     id: int
@@ -189,17 +192,21 @@ def recursive_score(root_component: float, child_scores: Sequence[float]) -> flo
     return math.fsum((root_component, *child_scores)) / (1 + len(child_scores))
 
 
-def plain_score(constituent: Constituent, child_scores: Sequence[float]) -> float:
-    """The hint-free scoring hook: a plain recursive mean of own scores."""
-    return recursive_score(constituent.own_score, child_scores)
+def _hooked(c: Constituent, child_scores: Sequence[float], scorer: Scorer) -> Constituent:
+    """``c`` scored by the hook: ``c`` itself when the hook's score equals
+    its plain score, else a copy with the hook's score."""
+    score = scorer(c, child_scores)
+    return c if score == c.effective_score else c._replace(effective_score=score)
 
 
 class Chart:
     """Constituent store with per-(span, category) beam pruning.
 
     Each cell is kept in beam order, so a new item is admitted (or pruned)
-    before it is stored.  An item the beam prunes on arrival is never
-    stored: it cannot become a daughter, so no derivation reaches it.
+    before it is stored.  An item that sorts after a full cell's last item
+    is a beam loser: it is appended, not inserted, and ``prune_cell`` drops
+    it at once.  An item the beam prunes on arrival is never stored: it
+    cannot become a daughter, so no derivation reaches it.
     ``items`` holds every item that was ever live.  Live items are indexed
     by (end, category) and (start, category), so a rule daughter is looked
     up in exactly the cell it can come from; each index keeps insertion
@@ -219,11 +226,16 @@ class Chart:
         itself was pruned straight away."""
         cid = constituent.id
         key = (constituent.span, constituent.category)
+        cell = self._cells.setdefault(key, [])
         self.live.add(cid)
-        insort(self._cells.setdefault(key, []), constituent, key=_beam_key)
-        self.prune_cell(key)
-        if cid not in self.live:
+        if len(cell) >= self.beam_width and _beam_key(constituent) > _beam_key(cell[-1]):
+            # a beam loser sorts last
+            cell.append(constituent)
+            self.prune_cell(key)
             return False
+        # a full cell drops its old last item
+        insort(cell, constituent, key=_beam_key)
+        self.prune_cell(key)
         self.items[cid] = constituent
         start, end = constituent.span
         category = constituent.category
@@ -285,18 +297,24 @@ class ChartParser:
         cid: int = 0,
         diagnostics: Diagnostics | None = None,
         sentence_id: str = "",
+        scorer: Scorer | None = None,
     ) -> Constituent | None:
-        """Build the parent constituent, or reject on a role violation.
+        """Build and score the parent constituent, or reject on a role
+        violation.
 
         The parent takes the head daughter's type and head word; each role
         link is checked against the head type's effective roles and the
-        restriction must subsume the filler's type.
+        restriction must subsume the filler's type.  Its effective score is
+        the recursive mean of its own score and the daughters' scores, or
+        what ``scorer`` makes of that parent and those scores.
         """
         head = children[rule.head_index]
         role_children: list[tuple[str, int]] = []
         if rule.role_links:
             ancestor_sets = self.ontology.ancestor_sets
-            plan = self._role_plan(rule.role_links, head.onto_type)
+            plan = self._role_plans.get((rule.role_links, head.onto_type))
+            if plan is None:
+                plan = self._role_plan(rule.role_links, head.onto_type)
             for (index, role), restriction in zip(rule.role_links, plan):
                 filler = children[index]
                 # leaf types were validated at seeding and restrictions at
@@ -308,34 +326,28 @@ class ChartParser:
                     )
                     return None
                 role_children.append((role, filler.id))
-        own = rule.weight * _geometric_mean([c.effective_score for c in children])
-        return Constituent(
-            id=cid,
-            span=(children[0].span[0], children[-1].span[1]),
-            category=rule.lhs,
-            onto_type=head.onto_type,
-            word=head.word,
-            own_score=own,
-            role_children=tuple(role_children),
-            children_ids=tuple([c.id for c in children]),
-            head_child=rule.head_index,
+        child_scores = [c.effective_score for c in children]
+        own = rule.weight * _geometric_mean(child_scores)
+        built = Constituent(
+            cid, (children[0].span[0], children[-1].span[1]), rule.lhs, head.onto_type,
+            head.word, own, recursive_score(own, child_scores), tuple(role_children),
+            tuple([c.id for c in children]), rule.head_index,
         )
+        return built if scorer is None else _hooked(built, child_scores, scorer)
 
     def _role_plan(
         self, role_links: tuple[tuple[int, str], ...], head_type: str
     ) -> tuple[str | None, ...]:
         """Per role link, the restriction its filler must satisfy under a
         head of ``head_type``, or None for a role the type does not declare;
-        memoised per (links, head type)."""
-        key = (role_links, head_type)
-        plan = self._role_plans.get(key)
-        if plan is None:
-            roles = self.ontology.effective_roles(head_type)
-            plan = tuple(
-                spec.restriction if (spec := roles.get(role)) is not None else None
-                for _, role in role_links
-            )
-            self._role_plans[key] = plan
+        stored in ``_role_plans`` per (links, head type), which ``combine``
+        reads first."""
+        roles = self.ontology.effective_roles(head_type)
+        plan = tuple(
+            spec.restriction if (spec := roles.get(role)) is not None else None
+            for _, role in role_links
+        )
+        self._role_plans[(role_links, head_type)] = plan
         return plan
 
     @staticmethod
@@ -366,8 +378,6 @@ class ChartParser:
             raise ParseFailure("cannot parse an empty token list")
         if len(entries) != len(tokens):
             raise ParseFailure("one entry list per token required")
-        if scorer is None:
-            scorer = plain_score
 
         n = len(tokens)
         budget = self.config.pop_budget(n)
@@ -376,18 +386,13 @@ class ChartParser:
         # itself is never compared
         agenda: list[tuple[float, int, Constituent]] = []
         next_id = 0
-        seen: set[tuple[int, tuple[int, ...]]] = set()
+        seen: set[tuple[int, ...]] = set()  # (rule index, *daughter ids)
         # rejections repeat once per combine attempt; keep each first one
         rejections = Diagnostics() if diagnostics is not None else None
 
-        def admit(c: Constituent, child_scores: Sequence[float]) -> None:
-            score = scorer(c, child_scores)
-            scored = Constituent(
-                c.id, c.span, c.category, c.onto_type, c.word, c.own_score,
-                score, c.role_children, c.children_ids, c.head_child,
-            )
-            if chart.add(scored):
-                heappush(agenda, (-score, scored.id, scored))
+        def admit(c: Constituent) -> None:
+            if chart.add(c):
+                heappush(agenda, (-c.effective_score, c.id, c))
 
         for i in range(n):
             for entry in entries[i]:
@@ -396,16 +401,13 @@ class ChartParser:
                     raise ParseFailure(f"entry for '{entry.word}' names missing template {entry.template}")
                 if entry.onto_type not in self.ontology:
                     raise ParseFailure(f"entry for '{entry.word}' names unknown type {entry.onto_type}")
+                # a leaf's recursive mean is its entry score
                 leaf = Constituent(
-                    id=next_id,
-                    span=(i, i + 1),
-                    category=template.category,
-                    onto_type=entry.onto_type,
-                    word=entry.word,
-                    own_score=entry.score,
+                    next_id, (i, i + 1), template.category, entry.onto_type,
+                    entry.word, entry.score, entry.score,
                 )
                 next_id += 1
-                admit(leaf, ())
+                admit(leaf if scorer is None else _hooked(leaf, (), scorer))
 
         pops = 0
         accepted: Constituent | None = None
@@ -426,24 +428,24 @@ class ChartParser:
             for rule_index, j in self.grammar.positions(popped.category):
                 rule = rules[rule_index]
                 for children in self._rhs_matches(chart, rule, j, popped):
-                    signature = (rule_index, tuple([c.id for c in children]))
+                    signature = (rule_index, *[c.id for c in children])
                     if signature in seen:
                         continue
                     seen.add(signature)
                     built = self.combine(
-                        rule, children, next_id, rejections, sentence_id
+                        rule, children, next_id, rejections, sentence_id, scorer
                     )
                     if built is None:
                         continue
                     next_id += 1
-                    admit(built, [c.effective_score for c in children])
+                    admit(built)
 
         if diagnostics is not None:
             diagnostics.events.extend(dict.fromkeys(rejections.events))
         if accepted is not None:
             fragments: list[Constituent] = [accepted]
         else:
-            fragments, _ = fragment_fallback(chart, tokens, next_id)
+            fragments = fragment_fallback(chart, tokens, next_id)
 
         spanning = (
             len(fragments) == 1
@@ -500,12 +502,13 @@ def fragment_fallback(
     chart: Chart,
     tokens: Sequence[Token],
     next_id: int,
-) -> tuple[list[Constituent], int]:
+) -> list[Constituent]:
     """Greedy left-to-right cover of the sentence by chart constituents.
 
     At each uncovered position the longest, then highest-scoring live
     constituent starting there wins; positions nothing covers become
-    single-token fragments carrying the sense-neutral fallback type.
+    single-token fragments carrying the sense-neutral fallback type, with
+    ids counting up from ``next_id``.
     """
     fragments: list[Constituent] = []
     position = 0
@@ -533,7 +536,7 @@ def fragment_fallback(
             )
             next_id += 1
             position += 1
-    return fragments, next_id
+    return fragments
 
 
 def _geometric_mean(scores: Sequence[float]) -> float:

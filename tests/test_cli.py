@@ -124,6 +124,21 @@ def test_parse_rejects_unknown_advice_synset(resource_args, fixtures_dir, tmp_pa
     assert not output.exists()
 
 
+def test_parse_rejects_advice_without_a_record_for_the_sentence(
+    resource_args, fixtures_dir, tmp_path, capsys
+):
+    # no --sentence-id: the default id "cli" names no record of the file
+    advice = fixtures_dir / "advice.txt"
+    output = tmp_path / "lf.txt"
+    code = main(["parse", *resource_args, "--advice", str(advice), "--variant", "fixed",
+                 "--sentence", "i/PRO played/play/V the/DET bass/N", "--output", str(output)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"senseparse: error: {advice}: no advice for sentence cli\n"
+    )
+    assert not output.exists()
+
+
 def test_eval_rejects_advice_for_a_sentence_not_in_the_corpus(
     resource_args, fixtures_dir, tmp_path, capsys
 ):

@@ -165,7 +165,7 @@ def test_best_match_equals_list_scan_oracle(ontology, hints, queries):
 
 
 def test_progressive_empty_advice_equals_plain_recursive_mean(ontology):
-    from senseparse.parser import plain_score
+    from senseparse.parser import recursive_score
 
     advice = AdviceMap(())
     rng = Random(5)
@@ -173,8 +173,8 @@ def test_progressive_empty_advice_equals_plain_recursive_mean(ontology):
         own = rng.random()
         children = [rng.random() for _ in range(rng.randrange(0, 4))]
         c = constituent("bass", (0, 2), "electric-bass", own)
-        assert progressive_scorer(advice, ontology, 0.5)(c, children) == plain_score(
-            c, children
+        assert progressive_scorer(advice, ontology, 0.5)(c, children) == recursive_score(
+            own, children
         )
 
 

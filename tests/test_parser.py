@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from bisect import insort
 from random import Random
 
 import pytest
@@ -19,6 +20,7 @@ from senseparse.parser import (
     Token,
     fragment_fallback,
     parse_grammar,
+    recursive_score,
 )
 
 
@@ -98,6 +100,64 @@ def test_combine_rejects_undeclared_role(resources):
     assert diag.count("role-violation") == 1
 
 
+def test_combine_scores_the_parent_it_builds(resources):
+    # no hook: the recursive mean of the own score and the daughters'
+    parser = make_parser(resources)
+    v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
+    np = leaf(1, (1, 2), "NP", "freshwater-fish", "bass", 0.6)
+    plain = parser.combine(vp_rule(), [v, np], cid=2)
+    assert plain.effective_score == recursive_score(plain.own_score, [0.8, 0.6])
+
+    # a hook: called once with the plain parent and the daughters' scores,
+    # and its value is the parent's score
+    calls = []
+
+    def hook(constituent, child_scores):
+        calls.append((constituent, list(child_scores)))
+        return 0.125
+
+    hooked = parser.combine(vp_rule(), [v, np], cid=2, scorer=hook)
+    assert calls == [(plain, [0.8, 0.6])]
+    assert hooked == plain._replace(effective_score=0.125)
+    agreeing = parser.combine(vp_rule(), [v, np], cid=2, scorer=lambda c, _: c.effective_score)
+    assert agreeing == plain
+
+
+def test_combine_calls_no_hook_on_a_role_violation(resources):
+    parser = make_parser(resources)
+    v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
+    np = leaf(1, (1, 2), "NP", "idea-type", "idea", 0.6)
+    calls = []
+    assert parser.combine(vp_rule(), [v, np], 2, None, "", lambda *a: calls.append(a)) is None
+    assert calls == []
+
+
+def test_parse_calls_the_hook_once_per_seeded_or_built_item(resources):
+    parser = make_parser(resources)
+    entries = entries_for(resources, COOKED_BASS)
+    unhooked = parser.parse(COOKED_BASS, entries, "t1")
+
+    built = []
+    original = parser.combine
+
+    def counted(*args, **kwargs):
+        constituent = original(*args, **kwargs)
+        if constituent is not None:
+            built.append(constituent)
+        return constituent
+
+    parser.combine = counted
+    calls = []
+
+    def plain_hook(constituent, child_scores):
+        calls.append(constituent.id)
+        return recursive_score(constituent.own_score, child_scores)
+
+    hooked = parser.parse(COOKED_BASS, entries, "t1", scorer=plain_hook)
+    assert hooked == unhooked
+    assert sorted(calls) == list(range(sum(map(len, entries)) + len(built)))
+
+
 # -- chart pruning ----------------------------------------------------------------
 
 
@@ -163,6 +223,65 @@ def test_chart_indexes_match_filter_over_live_items():
                     ]
 
 
+class InsortChart(Chart):
+    """Reference chart: every item is inserted in beam order, then the
+    cell is cut to the beam width."""
+
+    def add(self, constituent):
+        cid = constituent.id
+        key = (constituent.span, constituent.category)
+        self.live.add(cid)
+        insort(self._cells.setdefault(key, []), constituent, key=_beam_key)
+        self.prune_cell(key)
+        if cid not in self.live:
+            return False
+        self.items[cid] = constituent
+        start, end = constituent.span
+        self._ending.setdefault((end, constituent.category), {})[cid] = constituent
+        self._starting.setdefault((start, constituent.category), {})[cid] = constituent
+        return True
+
+
+def _beam_key(c):
+    return (-c.effective_score, c.onto_type, c.id)
+
+
+def chart_state(chart):
+    """Every store of the chart, with the index dicts in insertion order."""
+    def ordered(index):
+        return {key: list(cell.items()) for key, cell in index.items()}
+    return chart._cells, chart.live, chart.items, ordered(chart._ending), ordered(chart._starting)
+
+
+def test_beam_losers_leave_the_chart_as_insertion_does():
+    # few scores, types and spans, so cells fill and keys tie on score
+    for seed in range(200):
+        rng = Random(seed)
+        beam_width = 1 + seed % 4
+        chart, reference = Chart(beam_width), InsortChart(beam_width)
+        pruned = []
+        original = chart.prune_cell
+
+        def counted(key):
+            pruned.append(key)
+            original(key)
+
+        chart.prune_cell = counted
+        cid = 0
+        for n in range(rng.randrange(1, 80)):
+            cid += rng.randrange(1, 3)
+            start = rng.randrange(3)
+            c = leaf(
+                cid, (start, rng.randrange(start + 1, 4)), rng.choice(("A", "B")),
+                rng.choice(("t1", "t2", "t3")), "w", rng.choice((0.2, 0.4, 0.6, 0.8)),
+            )
+            assert chart.add(c) == reference.add(c)
+            assert chart_state(chart) == chart_state(reference)
+            # once per add, on the new item's cell
+            assert len(pruned) == n + 1
+            assert pruned[-1] == (c.span, c.category)
+
+
 # -- fragment fallback ---------------------------------------------------------------
 
 
@@ -171,7 +290,7 @@ def test_fallback_returns_single_full_span_fragment():
     chart.add(leaf(0, (0, 3), "S", "action", "cook", 0.2))
     chart.add(leaf(1, (0, 1), "N", "bread", "bread", 0.9))
     tokens = [Token("a", "a", None)] * 3
-    fragments, _ = fragment_fallback(chart, tokens, 10)
+    fragments = fragment_fallback(chart, tokens, 10)
     assert [f.span for f in fragments] == [(0, 3)]
 
 
@@ -180,14 +299,14 @@ def test_fallback_two_fragments():
     chart.add(leaf(0, (0, 2), "NP", "bread", "bread", 0.5))
     chart.add(leaf(1, (2, 3), "N", "cheese", "cheese", 0.5))
     tokens = [Token("a", "a", None)] * 3
-    fragments, _ = fragment_fallback(chart, tokens, 10)
+    fragments = fragment_fallback(chart, tokens, 10)
     assert [f.span for f in fragments] == [(0, 2), (2, 3)]
 
 
 def test_fallback_fills_gaps_with_fallback_type():
     chart = Chart(beam_width=5)
     tokens = [Token(w, w, "N") for w in ("a", "b", "c")]
-    fragments, _ = fragment_fallback(chart, tokens, 0)
+    fragments = fragment_fallback(chart, tokens, 0)
     assert len(fragments) == 3
     assert all(f.onto_type == "referential-sem" for f in fragments)
     assert [f.word for f in fragments] == ["a", "b", "c"]

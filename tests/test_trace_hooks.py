@@ -9,15 +9,19 @@ counts that show work shared across variants being done once per run.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from senseparse import cli, evaluation, parser
-from senseparse.evaluation import VARIANT_NAMES, VariantConfig, run_experiment
+from senseparse.advice import load_advice, load_corpus
+from senseparse.evaluation import VARIANT_NAMES, VariantConfig, load_resources, run_experiment
 from senseparse.lexicon import Lexicon
 from senseparse.parser import Chart, ChartParser
 from senseparse.sensemap import SynsetGraph
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.py"
 PATCHED = (cli, evaluation, parser, Lexicon, ChartParser, Chart, SynsetGraph)
 
 
@@ -107,3 +111,33 @@ def test_traced_parse_computes_no_factorization(fixtures_dir, tmp_path):
     acc = traced(lambda: cli.main(args))
     assert acc["cli.load_calls"] == 1
     assert acc["load.factorize_calls"] == 0
+
+
+# The traced chart counts of the first 10-sentence chunk of the long-ambig
+# workload, seed 1, all five variants.  Scoring where an item is built and
+# appending beam losers must not move any of them: every item is still
+# built, rejected or pruned once, and the hook is called once per item.
+LONG_AMBIG_CHUNK_COUNTS = {
+    "parser.pops": 7529,
+    "parser.combine_calls": 16567,
+    "parser.built": 14867,
+    "parser.role_rejected": 1700,
+    "parser.beam_pruned": 9166,
+    "parser.fallback": 11,
+    "hinting.progressive_calls": 8310,
+}
+
+
+def test_traced_long_ambig_chunk_counts(tmp_path):
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "long-ambig",
+         "--seed", "1", "--out", str(tmp_path)],
+        check=True, capture_output=True,
+    )
+    resources = load_resources(
+        *(tmp_path / f"{name}.txt" for name in ("ontology", "synsets", "lexicon", "grammar"))
+    )
+    corpus = load_corpus(tmp_path / "corpus.txt")[:10]
+    advice = load_advice(tmp_path / "advice.txt")
+    acc = traced_eval(resources, corpus, advice, VARIANT_NAMES)
+    assert {key: acc[key] for key in LONG_AMBIG_CHUNK_COUNTS} == LONG_AMBIG_CHUNK_COUNTS
