@@ -62,7 +62,7 @@ def _add_parse_args(p: argparse.ArgumentParser) -> None:
     _add_resource_args(p)
     _add_parser_flags(p)
     p.add_argument("--sentence", help="sentence text; read from stdin if omitted")
-    p.add_argument("--sentence-id", default="cli", help="id used to select advice records")
+    p.add_argument("--sentence-id", help="id used to select advice records (default: cli)")
     p.add_argument("--advice", help="advice file path")
     p.add_argument("--output", help="write logical form here instead of stdout")
 
@@ -136,19 +136,22 @@ def _parser_config(args: argparse.Namespace) -> ParserConfig:
 def cmd_parse(args: argparse.Namespace) -> int:
     config = VariantConfig(args.variant, args.alpha, _parser_config(args))
     resources = load_resources(args.ontology, args.synsets, args.lexicon, args.grammar)
+    sentence_id = "cli" if args.sentence_id is None else args.sentence_id
     records = ()
     if args.advice:
         advice = load_advice(args.advice)
         check_synsets(resources.graph, (), advice, advice_source=args.advice)
-        if args.sentence_id not in advice:
-            raise SenseParseError(f"{args.advice}: no advice for sentence {args.sentence_id}")
-        records = tuple(advice[args.sentence_id])
+        # a named sentence may have nothing to advise, as in `eval`; the
+        # default id matching no record means --sentence-id was forgotten
+        if args.sentence_id is None and sentence_id not in advice:
+            raise SenseParseError(f"{args.advice}: no advice for sentence {sentence_id}")
+        records = tuple(advice.get(sentence_id, ()))
 
     raw = args.sentence if args.sentence is not None else sys.stdin.read().strip()
     tokens = _tokenize_sentence(raw)
     if not tokens:
         raise SenseParseError("no tokens in sentence")
-    sentence = SentenceRecord(args.sentence_id, tuple(tokens))
+    sentence = SentenceRecord(sentence_id, tuple(tokens))
     result, _ = parse_sentence_with_variant(resources, sentence, records, config)
     _emit(str(result.logical_form) + "\n", args.output)
     return 0 if result.spanning else 2

@@ -8,12 +8,11 @@ and each distinct rejection is noted once per parse.
 Each constituent is scored where it is built, as the recursive mean of its
 own score and its daughters'; a caller-supplied hook (this is where
 progressive hinting plugs in) may replace that score.  Each (span,
-category) cell is beam-pruned; an item that loses to a full cell is
-appended and pruned, never inserted.  Parsing stops when a spanning
-constituent of the grammar's goal category at or above the acceptance
-threshold is popped, when the agenda drains, or at the pop budget; without
-an accepted root the result is a best-effort greedy fragment cover, with
-sense-neutral fallback fragments over tokens nothing else covers.
+category) cell is beam-pruned.  Parsing stops when a spanning constituent
+of the grammar's goal category at or above the acceptance threshold is
+popped, when the agenda drains, or at the pop budget; without an accepted
+root the result is a best-effort greedy fragment cover, with sense-neutral
+fallback fragments over tokens nothing else covers.
 """
 
 from __future__ import annotations
@@ -203,10 +202,8 @@ class Chart:
     """Constituent store with per-(span, category) beam pruning.
 
     Each cell is kept in beam order, so a new item is admitted (or pruned)
-    before it is stored.  An item that sorts after a full cell's last item
-    is a beam loser: it is appended, not inserted, and ``prune_cell`` drops
-    it at once.  An item the beam prunes on arrival is never stored: it
-    cannot become a daughter, so no derivation reaches it.
+    before it is stored.  An item the beam prunes on arrival is never
+    stored: it cannot become a daughter, so no derivation reaches it.
     ``items`` holds every item that was ever live.  Live items are indexed
     by (end, category) and (start, category), so a rule daughter is looked
     up in exactly the cell it can come from; each index keeps insertion
@@ -226,16 +223,11 @@ class Chart:
         itself was pruned straight away."""
         cid = constituent.id
         key = (constituent.span, constituent.category)
-        cell = self._cells.setdefault(key, [])
         self.live.add(cid)
-        if len(cell) >= self.beam_width and _beam_key(constituent) > _beam_key(cell[-1]):
-            # a beam loser sorts last
-            cell.append(constituent)
-            self.prune_cell(key)
-            return False
-        # a full cell drops its old last item
-        insort(cell, constituent, key=_beam_key)
+        insort(self._cells.setdefault(key, []), constituent, key=_beam_key)
         self.prune_cell(key)
+        if cid not in self.live:
+            return False
         self.items[cid] = constituent
         start, end = constituent.span
         category = constituent.category
@@ -312,9 +304,7 @@ class ChartParser:
         role_children: list[tuple[str, int]] = []
         if rule.role_links:
             ancestor_sets = self.ontology.ancestor_sets
-            plan = self._role_plans.get((rule.role_links, head.onto_type))
-            if plan is None:
-                plan = self._role_plan(rule.role_links, head.onto_type)
+            plan = self._role_plan(rule.role_links, head.onto_type)
             for (index, role), restriction in zip(rule.role_links, plan):
                 filler = children[index]
                 # leaf types were validated at seeding and restrictions at
@@ -340,14 +330,16 @@ class ChartParser:
     ) -> tuple[str | None, ...]:
         """Per role link, the restriction its filler must satisfy under a
         head of ``head_type``, or None for a role the type does not declare;
-        stored in ``_role_plans`` per (links, head type), which ``combine``
-        reads first."""
-        roles = self.ontology.effective_roles(head_type)
-        plan = tuple(
-            spec.restriction if (spec := roles.get(role)) is not None else None
-            for _, role in role_links
-        )
-        self._role_plans[(role_links, head_type)] = plan
+        memoised per (links, head type)."""
+        key = (role_links, head_type)
+        plan = self._role_plans.get(key)
+        if plan is None:
+            roles = self.ontology.effective_roles(head_type)
+            plan = tuple(
+                spec.restriction if (spec := roles.get(role)) is not None else None
+                for _, role in role_links
+            )
+            self._role_plans[key] = plan
         return plan
 
     @staticmethod

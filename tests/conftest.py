@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,8 @@ from senseparse.advice import load_advice, load_corpus
 from senseparse.evaluation import load_resources
 from senseparse.ontology import factorize, parse_ontology
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 FOUR_NODE_TREE = """
 type root parent -
@@ -83,3 +86,19 @@ def four_node():
 def factor_tree():
     ont = parse_ontology(FACTOR_TREE)
     return ont, factorize(ont)
+
+
+@pytest.fixture(scope="session")
+def long_ambig_chunk(tmp_path_factory):
+    """Resources, the first 10 sentences and the advice of the long-ambig
+    workload, seed 1, as ``perfbench/gen.py`` writes them."""
+    out = tmp_path_factory.mktemp("long-ambig")
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "long-ambig",
+         "--seed", "1", "--out", str(out)],
+        check=True, capture_output=True,
+    )
+    resources = load_resources(
+        *(out / f"{name}.txt" for name in ("ontology", "synsets", "lexicon", "grammar"))
+    )
+    return resources, load_corpus(out / "corpus.txt")[:10], load_advice(out / "advice.txt")

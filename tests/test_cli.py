@@ -124,7 +124,7 @@ def test_parse_rejects_unknown_advice_synset(resource_args, fixtures_dir, tmp_pa
     assert not output.exists()
 
 
-def test_parse_rejects_advice_without_a_record_for_the_sentence(
+def test_parse_advice_without_a_record_for_the_sentence(
     resource_args, fixtures_dir, tmp_path, capsys
 ):
     # no --sentence-id: the default id "cli" names no record of the file
@@ -137,6 +137,14 @@ def test_parse_rejects_advice_without_a_record_for_the_sentence(
         f"senseparse: error: {advice}: no advice for sentence cli\n"
     )
     assert not output.exists()
+
+    # a named sentence with no records has nothing to advise, as in `eval`
+    plain = tmp_path / "plain.txt"
+    sentence = ["--variant", "fixed", "--sentence", "i/PRO played/play/V the/DET bass/N"]
+    assert main(["parse", *resource_args, *sentence, "--output", str(plain)]) == 0
+    assert main(["parse", *resource_args, "--advice", str(advice), "--sentence-id", "s99",
+                 *sentence, "--output", str(output)]) == 0
+    assert output.read_text() == plain.read_text()
 
 
 def test_eval_rejects_advice_for_a_sentence_not_in_the_corpus(

@@ -1,8 +1,5 @@
 import hashlib
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -10,8 +7,6 @@ from senseparse import evaluation
 from senseparse.advice import (
     CorpusToken,
     SentenceRecord,
-    load_advice,
-    load_corpus,
     parse_advice,
 )
 from senseparse.cli import main
@@ -24,7 +19,6 @@ from senseparse.evaluation import (
     VariantConfig,
     VariantRow,
     gold_instances,
-    load_resources,
     parse_sentence_with_variant,
     run_experiment,
     run_variant,
@@ -40,7 +34,6 @@ from senseparse.parser import (
 )
 from senseparse.sensemap import parse_synsets
 
-ROOT = Path(__file__).resolve().parent.parent
 
 # The fixture eval report: a regression gate for every change that must
 # leave the parser's output unchanged.
@@ -136,17 +129,8 @@ GOLDEN_LONG_AMBIG_LF_SHA256 = (
 )
 
 
-def test_long_ambig_chunk_matches_golden(tmp_path):
-    subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "long-ambig",
-         "--seed", "1", "--out", str(tmp_path)],
-        check=True, capture_output=True,
-    )
-    resources = load_resources(
-        *(tmp_path / f"{name}.txt" for name in ("ontology", "synsets", "lexicon", "grammar"))
-    )
-    corpus = load_corpus(tmp_path / "corpus.txt")[:10]
-    advice = load_advice(tmp_path / "advice.txt")
+def test_long_ambig_chunk_matches_golden(long_ambig_chunk):
+    resources, corpus, advice = long_ambig_chunk
     variants = [VariantConfig(name) for name in VARIANT_NAMES]
 
     report = run_experiment(resources, corpus, advice, variants)
@@ -163,19 +147,10 @@ def test_long_ambig_chunk_matches_golden(tmp_path):
     assert digest.hexdigest() == GOLDEN_LONG_AMBIG_LF_SHA256
 
 
-def test_long_ambig_chunk_notes_each_role_violation_once_per_parse(tmp_path, monkeypatch):
+def test_long_ambig_chunk_notes_each_role_violation_once_per_parse(long_ambig_chunk, monkeypatch):
     # a rejected filler is retried on every combine attempt that meets it;
     # each parse notes the rejection once
-    subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "long-ambig",
-         "--seed", "1", "--out", str(tmp_path)],
-        check=True, capture_output=True,
-    )
-    resources = load_resources(
-        *(tmp_path / f"{name}.txt" for name in ("ontology", "synsets", "lexicon", "grammar"))
-    )
-    corpus = load_corpus(tmp_path / "corpus.txt")[:10]
-    advice = load_advice(tmp_path / "advice.txt")
+    resources, corpus, advice = long_ambig_chunk
     per_parse = []
     original = ChartParser.parse
 
@@ -316,17 +291,8 @@ def test_advice_summing_past_one_gives_a_score_one_hint(
     assert run("bass_guitar.n.01=1.0000000005") == GOLDEN_REPORT
 
 
-def test_run_experiment_matches_variant_by_variant_on_long_ambig(tmp_path, monkeypatch):
-    subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "long-ambig",
-         "--seed", "1", "--out", str(tmp_path)],
-        check=True, capture_output=True,
-    )
-    resources = load_resources(
-        *(tmp_path / f"{name}.txt" for name in ("ontology", "synsets", "lexicon", "grammar"))
-    )
-    corpus = load_corpus(tmp_path / "corpus.txt")[:10]
-    advice = load_advice(tmp_path / "advice.txt")
+def test_run_experiment_matches_variant_by_variant_on_long_ambig(long_ambig_chunk, monkeypatch):
+    resources, corpus, advice = long_ambig_chunk
     variants = [VariantConfig(name) for name in VARIANT_NAMES]
 
     expected = variant_by_variant(resources, corpus, advice, variants)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from bisect import insort
 from random import Random
 
 import pytest
@@ -223,23 +222,31 @@ def test_chart_indexes_match_filter_over_live_items():
                     ]
 
 
-class InsortChart(Chart):
-    """Reference chart: every item is inserted in beam order, then the
-    cell is cut to the beam width."""
+class InsertThenCut:
+    """Reference chart: each item joins its cell, the cell is sorted in
+    beam order and cut to the beam width, and the items cut leave ``live``
+    and the indexes."""
+
+    def __init__(self, beam_width):
+        self.beam_width = beam_width
+        self._cells, self.live, self.items = {}, set(), {}
+        self._ending, self._starting = {}, {}
 
     def add(self, constituent):
-        cid = constituent.id
         key = (constituent.span, constituent.category)
-        self.live.add(cid)
-        insort(self._cells.setdefault(key, []), constituent, key=_beam_key)
-        self.prune_cell(key)
-        if cid not in self.live:
-            return False
-        self.items[cid] = constituent
-        start, end = constituent.span
-        self._ending.setdefault((end, constituent.category), {})[cid] = constituent
-        self._starting.setdefault((start, constituent.category), {})[cid] = constituent
-        return True
+        cell = sorted([*self._cells.get(key, ()), constituent], key=_beam_key)
+        self._cells[key] = cell[: self.beam_width]
+        if constituent in self._cells[key]:
+            start, end = constituent.span
+            self.live.add(constituent.id)
+            self.items[constituent.id] = constituent
+            self._ending.setdefault((end, constituent.category), {})[constituent.id] = constituent
+            self._starting.setdefault((start, constituent.category), {})[constituent.id] = constituent
+        for cut in cell[self.beam_width :]:
+            self.live.discard(cut.id)
+            self._ending.get((cut.span[1], cut.category), {}).pop(cut.id, None)
+            self._starting.get((cut.span[0], cut.category), {}).pop(cut.id, None)
+        return constituent.id in self.live
 
 
 def _beam_key(c):
@@ -253,12 +260,12 @@ def chart_state(chart):
     return chart._cells, chart.live, chart.items, ordered(chart._ending), ordered(chart._starting)
 
 
-def test_beam_losers_leave_the_chart_as_insertion_does():
+def test_chart_add_matches_an_insert_then_cut_reference():
     # few scores, types and spans, so cells fill and keys tie on score
     for seed in range(200):
         rng = Random(seed)
         beam_width = 1 + seed % 4
-        chart, reference = Chart(beam_width), InsortChart(beam_width)
+        chart, reference = Chart(beam_width), InsertThenCut(beam_width)
         pruned = []
         original = chart.prune_cell
 

@@ -9,19 +9,15 @@ counts that show work shared across variants being done once per run.
 """
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 from senseparse import cli, evaluation, parser
-from senseparse.advice import load_advice, load_corpus
-from senseparse.evaluation import VARIANT_NAMES, VariantConfig, load_resources, run_experiment
+from senseparse.evaluation import VARIANT_NAMES, VariantConfig, run_experiment
 from senseparse.lexicon import Lexicon
 from senseparse.parser import Chart, ChartParser
 from senseparse.sensemap import SynsetGraph
 
-ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ROOT / "perfbench" / "layers.py"
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 PATCHED = (cli, evaluation, parser, Lexicon, ChartParser, Chart, SynsetGraph)
 
 
@@ -114,9 +110,9 @@ def test_traced_parse_computes_no_factorization(fixtures_dir, tmp_path):
 
 
 # The traced chart counts of the first 10-sentence chunk of the long-ambig
-# workload, seed 1, all five variants.  Scoring where an item is built and
-# appending beam losers must not move any of them: every item is still
-# built, rejected or pruned once, and the hook is called once per item.
+# workload, seed 1, all five variants.  Scoring where an item is built must
+# not move any of them: every item is still built, rejected or pruned once,
+# and the hook is called once per item.
 LONG_AMBIG_CHUNK_COUNTS = {
     "parser.pops": 7529,
     "parser.combine_calls": 16567,
@@ -128,16 +124,7 @@ LONG_AMBIG_CHUNK_COUNTS = {
 }
 
 
-def test_traced_long_ambig_chunk_counts(tmp_path):
-    subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "long-ambig",
-         "--seed", "1", "--out", str(tmp_path)],
-        check=True, capture_output=True,
-    )
-    resources = load_resources(
-        *(tmp_path / f"{name}.txt" for name in ("ontology", "synsets", "lexicon", "grammar"))
-    )
-    corpus = load_corpus(tmp_path / "corpus.txt")[:10]
-    advice = load_advice(tmp_path / "advice.txt")
+def test_traced_long_ambig_chunk_counts(long_ambig_chunk):
+    resources, corpus, advice = long_ambig_chunk
     acc = traced_eval(resources, corpus, advice, VARIANT_NAMES)
     assert {key: acc[key] for key in LONG_AMBIG_CHUNK_COUNTS} == LONG_AMBIG_CHUNK_COUNTS
