@@ -5,10 +5,11 @@ score) hints:
 
 - *prehinting* injects a score-1 lexical entry for each advised sense
   before parsing starts, guaranteeing the sense is on the chart;
-- *progressive hinting* augments a constituent's score whenever a hint
-  matches it (same word, overlapping span, hinted type an ancestor-or-self
-  of the constituent's type), blending through
-  ``augment(s_c, s, alpha) = alpha * (s_c * s) + (1 - alpha)``;
+- *progressive hinting* augments a constituent's root component whenever
+  a hint matches it (same word, overlapping span, hinted type an
+  ancestor-or-self of the constituent's type), blending through
+  ``augment(s_c, s, alpha) = alpha * (s_c * s) + (1 - alpha)``; the parser
+  then averages that component with the daughters' scores;
 - *sense fixing* replaces a token's entries with the advised senses
   outright, synthesizing an entry when none exists.
 """
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence
 from .diagnostics import Diagnostics
 from .lexicon import LexicalEntry, Lexicon
 from .ontology import Ontology
-from .parser import Constituent, Scorer, Span, Token, recursive_score
+from .parser import Scorer, Span, Token
 
 
 @dataclass(frozen=True)
@@ -97,21 +98,16 @@ def augment(s_c: float, s: float, alpha: float) -> float:
 def progressive_scorer(advice: AdviceMap, ontology: Ontology, alpha: float) -> Scorer:
     """Scoring hook for the parser that applies progressive hinting.
 
-    The hook's root component is the augment of the constituent's own
-    score with the best matching hint, blended by ``alpha`` (or the own
-    score unchanged when nothing matches); its result is the mean of the
-    root component and the daughters' effective scores.
+    Given an item's (word, span, type) and its root component ``own``, the
+    hook returns the augment of ``own`` with the best matching hint,
+    blended by ``alpha``, or ``own`` unchanged when nothing matches.  The
+    parser averages what it returns with the daughters' scores.
     """
 
-    def scorer(constituent: Constituent, child_scores: Sequence[float]) -> float:
-        hint = advice.best_match(
-            constituent.word, constituent.span, constituent.onto_type, ontology
-        )
-        if hint is None:
-            root = constituent.own_score
-        else:
-            root = augment(constituent.own_score, hint.score, alpha)
-        return recursive_score(root, child_scores)
+    def scorer(item: tuple[str, Span, str], own: float) -> float:
+        word, span, onto_type = item
+        hint = advice.best_match(word, span, onto_type, ontology)
+        return own if hint is None else augment(own, hint.score, alpha)
 
     return scorer
 
@@ -161,7 +157,6 @@ def _advised_entry(
         return None
     return LexicalEntry(
         word=word,
-        pos=pos or template.category,
         template=template.name,
         onto_type=onto_type,
         score=1.0,

@@ -1,9 +1,10 @@
 """Lexical entries pairing syntactic templates with semantic types.
 
-An entry is the (part of speech, template, type) triple the parser seeds
-its chart with.  Core entries come from the lexicon file; additional entries
-are generated on demand for words reachable through the synset graph, so
-coverage extends well beyond the hand-written core.  Entries are scored
+An entry is the (word, template, type) triple the parser seeds its chart
+with; its category is its template's.  Core entries come from the lexicon
+file; additional entries are generated on demand for words reachable
+through the synset graph, so coverage extends well beyond the hand-written
+core.  Entries are scored
 with simple deterministic heuristics and pruned before parsing.
 """
 
@@ -18,11 +19,10 @@ from .errors import FormatError, StructuralError
 from .ontology import Ontology
 from .sensemap import SynsetGraph
 
-# Scoring configuration.  Priors by provenance, the penalty applied when a
-# template's category disagrees with the requested part of speech, and how
-# strongly a file-declared frequency pulls the score toward itself.
+# Scoring configuration: priors by provenance, and how strongly a
+# file-declared frequency pulls the score toward itself.  Nothing depends
+# on the category: an entry has none apart from its template's.
 PROVENANCE_PRIOR = {"core": 0.8, "generated": 0.5}
-INCOMPATIBLE_POS_PENALTY = 0.5
 FREQ_WEIGHT = 0.25
 
 # Tie-break order when pruning: core entries outrank generated entries.
@@ -43,7 +43,6 @@ class SyntacticTemplate(NamedTuple):
 
 class LexicalEntry(NamedTuple):
     word: str
-    pos: str | None
     template: str
     onto_type: str
     score: float = 0.0
@@ -149,12 +148,10 @@ class Lexicon:
     def score_entry(self, entry: LexicalEntry) -> float:
         """Deterministic heuristic score in [0, 1].
 
-        The provenance prior is penalized for a pos-incompatible template
-        and blended with the file-declared frequency when one exists.
+        The provenance prior, blended with the file-declared frequency when
+        one exists.
         """
         score = PROVENANCE_PRIOR[entry.provenance]
-        if not compatible(self.templates[entry.template].category, entry.pos):
-            score *= INCOMPATIBLE_POS_PENALTY
         if entry.freq is not None:
             score = (1.0 - FREQ_WEIGHT) * score + FREQ_WEIGHT * entry.freq
         return score
@@ -228,7 +225,6 @@ class Lexicon:
             emitted.add((tpl.name, onto_type))
             entry = LexicalEntry(
                 word=word,
-                pos=pos if pos is not None else tpl.category,
                 template=tpl.name,
                 onto_type=onto_type,
                 provenance="generated",
@@ -342,7 +338,6 @@ def _parse_entry(tokens: list[str], source: str, lineno: int) -> tuple[LexicalEn
         freq = records.finite(fields["freq"], "freq", source, lineno)
     entry = LexicalEntry(
         word=word,
-        pos=fields["cat"],
         template=fields["template"],
         onto_type=fields["type"],
         provenance="core",

@@ -5,14 +5,17 @@ agenda repeatedly pops the highest-scoring constituent and combines it
 with adjacent chart items under the grammar rules; a combination that
 violates a role restriction is rejected outright rather than penalized,
 and each distinct rejection is noted once per parse.
-Each constituent is scored where it is built, as the recursive mean of its
-own score and its daughters'; a caller-supplied hook (this is where
-progressive hinting plugs in) may replace that score.  Each (span,
-category) cell is beam-pruned.  Parsing stops when a spanning constituent
-of the grammar's goal category at or above the acceptance threshold is
-popped, when the agenda drains, or at the pop budget; without an accepted
-root the result is a best-effort greedy fragment cover, with sense-neutral
-fallback fragments over tokens nothing else covers.
+Each constituent is built once, with its final score: the recursive mean
+of its root component and its daughters' scores.  A leaf's root component
+is its entry score; a parent's is the rule weight times the geometric mean
+of its daughters' scores.  A caller-supplied hook (this is where
+progressive hinting plugs in) may replace the root component before the
+mean is taken.  Each (span, category) cell is beam-pruned.  Parsing stops
+when a spanning constituent of the grammar's goal category at or above the
+acceptance threshold is popped, when the agenda drains, or at the pop
+budget; without an accepted root the result is a best-effort greedy
+fragment cover, with sense-neutral fallback fragments over tokens nothing
+else covers.
 """
 
 from __future__ import annotations
@@ -89,14 +92,12 @@ class Grammar:
 class Constituent(NamedTuple):
     """A scored chart item covering a contiguous token span.
 
-    ``own_score`` is the lexical or rule score before hint augmentation;
-    ``effective_score`` is what the scoring hook produced and is what the
-    agenda and the beam order by.  ``role_children`` are semantic role
+    ``effective_score`` is the item's final score, hint included; the
+    agenda and the beam order by it.  ``role_children`` are semantic role
     attachments; ``children_ids`` are the derivation daughters.
 
     A named tuple by the rule in :mod:`senseparse.records`: it validates
-    nothing, and the chart builds one per combination (two when a scoring
-    hook changes the plain score).
+    nothing, and the parser builds each item once, with its score.
     """
 
     id: int
@@ -104,8 +105,7 @@ class Constituent(NamedTuple):
     category: str
     onto_type: str
     word: str
-    own_score: float
-    effective_score: float = 0.0
+    effective_score: float
     role_children: tuple[tuple[str, int], ...] = ()
     children_ids: tuple[int, ...] = ()
     head_child: int | None = None
@@ -179,7 +179,9 @@ class ParseResult(NamedTuple):
     constituents: Mapping[int, Constituent]  # derivation closure of the fragments
 
 
-Scorer = Callable[[Constituent, Sequence[float]], float]
+# A scoring hook: given an item's (head word, span, type) and its root
+# component, returns the root component to score the item with.
+Scorer = Callable[[tuple[str, Span, str], float], float]
 
 
 def recursive_score(root_component: float, child_scores: Sequence[float]) -> float:
@@ -189,13 +191,6 @@ def recursive_score(root_component: float, child_scores: Sequence[float]) -> flo
     without its generic set-up on two or three numbers.
     """
     return math.fsum((root_component, *child_scores)) / (1 + len(child_scores))
-
-
-def _hooked(c: Constituent, child_scores: Sequence[float], scorer: Scorer) -> Constituent:
-    """``c`` scored by the hook: ``c`` itself when the hook's score equals
-    its plain score, else a copy with the hook's score."""
-    score = scorer(c, child_scores)
-    return c if score == c.effective_score else c._replace(effective_score=score)
 
 
 class Chart:
@@ -296,9 +291,10 @@ class ChartParser:
 
         The parent takes the head daughter's type and head word; each role
         link is checked against the head type's effective roles and the
-        restriction must subsume the filler's type.  Its effective score is
-        the recursive mean of its own score and the daughters' scores, or
-        what ``scorer`` makes of that parent and those scores.
+        restriction must subsume the filler's type.  Its root component is
+        the rule weight times the daughters' geometric mean, or what
+        ``scorer`` makes of that; its score is the recursive mean of the
+        root component and the daughters' scores.
         """
         head = children[rule.head_index]
         role_children: list[tuple[str, int]] = []
@@ -317,13 +313,15 @@ class ChartParser:
                     return None
                 role_children.append((role, filler.id))
         child_scores = [c.effective_score for c in children]
-        own = rule.weight * _geometric_mean(child_scores)
-        built = Constituent(
-            cid, (children[0].span[0], children[-1].span[1]), rule.lhs, head.onto_type,
-            head.word, own, recursive_score(own, child_scores), tuple(role_children),
+        span = (children[0].span[0], children[-1].span[1])
+        root = rule.weight * _geometric_mean(child_scores)
+        if scorer is not None:
+            root = scorer((head.word, span, head.onto_type), root)
+        return Constituent(
+            cid, span, rule.lhs, head.onto_type, head.word,
+            recursive_score(root, child_scores), tuple(role_children),
             tuple([c.id for c in children]), rule.head_index,
         )
-        return built if scorer is None else _hooked(built, child_scores, scorer)
 
     def _role_plan(
         self, role_links: tuple[tuple[int, str], ...], head_type: str
@@ -393,13 +391,17 @@ class ChartParser:
                     raise ParseFailure(f"entry for '{entry.word}' names missing template {entry.template}")
                 if entry.onto_type not in self.ontology:
                     raise ParseFailure(f"entry for '{entry.word}' names unknown type {entry.onto_type}")
-                # a leaf's recursive mean is its entry score
-                leaf = Constituent(
-                    next_id, (i, i + 1), template.category, entry.onto_type,
-                    entry.word, entry.score, entry.score,
+                # a leaf's recursive mean is exactly its root component
+                span = (i, i + 1)
+                score = entry.score
+                if scorer is not None:
+                    score = scorer((entry.word, span, entry.onto_type), score)
+                admit(
+                    Constituent(
+                        next_id, span, template.category, entry.onto_type, entry.word, score
+                    )
                 )
                 next_id += 1
-                admit(leaf if scorer is None else _hooked(leaf, (), scorer))
 
         pops = 0
         accepted: Constituent | None = None
@@ -522,7 +524,6 @@ def fragment_fallback(
                     category=token.pos if token.pos is not None else "X",
                     onto_type=FALLBACK_TYPE,
                     word=token.lemma,
-                    own_score=0.0,
                     effective_score=0.0,
                 )
             )
@@ -545,9 +546,9 @@ def _derivation_closure(
     closure: dict[int, Constituent] = {}
     stack = list(fragments)
     while stack:
+        # a derivation is a tree and fragments cover disjoint spans, so no
+        # item is reached twice
         c = stack.pop()
-        if c.id in closure:
-            continue
         closure[c.id] = c
         stack.extend(items[cid] for cid in c.children_ids)
     return dict(sorted(closure.items()))

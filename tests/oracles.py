@@ -335,7 +335,7 @@ def random_lexicon(rng: Random, ontology: Ontology) -> Lexicon:
         tpl = rng.choice(templates)
         onto_type = rng.choice(types)
         if _fits(ontology, tpl, onto_type):
-            entry = LexicalEntry(f"w{k % 7}", tpl.category, tpl.name, onto_type)
+            entry = LexicalEntry(f"w{k % 7}", tpl.name, onto_type)
             entries.setdefault(entry.key(), entry)
     return Lexicon(templates, entries.values(), defaults, ontology)
 
@@ -343,6 +343,6 @@ def random_lexicon(rng: Random, ontology: Ontology) -> Lexicon:
 def entries_to_seeds(entries: list[tuple[str, str, str, float]]) -> list[LexicalEntry]:
     """(word, template, type, score) shorthand for hand-built entry lists."""
     return [
-        LexicalEntry(word, None, template, onto_type, score, "core")
+        LexicalEntry(word, template, onto_type, score, "core")
         for word, template, onto_type, score in entries
     ]

@@ -37,6 +37,19 @@ def test_parse_exit_code_two_when_no_goal_category_spans(resource_args, tmp_path
     assert code == 2
 
 
+def test_parse_reads_bare_tokens_and_writes_to_stdout(resource_args, capsys):
+    # a bare token's lemma is its lowercased surface, with no POS
+    assert main(["parse", *resource_args, "--sentence", "I cooked the bass"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "node 0 0 1 i person"
+    assert "edge 1 affected 3" in lines
+
+
+def test_parse_rejects_a_sentence_without_tokens(resource_args, capsys):
+    assert main(["parse", *resource_args, "--sentence", "   "]) == 1
+    assert capsys.readouterr().err == "senseparse: error: no tokens in sentence\n"
+
+
 def test_exit_code_one_for_missing_file(resource_args, tmp_path, capsys):
     args = list(resource_args)
     args[args.index("--ontology") + 1] = str(tmp_path / "missing.txt")
@@ -59,6 +72,7 @@ def test_exit_code_one_for_unknown_variant(resource_args, fixtures_dir, capsys):
     ("--alpha", "nan", "alpha must be in [0, 1]"),
     ("--beam-width", "0", "beam_width must be >= 1"),
     ("--max-pops", "0", "max_pops must be >= 1"),
+    ("--accept-threshold", "1.5", "accept_threshold must be in [0, 1]"),
 ])
 def test_exit_code_one_for_out_of_range_flag(
     resource_args, fixtures_dir, capsys, flag, value, message
@@ -277,3 +291,60 @@ def test_fixture_factorize_matches_golden(fixtures_dir, tmp_path):
     assert main(["factorize", "--ontology", str(fixtures_dir / "ontology.txt"),
                  "--output", str(out)]) == 0
     assert out.read_text() == GOLDEN_FACTORIZE
+
+
+# The fixture `map` listing: each synset's type by subsumption, or NONE when
+# no synset on its hypernym paths is mapped.  No subsumption is ambiguous,
+# so nothing is noted.
+GOLDEN_MAP = (
+    "abstraction.n.01 -> NONE\n"
+    "animal.n.01 -> animal\n"
+    "artifact.n.01 -> artifact\n"
+    "barrel.n.01 -> barrel\n"
+    "bass.n.07 -> freshwater-fish\n"
+    "bass_guitar.n.01 -> electric-bass\n"
+    "bird.n.01 -> bird\n"
+    "body_part.n.01 -> body-part\n"
+    "bread.n.01 -> bread\n"
+    "chain.n.01 -> chain-artifact\n"
+    "cheese.n.01 -> cheese\n"
+    "container.n.01 -> container\n"
+    "cook.v.01 -> cook-action\n"
+    "discuss.v.01 -> discuss-action\n"
+    "drum.n.01 -> drum\n"
+    "entity.n.01 -> NONE\n"
+    "fish.n.01 -> fish\n"
+    "food.n.01 -> food\n"
+    "freshwater_fish.n.01 -> freshwater-fish\n"
+    "hammer.n.01 -> hammer\n"
+    "horn.n.01 -> horn-growth\n"
+    "horn.n.07 -> horn-instrument\n"
+    "idea.n.01 -> idea-type\n"
+    "instrument.n.01 -> musical-instrument\n"
+    "living_thing.n.01 -> NONE\n"
+    "musical_composition.n.01 -> composition\n"
+    "object.n.01 -> NONE\n"
+    "perch.n.01 -> freshwater-fish\n"
+    "person.n.01 -> person\n"
+    "piece.n.05 -> composition\n"
+    "pipe.n.01 -> pipe-tube\n"
+    "pipe.n.04 -> pipe-instrument\n"
+    "plan.n.01 -> plan-type\n"
+    "play.v.03 -> play-music\n"
+    "recording.n.01 -> recording\n"
+    "roost.n.01 -> roost\n"
+    "salmon.n.01 -> freshwater-fish\n"
+    "saltwater_fish.n.01 -> saltwater-fish\n"
+    "see.v.01 -> perceive-action\n"
+    "song.n.01 -> composition\n"
+    "strike.v.01 -> strike-action\n"
+    "tool.n.01 -> tool\n"
+    "trout.n.01 -> freshwater-fish\n"
+)
+
+
+def test_fixture_map_matches_golden(fixtures_dir, tmp_path):
+    out = tmp_path / "map.txt"
+    assert main(["map", "--ontology", str(fixtures_dir / "ontology.txt"),
+                 "--synsets", str(fixtures_dir / "synsets.txt"), "--output", str(out)]) == 0
+    assert out.read_text() == GOLDEN_MAP

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import pytest
@@ -326,6 +327,35 @@ def test_run_experiment_rejects_unknown_synset_before_any_parse(
 def lf_result(sentence_id, spanning, types):
     nodes = tuple(LFNode(i, i, i + 1, f"w{i}", t) for i, t in enumerate(types))
     return ParseResult(sentence_id, spanning, (), LogicalForm(nodes, ()), 0, {})
+
+
+def test_variant_config_alpha_bound_is_inclusive():
+    assert VariantConfig("prog", 1.0).alpha == 1.0
+    assert VariantConfig("prog", 0.0).alpha == 0.0
+    for alpha in (math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0)):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            VariantConfig("prog", alpha)
+
+
+def test_score_run_rejects_an_instance_it_cannot_score(resources):
+    ontology = resources.ontology
+    factorized = factorize(ontology)
+    instances = [GoldInstance("a", 1, "drum")]
+    with pytest.raises(SenseParseError, match="^no parse result for sentence a$"):
+        score_run({}, instances, ontology, factorized)
+    # a one-node LF covers token 0 only
+    results = {"a": lf_result("a", True, ["drum"])}
+    assert results["a"].logical_form.node_at(1) is None
+    with pytest.raises(SenseParseError, match="^no logical-form node covers token 1 of a$"):
+        score_run(results, instances, ontology, factorized)
+
+
+def test_score_run_with_nothing_attempted_scores_zero(resources):
+    results = {"a": lf_result("a", False, [FALLBACK_TYPE])}
+    instances = [GoldInstance("a", 0, "drum")]
+    metrics = score_run(results, instances, resources.ontology, factorize(resources.ontology))
+    assert (metrics["f_score"], metrics["wu_palmer"], metrics["semfac"]) == (0.0, 0.0, 0.0)
+    assert (metrics["attempted"], metrics["scored"], metrics["frag"]) == (0, 1, 1)
 
 
 def test_score_run_abstention_lowers_recall_not_precision(resources):

@@ -1,3 +1,4 @@
+import math
 from random import Random
 
 import pytest
@@ -14,13 +15,32 @@ from senseparse.hinting import (
     prehint,
     progressive_scorer,
 )
-from senseparse.parser import Constituent, Token
+from senseparse.parser import (
+    ChartParser,
+    Constituent,
+    Grammar,
+    GrammarRule,
+    Token,
+    recursive_score,
+)
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
-def constituent(word, span, onto_type, own, cid=0):
-    return Constituent(cid, span, "X", onto_type, word, own, own)
+def constituent(word, span, onto_type, score, cid=0):
+    return Constituent(cid, span, "X", onto_type, word, score)
+
+
+def combine_bass(ontology, scorer, child_scores, head_type="electric-bass", weight=1.0):
+    """The parent a rule builds over one "bass" daughter per score, headed
+    by the first daughter and scored with ``scorer``."""
+    children = [
+        constituent("bass", (i, i + 1), head_type, score, cid=i)
+        for i, score in enumerate(child_scores)
+    ]
+    rule = GrammarRule("X", ("X",) * len(children), 0, (), weight)
+    parser = ChartParser(Grammar([]), ontology, {})
+    return parser.combine(rule, children, cid=len(children), scorer=scorer)
 
 
 # -- matching ----------------------------------------------------------------------
@@ -98,21 +118,23 @@ def test_augment_bounds_and_monotonicity(s_c, s, alpha):
 
 def test_progressive_leaf_without_hint_is_own_score(ontology):
     advice = AdviceMap(())
-    c = constituent("bass", (3, 4), "electric-bass", 0.6)
-    assert progressive_scorer(advice, ontology, 0.5)(c, ()) == pytest.approx(0.6)
+    item = ("bass", (3, 4), "electric-bass")
+    assert progressive_scorer(advice, ontology, 0.5)(item, 0.6) == 0.6
 
 
 def test_progressive_leaf_with_hint_is_augment(ontology):
     advice = AdviceMap([Hint("bass", (3, 4), "musical-instrument", 0.8)])
-    c = constituent("bass", (3, 4), "electric-bass", 0.5)
-    assert progressive_scorer(advice, ontology, 0.5)(c, ()) == pytest.approx(0.7)
+    item = ("bass", (3, 4), "electric-bass")
+    assert progressive_scorer(advice, ontology, 0.5)(item, 0.5) == pytest.approx(0.7)
 
 
 def test_progressive_parent_averages_root_and_children(ontology):
-    advice = AdviceMap([Hint("bass", (2, 4), "musical-instrument", 0.8)])
-    parent = constituent("bass", (2, 4), "electric-bass", 0.5)
-    got = progressive_scorer(advice, ontology, 0.5)(parent, [0.6, 0.9])
-    assert got == pytest.approx((0.7 + 0.6 + 0.9) / 3)
+    # the hook augments the root component, sqrt(0.4 * 0.9) = 0.6, to
+    # 0.5 * (0.6 * 0.8) + 0.5 = 0.74; combine averages it with the daughters
+    advice = AdviceMap([Hint("bass", (1, 2), "musical-instrument", 0.8)])
+    scorer = progressive_scorer(advice, ontology, 0.5)
+    parent = combine_bass(ontology, scorer, [0.4, 0.9])
+    assert parent.effective_score == pytest.approx((0.74 + 0.4 + 0.9) / 3)
 
 
 def test_progressive_best_hint_highest_score_then_name(ontology):
@@ -121,9 +143,9 @@ def test_progressive_best_hint_highest_score_then_name(ontology):
         Hint("bass", (3, 4), "electric-bass", 0.9),
     ]
     advice = AdviceMap(hints)
-    c = constituent("bass", (3, 4), "electric-bass", 1.0)
+    item = ("bass", (3, 4), "electric-bass")
     # alpha=1: augment = s_c * s = the chosen hint's score
-    assert progressive_scorer(advice, ontology, 1.0)(c, ()) == pytest.approx(0.9)
+    assert progressive_scorer(advice, ontology, 1.0)(item, 1.0) == pytest.approx(0.9)
 
     tied = AdviceMap(
         [
@@ -165,31 +187,33 @@ def test_best_match_equals_list_scan_oracle(ontology, hints, queries):
 
 
 def test_progressive_empty_advice_equals_plain_recursive_mean(ontology):
-    from senseparse.parser import recursive_score
-
-    advice = AdviceMap(())
+    scorer = progressive_scorer(AdviceMap(()), ontology, 0.5)
     rng = Random(5)
     for _ in range(50):
         own = rng.random()
-        children = [rng.random() for _ in range(rng.randrange(0, 4))]
-        c = constituent("bass", (0, 2), "electric-bass", own)
-        assert progressive_scorer(advice, ontology, 0.5)(c, children) == recursive_score(
-            own, children
-        )
+        assert scorer(("bass", (0, 2), "electric-bass"), own) == own
+        children = [rng.random() for _ in range(rng.randrange(1, 4))]
+        hooked = combine_bass(ontology, scorer, children)
+        plain = combine_bass(ontology, None, children)
+        assert hooked == plain
+        root = math.prod(children) ** (1.0 / len(children))
+        assert hooked.effective_score == pytest.approx(recursive_score(root, children))
 
 
 def test_alpha_zero_hinted_order_determined_by_children(ontology):
-    # both constituents match hints; with alpha=0 each root component is 1,
-    # so only the children decide the ordering
+    # both parents match hints; with alpha=0 each root component is 1, so
+    # only the children decide the ordering, whatever the rule weights
     advice = AdviceMap(
         [Hint("bass", (0, 2), "musical-instrument", 0.2),
          Hint("bass", (0, 2), "electric-bass", 0.9)]
     )
-    weak_root = constituent("bass", (0, 2), "electric-bass", 0.1)
-    strong_root = constituent("bass", (0, 2), "musical-instrument", 0.9)
-    low = progressive_scorer(advice, ontology, 0.0)(weak_root, [0.9, 0.9])
-    high = progressive_scorer(advice, ontology, 0.0)(strong_root, [0.2, 0.2])
-    assert low > high  # children at 0.9 beat children at 0.2 regardless of roots
+    scorer = progressive_scorer(advice, ontology, 0.0)
+    assert scorer(("bass", (0, 2), "electric-bass"), 0.1) == 1.0
+    low = combine_bass(ontology, scorer, [0.9, 0.9], "electric-bass", weight=0.1)
+    high = combine_bass(ontology, scorer, [0.2, 0.2], "musical-instrument", weight=1.0)
+    assert low.effective_score == pytest.approx((1.0 + 0.9 + 0.9) / 3)
+    assert high.effective_score == pytest.approx((1.0 + 0.2 + 0.2) / 3)
+    assert low.effective_score > high.effective_score
 
 
 # -- prehint -----------------------------------------------------------------------
@@ -211,6 +235,20 @@ def test_prehint_emits_score_one_entry(resources):
     assert entry.score == 1.0
     assert entry.provenance == "prehint"
     assert entry.onto_type == "musical-instrument"
+
+
+def test_prehint_keeps_one_entry_per_advised_type(resources):
+    # two types on one token both get an entry; a repeated (word, span,
+    # type) hint, whatever its score, adds no second entry for its type
+    advice = AdviceMap(
+        [
+            Hint("bass", (3, 4), "musical-instrument", 0.9),
+            Hint("bass", (3, 4), "drum", 0.6),
+            Hint("bass", (3, 4), "musical-instrument", 0.4),
+        ]
+    )
+    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS)
+    assert [e.onto_type for e in additions[3]] == ["drum", "musical-instrument"]
 
 
 def test_prehint_unknown_type_skipped_with_diagnostic(resources):
@@ -339,6 +377,5 @@ def test_hint_rejects_empty_span():
 
 def test_progressive_score_rejects_bad_alpha(ontology):
     advice = AdviceMap([Hint("bass", (3, 4), "electric-bass", 0.9)])
-    c = constituent("bass", (3, 4), "electric-bass", 0.5)
-    with pytest.raises(ValueError):
-        progressive_scorer(advice, ontology, 1.5)(c, ())
+    with pytest.raises(ValueError, match="alpha must be in"):
+        progressive_scorer(advice, ontology, 1.5)(("bass", (3, 4), "electric-bass"), 0.5)

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from oracles import random_lexicon, random_ontology, template_for_type_oracle
+from senseparse.diagnostics import Diagnostics
 from senseparse.errors import FormatError, StructuralError
 from senseparse.lexicon import (
     LexicalEntry,
@@ -98,13 +99,13 @@ def test_lookup_filters_incompatible_pos(mini):
 
 def test_core_score_compatible_no_freq(mini):
     _, lex, _ = mini
-    entry = LexicalEntry("w", "V", "tv", "cook-type", provenance="core")
+    entry = LexicalEntry("w", "tv", "cook-type", provenance="core")
     assert lex.score_entry(entry) == pytest.approx(0.8)
 
 
 def test_generated_score_compatible(mini):
     _, lex, _ = mini
-    entry = LexicalEntry("w", "N", "n", "freshwater-fish", provenance="generated")
+    entry = LexicalEntry("w", "n", "freshwater-fish", provenance="generated")
     assert lex.score_entry(entry) == pytest.approx(0.5)
 
 
@@ -143,6 +144,15 @@ def test_generate_unmapped_senses_yield_nothing(mini):
     assert lex.generate_entries("mystery", "N", graph) == []
 
 
+def test_generate_notes_a_sense_no_template_fits(mini):
+    # trout maps to freshwater-fish, whose only donor builds N, and there is
+    # no default V template
+    _, lex, graph = mini
+    diag = Diagnostics()
+    assert lex.generate_entries("trout", "V", graph, diag) == []
+    assert diag.lines() == ["no-template trout freshwater-fish (pos V)"]
+
+
 def test_generate_is_pure(mini):
     _, lex, graph = mini
     assert lex.generate_entries("trout", "N", graph) == lex.generate_entries(
@@ -163,7 +173,7 @@ def test_generated_entry_roles_exist_on_type(mini, resources):
 
 
 def entry(word, onto_type, score, provenance="core"):
-    return LexicalEntry(word, "N", "n", onto_type, score, provenance)
+    return LexicalEntry(word, "n", onto_type, score, provenance)
 
 
 def test_prune_keeps_top_k():

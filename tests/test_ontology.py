@@ -54,6 +54,9 @@ def test_no_root_rejected():
 def test_duplicate_name_rejected():
     with pytest.raises(FormatError, match="duplicate type"):
         parse_ontology("type root parent -\n\ntype a parent root\n\ntype a parent root\n")
+    # built directly, without the reader's per-line check
+    with pytest.raises(StructuralError, match="^duplicate type root$"):
+        Ontology([OntologyType("root", None), OntologyType("root", None)])
 
 
 def test_missing_parent_rejected():
@@ -107,8 +110,10 @@ def test_ancestors_chain(four_node):
 
 
 def test_ancestors_unknown_type(four_node):
-    with pytest.raises(UnknownName):
+    with pytest.raises(UnknownName) as raised:
         four_node.ancestors("no-such-type")
+    # plain, not quoted as a KeyError message would be
+    assert str(raised.value) == "unknown ontology type no-such-type"
 
 
 def test_ancestry_is_reflexive(ontology):

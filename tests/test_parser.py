@@ -49,7 +49,7 @@ PLAYED_BASS = sentence_tokens("i played the bass", ["PRO", "V", "DET", "N"])
 
 
 def leaf(cid, span, category, onto_type, word, score):
-    return Constituent(cid, span, category, onto_type, word, score, score)
+    return Constituent(cid, span, category, onto_type, word, score)
 
 
 # -- combine -------------------------------------------------------------------
@@ -68,7 +68,8 @@ def test_combine_accepts_restriction_satisfying_filler(resources):
     assert built.onto_type == "cook-action"
     assert built.word == "cook"
     assert built.role_children == (("affected", 1),)
-    assert built.own_score == pytest.approx(1.0 * math.sqrt(0.8 * 0.6))
+    # root component: weight times the daughters' geometric mean
+    assert built.effective_score == pytest.approx((math.sqrt(0.8 * 0.6) + 0.8 + 0.6) / 3)
 
 
 def test_combine_rejects_restriction_violation(resources):
@@ -86,7 +87,7 @@ def test_combine_unary_weight_one_is_identity(resources):
     np_rule = GrammarRule("NP", ("N",), 0, (), 1.0)
     n = leaf(0, (0, 1), "N", "bread", "bread", 0.37)
     built = parser.combine(np_rule, [n], cid=1)
-    assert built.own_score == pytest.approx(0.37)
+    assert built.effective_score == pytest.approx(0.37)
 
 
 def test_combine_rejects_undeclared_role(resources):
@@ -100,26 +101,27 @@ def test_combine_rejects_undeclared_role(resources):
 
 
 def test_combine_scores_the_parent_it_builds(resources):
-    # no hook: the recursive mean of the own score and the daughters'
+    # no hook: the recursive mean of the root component and the daughters'
     parser = make_parser(resources)
     v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
     np = leaf(1, (1, 2), "NP", "freshwater-fish", "bass", 0.6)
+    root = 1.0 * (0.8 * 0.6) ** 0.5
     plain = parser.combine(vp_rule(), [v, np], cid=2)
-    assert plain.effective_score == recursive_score(plain.own_score, [0.8, 0.6])
+    assert plain.effective_score == recursive_score(root, [0.8, 0.6])
 
-    # a hook: called once with the plain parent and the daughters' scores,
-    # and its value is the parent's score
+    # a hook: called once with the head word, span and type and the root
+    # component; its value is the root component the mean is taken over
     calls = []
 
-    def hook(constituent, child_scores):
-        calls.append((constituent, list(child_scores)))
+    def hook(item, own):
+        calls.append((item, own))
         return 0.125
 
     hooked = parser.combine(vp_rule(), [v, np], cid=2, scorer=hook)
-    assert calls == [(plain, [0.8, 0.6])]
-    assert hooked == plain._replace(effective_score=0.125)
-    agreeing = parser.combine(vp_rule(), [v, np], cid=2, scorer=lambda c, _: c.effective_score)
-    assert agreeing == plain
+    assert calls == [(("cook", (0, 2), "cook-action"), root)]
+    assert hooked == plain._replace(effective_score=recursive_score(0.125, [0.8, 0.6]))
+    identity = parser.combine(vp_rule(), [v, np], cid=2, scorer=lambda item, own: own)
+    assert identity == plain
 
 
 def test_combine_calls_no_hook_on_a_role_violation(resources):
@@ -148,13 +150,19 @@ def test_parse_calls_the_hook_once_per_seeded_or_built_item(resources):
     parser.combine = counted
     calls = []
 
-    def plain_hook(constituent, child_scores):
-        calls.append(constituent.id)
-        return recursive_score(constituent.own_score, child_scores)
+    def identity_hook(item, own):
+        calls.append(item)
+        return own
 
-    hooked = parser.parse(COOKED_BASS, entries, "t1", scorer=plain_hook)
+    hooked = parser.parse(COOKED_BASS, entries, "t1", scorer=identity_hook)
     assert hooked == unhooked
-    assert sorted(calls) == list(range(sum(map(len, entries)) + len(built)))
+    assert len(calls) == sum(map(len, entries)) + len(built)
+    # the leaves are hooked first, each with its entry's word, token and type
+    leaves = [
+        (e.word, (i, i + 1), e.onto_type) for i, bucket in enumerate(entries) for e in bucket
+    ]
+    assert calls[: len(leaves)] == leaves
+    assert calls[len(leaves):] == [(c.word, c.span, c.onto_type) for c in built]
 
 
 # -- chart pruning ----------------------------------------------------------------
@@ -356,10 +364,20 @@ def test_parse_empty_token_list_is_an_error(resources):
         parser.parse([], [], "t4")
 
 
+def test_parse_rejects_entry_lists_that_do_not_match_the_tokens(resources):
+    parser = make_parser(resources)
+    entries = entries_for(resources, COOKED_BASS)
+    with pytest.raises(ParseFailure, match="one entry list per token required"):
+        parser.parse(COOKED_BASS, entries[:-1], "t1")
+    entries[3] = entries[3] + [LexicalEntry("bass", "no-such-template", "drum", 0.9)]
+    with pytest.raises(ParseFailure, match="'bass' names missing template no-such-template"):
+        parser.parse(COOKED_BASS, entries, "t1")
+
+
 def test_parse_rejects_entry_with_unknown_type(resources):
     parser = make_parser(resources)
     entries = entries_for(resources, COOKED_BASS)
-    entries[3] = entries[3] + [LexicalEntry("bass", "N", entries[3][0].template, "no-such-type", 0.9)]
+    entries[3] = entries[3] + [LexicalEntry("bass", entries[3][0].template, "no-such-type", 0.9)]
     with pytest.raises(ParseFailure, match="'bass' names unknown type no-such-type"):
         parser.parse(COOKED_BASS, entries, "t1")
 

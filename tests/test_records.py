@@ -58,6 +58,24 @@ MALFORMED = [
     ("advice", "advice s 0 4 w a.n=nan\n", 1, "nan"),
     ("advice", "advice s 0 4 w a.n\n", 1, "a.n"),
     ("advice", "advice s 0 4 w a.n=0.5,a.n=0.5\n", 1, "a.n"),
+    ("ontology", "type root\n", 1, "parent"),
+    ("lexicon", "lemma w\n", 1, "lemma"),
+    ("lexicon", "template\n", 1, "template"),
+    ("lexicon", "template n slots -\n", 1, "cat"),
+    ("lexicon", "default-template N\n", 1, "default-template"),
+    ("lexicon", "template n cat N slots -\ndefault-template N n\ndefault-template N n\n", 3, "N"),
+    ("lexicon", "entry\n", 1, "entry"),
+    ("lexicon", "template n cat N slots -\nentry w cat N type root\n", 2, "template"),
+    ("grammar", "rule S NP\n", 1, "rule"),
+    ("grammar", "rule S -> NP head 0\n", 1, "weight"),
+    ("grammar", "rule S -> head 0 weight 1\n", 1, "right-hand side"),
+    ("grammar", "rule S -> NP VP head 1 weight 1 link 2:agent\n", 1, "daughter 2"),
+    ("corpus", "para s\n", 1, "para"),
+    ("corpus", "sentence\n", 1, "sentence"),
+    ("corpus", "sentence s\ntok 0 0 4 i i\n", 2, "tok"),
+    ("corpus", "sentence s\ntok 0 0 4 i i PRO gold=\n", 2, "gold"),
+    ("advice", "advice s 0 4 w\n", 1, "advice"),
+    ("advice", "advice s 0 4 w -\n", 1, "w"),
 ]
 
 
@@ -136,6 +154,12 @@ STRUCTURAL = [
     ("ontology", "type a parent b\n\ntype b parent a\n", "no root"),
     ("synsets", "synset a.n hypernyms b.n\n", "missing hypernym"),
     ("lexicon", "entry w cat N template n type root\n", "missing template"),
+    ("synsets", "synset a.n lemmas - hypernyms -\nsynset a.n lemmas - hypernyms -\n",
+     "duplicate synset a.n"),
+    ("lexicon", "template n cat N slots -\ntemplate n cat N slots -\n", "duplicate template n"),
+    ("lexicon", "default-template N n\n", "default template n not declared"),
+    ("lexicon", "template n cat N slots -\nentry w cat N template n type root freq 1.5\n",
+     "freq out of range"),
 ]
 
 
@@ -158,7 +182,7 @@ NAMED_TUPLES = [
     (SyntacticTemplate, ("name", "category", "roles"), {"roles": ()}),
     (
         LexicalEntry,
-        ("word", "pos", "template", "onto_type", "score", "provenance", "freq"),
+        ("word", "template", "onto_type", "score", "provenance", "freq"),
         {"score": 0.0, "provenance": "core", "freq": None},
     ),
     (Token, ("surface", "lemma", "pos"), {"pos": None}),
