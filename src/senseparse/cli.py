@@ -106,13 +106,18 @@ _TOKEN_PATTERN = re.compile(r"\S+")
 def _tokenize_sentence(raw: str) -> list[CorpusToken]:
     """Whitespace tokenization with character spans over the raw text.
 
-    Each token may be ``surface``, ``surface/POS``, or
-    ``surface/lemma/POS``; the lemma defaults to the lowercased surface.
+    Each token must be ``surface``, ``surface/POS``, or
+    ``surface/lemma/POS`` with no part empty; the lemma defaults to the
+    lowercased surface.
     """
     tokens: list[CorpusToken] = []
     for index, match in enumerate(_TOKEN_PATTERN.finditer(raw)):
         text = match.group()
         parts = text.split("/")
+        if len(parts) > 3 or "" in parts:
+            raise SenseParseError(
+                f"token {index} '{text}': expected surface, surface/POS or surface/lemma/POS"
+            )
         if len(parts) == 3:
             surface, lemma, pos = parts
         elif len(parts) == 2:

@@ -16,6 +16,9 @@ acceptance threshold is popped, when the agenda drains, or at the pop
 budget; without an accepted root the result is a best-effort greedy
 fragment cover, with sense-neutral fallback fragments over tokens nothing
 else covers.
+Each constituent holds its own derivation: its daughters, its role fillers
+and the token of its head leaf.  The logical form is read off the
+fragments in one walk: a node per leaf, an edge per role attachment.
 """
 
 from __future__ import annotations
@@ -93,8 +96,10 @@ class Constituent(NamedTuple):
     """A scored chart item covering a contiguous token span.
 
     ``effective_score`` is the item's final score, hint included; the
-    agenda and the beam order by it.  ``role_children`` are semantic role
-    attachments; ``children_ids`` are the derivation daughters.
+    agenda and the beam order by it.  ``head`` is the token of the item's
+    head leaf: a leaf's own token, a parent's head daughter's head.
+    ``children`` are the derivation daughters (none for a leaf), and
+    ``role_children`` pair each role attachment with its filler daughter.
 
     A named tuple by the rule in :mod:`senseparse.records`: it validates
     nothing, and the parser builds each item once, with its score.
@@ -106,16 +111,9 @@ class Constituent(NamedTuple):
     onto_type: str
     word: str
     effective_score: float
-    role_children: tuple[tuple[str, int], ...] = ()
-    children_ids: tuple[int, ...] = ()
-    head_child: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children_ids
-
-    def length(self) -> int:
-        return self.span[1] - self.span[0]
+    head: int
+    role_children: tuple[tuple[str, Constituent], ...] = ()
+    children: tuple[Constituent, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -171,12 +169,15 @@ class LogicalForm(NamedTuple):
 
 
 class ParseResult(NamedTuple):
+    """One sentence's parse.  ``fragments`` cover the sentence left to
+    right, one accepted root for a full parse; each carries its
+    derivation, and ``logical_form`` is read off them."""
+
     sentence_id: str
     spanning: bool
     fragments: tuple[Constituent, ...]
     logical_form: LogicalForm
     agenda_pops: int
-    constituents: Mapping[int, Constituent]  # derivation closure of the fragments
 
 
 # A scoring hook: given an item's (head word, span, type) and its root
@@ -198,16 +199,15 @@ class Chart:
 
     Each cell is kept in beam order, so a new item is admitted (or pruned)
     before it is stored.  An item the beam prunes on arrival is never
-    stored: it cannot become a daughter, so no derivation reaches it.
-    ``items`` holds every item that was ever live.  Live items are indexed
-    by (end, category) and (start, category), so a rule daughter is looked
-    up in exactly the cell it can come from; each index keeps insertion
-    (id) order and drops an item when the beam prunes it.
+    stored: it cannot become a daughter, so no derivation reaches it; an
+    item pruned later stays reachable from the parents built on it.  Live
+    items are indexed by (end, category) and (start, category), so a rule
+    daughter is looked up in exactly the cell it can come from; each index
+    keeps insertion (id) order and drops an item when the beam prunes it.
     """
 
     def __init__(self, beam_width: int) -> None:
         self.beam_width = beam_width
-        self.items: dict[int, Constituent] = {}
         self.live: set[int] = set()
         self._cells: dict[tuple[Span, str], list[Constituent]] = {}
         self._ending: dict[tuple[int, str], dict[int, Constituent]] = {}
@@ -223,7 +223,6 @@ class Chart:
         self.prune_cell(key)
         if cid not in self.live:
             return False
-        self.items[cid] = constituent
         start, end = constituent.span
         category = constituent.category
         self._ending.setdefault((end, category), {})[cid] = constituent
@@ -231,8 +230,8 @@ class Chart:
         return True
 
     def prune_cell(self, key: tuple[Span, str]) -> None:
-        cell = self._cells.get(key)
-        if cell is None or len(cell) <= self.beam_width:
+        cell = self._cells[key]
+        if len(cell) <= self.beam_width:
             return
         (start, end), category = key
         for c in cell[self.beam_width :]:
@@ -289,15 +288,16 @@ class ChartParser:
         """Build and score the parent constituent, or reject on a role
         violation.
 
-        The parent takes the head daughter's type and head word; each role
-        link is checked against the head type's effective roles and the
+        The parent takes the head daughter's type, head word and head
+        token, and holds its daughters and role fillers; each role link is
+        checked against the head type's effective roles and the
         restriction must subsume the filler's type.  Its root component is
         the rule weight times the daughters' geometric mean, or what
         ``scorer`` makes of that; its score is the recursive mean of the
         root component and the daughters' scores.
         """
         head = children[rule.head_index]
-        role_children: list[tuple[str, int]] = []
+        role_children: list[tuple[str, Constituent]] = []
         if rule.role_links:
             ancestor_sets = self.ontology.ancestor_sets
             plan = self._role_plan(rule.role_links, head.onto_type)
@@ -311,7 +311,7 @@ class ChartParser:
                         diagnostics, sentence_id, role, restriction or "(undeclared)", filler
                     )
                     return None
-                role_children.append((role, filler.id))
+                role_children.append((role, filler))
         child_scores = [c.effective_score for c in children]
         span = (children[0].span[0], children[-1].span[1])
         root = rule.weight * _geometric_mean(child_scores)
@@ -319,8 +319,8 @@ class ChartParser:
             root = scorer((head.word, span, head.onto_type), root)
         return Constituent(
             cid, span, rule.lhs, head.onto_type, head.word,
-            recursive_score(root, child_scores), tuple(role_children),
-            tuple([c.id for c in children]), rule.head_index,
+            recursive_score(root, child_scores), head.head, tuple(role_children),
+            tuple(children),
         )
 
     def _role_plan(
@@ -398,7 +398,7 @@ class ChartParser:
                     score = scorer((entry.word, span, entry.onto_type), score)
                 admit(
                     Constituent(
-                        next_id, span, template.category, entry.onto_type, entry.word, score
+                        next_id, span, template.category, entry.onto_type, entry.word, score, i
                     )
                 )
                 next_id += 1
@@ -446,15 +446,12 @@ class ChartParser:
             and fragments[0].span == (0, n)
             and fragments[0].category == goal
         )
-        closure = _derivation_closure(fragments, chart.items)
-        logical_form = _extract_logical_form(fragments, closure)
         return ParseResult(
             sentence_id=sentence_id,
             spanning=spanning,
             fragments=tuple(fragments),
-            logical_form=logical_form,
+            logical_form=_extract_logical_form(fragments),
             agenda_pops=pops,
-            constituents=closure,
         )
 
     @staticmethod
@@ -509,9 +506,10 @@ def fragment_fallback(
     while position < len(tokens):
         candidates = chart.live_starting_at(position)
         if candidates:
+            # every candidate starts at ``position``: the longest ends last
             best = min(
                 candidates,
-                key=lambda c: (-c.length(), -c.effective_score, c.onto_type, c.id),
+                key=lambda c: (-c.span[1], -c.effective_score, c.onto_type, c.id),
             )
             fragments.append(best)
             position = best.span[1]
@@ -525,6 +523,7 @@ def fragment_fallback(
                     onto_type=FALLBACK_TYPE,
                     word=token.lemma,
                     effective_score=0.0,
+                    head=position,
                 )
             )
             next_id += 1
@@ -540,48 +539,20 @@ def _geometric_mean(scores: Sequence[float]) -> float:
     return math.prod(scores) ** (1.0 / len(scores))
 
 
-def _derivation_closure(
-    fragments: Sequence[Constituent], items: Mapping[int, Constituent]
-) -> dict[int, Constituent]:
-    closure: dict[int, Constituent] = {}
+def _extract_logical_form(fragments: Sequence[Constituent]) -> LogicalForm:
+    """A node per leaf of the fragments' derivations and an edge per role
+    attachment, from head token to filler's head token.  The leaves cover
+    every token exactly once, so a leaf's token is its node id."""
+    nodes = []
+    edges = []
     stack = list(fragments)
     while stack:
-        # a derivation is a tree and fragments cover disjoint spans, so no
-        # item is reached twice
         c = stack.pop()
-        closure[c.id] = c
-        stack.extend(items[cid] for cid in c.children_ids)
-    return dict(sorted(closure.items()))
-
-
-def _head_leaf(constituent: Constituent, items: Mapping[int, Constituent]) -> Constituent:
-    c = constituent
-    while not c.is_leaf:
-        assert c.head_child is not None
-        c = items[c.children_ids[c.head_child]]
-    return c
-
-
-def _extract_logical_form(
-    fragments: Sequence[Constituent], closure: Mapping[int, Constituent]
-) -> LogicalForm:
-    leaves = sorted(
-        (c for c in closure.values() if c.is_leaf), key=lambda c: c.span
-    )
-    node_ids = {leaf.id: index for index, leaf in enumerate(leaves)}
-    nodes = tuple(
-        LFNode(node_ids[leaf.id], leaf.span[0], leaf.span[1], leaf.word, leaf.onto_type)
-        for leaf in leaves
-    )
-    edges = []
-    for c in closure.values():
-        if not c.role_children:
-            continue
-        parent = node_ids[_head_leaf(c, closure).id]
-        for role, child_id in c.role_children:
-            child = node_ids[_head_leaf(closure[child_id], closure).id]
-            edges.append((parent, role, child))
-    return LogicalForm(nodes, tuple(sorted(edges)))
+        if not c.children:
+            nodes.append(LFNode(c.head, c.span[0], c.span[1], c.word, c.onto_type))
+        edges.extend((c.head, role, filler.head) for role, filler in c.role_children)
+        stack.extend(c.children)
+    return LogicalForm(tuple(sorted(nodes)), tuple(sorted(edges)))
 
 
 # -- grammar file format -------------------------------------------------------

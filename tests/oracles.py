@@ -231,10 +231,12 @@ def verify_role_soundness(result, ontology: Ontology) -> list[str]:
     restriction-breaking attachment.
     """
     problems = []
-    for c in result.constituents.values():
+    stack = list(result.fragments)
+    while stack:
+        c = stack.pop()
+        stack.extend(c.children)
         roles = ontology.effective_roles(c.onto_type)
-        for role, child_id in c.role_children:
-            filler = result.constituents[child_id]
+        for role, filler in c.role_children:
             spec = roles.get(role)
             if spec is None:
                 problems.append(f"{c.id}: role {role} undeclared on {c.onto_type}")

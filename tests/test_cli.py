@@ -50,6 +50,24 @@ def test_parse_rejects_a_sentence_without_tokens(resource_args, capsys):
     assert capsys.readouterr().err == "senseparse: error: no tokens in sentence\n"
 
 
+@pytest.mark.parametrize(
+    "sentence, index, token",
+    [
+        ("i/PRO cooked/cook/V the/DET /N", 3, "/N"),
+        ("i/PRO played//V the/DET bass/N", 1, "played//V"),
+        ("i/PRO cooked/cook/V the/DET bass/", 3, "bass/"),
+        ("i cooked the a/b/c/d", 3, "a/b/c/d"),
+        ("i/PRO /cook/V", 1, "/cook/V"),
+    ],
+)
+def test_parse_rejects_a_malformed_token(resource_args, tmp_path, capsys, sentence, index, token):
+    # an empty part, or more parts than surface/lemma/POS, fails before any output
+    out = tmp_path / "lf.txt"
+    assert main(["parse", *resource_args, "--sentence", sentence, "--output", str(out)]) == 1
+    assert f"token {index} '{token}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_one_for_missing_file(resource_args, tmp_path, capsys):
     args = list(resource_args)
     args[args.index("--ontology") + 1] = str(tmp_path / "missing.txt")

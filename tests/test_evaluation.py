@@ -21,10 +21,12 @@ from senseparse.evaluation import (
     VariantRow,
     gold_instances,
     parse_sentence_with_variant,
+    prepare_sentence,
     run_experiment,
     run_variant,
     score_run,
 )
+from senseparse.lexicon import parse_lexicon
 from senseparse.ontology import factorize
 from senseparse.parser import (
     FALLBACK_TYPE,
@@ -300,6 +302,56 @@ def test_run_experiment_matches_variant_by_variant_on_long_ambig(long_ambig_chun
     assert shared_run(resources, corpus, advice, variants, monkeypatch) == expected
 
 
+def test_prepare_sentence_keeps_four_entries_per_token(resources, fixtures_dir):
+    text = (fixtures_dir / "lexicon.txt").read_text()
+    types = ("bread", "cheese", "drum", "hammer", "barrel")
+    text += "".join(f"entry zork cat N template noun type {t}\n" for t in types)
+    lexicon = parse_lexicon(text, resources.ontology)
+    sentence = SentenceRecord("z", (CorpusToken(0, 0, 4, "zork", "zork", "N"),))
+    prepared = prepare_sentence(replace(resources, lexicon=lexicon), sentence, ())
+    assert len(prepared.entries[0]) == 4
+
+
+def test_a_sentence_without_advice_drops_no_advice(resources, corpus):
+    for name in VARIANT_NAMES:
+        assert run_variant(resources, corpus, {}, VariantConfig(name))[1] == 0
+
+
+def derivation_items(result):
+    """Every item of the fragments' derivations, walked from the fragments."""
+    items, stack = [], list(result.fragments)
+    while stack:
+        c = stack.pop()
+        items.append(c)
+        stack.extend(c.children)
+    return items
+
+
+@pytest.mark.parametrize("workload", ["fixture", "long-ambig"])
+def test_fragment_leaves_tile_the_sentence_and_heads_point_at_them(
+    workload, resources, corpus, advice_records, long_ambig_chunk
+):
+    # a logical form's node ids and edge ends are items' head tokens; that
+    # is sound only while the leaves cover each token exactly once and each
+    # head token's leaf carries its item's word and type
+    if workload == "long-ambig":
+        resources, corpus, advice_records = long_ambig_chunk
+    lengths = {s.sentence_id: len(s.tokens) for s in corpus}
+    for name in VARIANT_NAMES:
+        results, _ = run_variant(resources, corpus, advice_records, VariantConfig(name))
+        for sid, result in results.items():
+            items = derivation_items(result)
+            leaves = sorted((c for c in items if not c.children), key=lambda c: c.span)
+            assert [t for c in leaves for t in range(*c.span)] == list(range(lengths[sid]))
+            leaf_at = {t: c for c in leaves for t in range(*c.span)}
+            for c in items:
+                assert c.span[0] <= c.head < c.span[1]
+                assert (leaf_at[c.head].word, leaf_at[c.head].onto_type) == (c.word, c.onto_type)
+            assert [n.id for n in result.logical_form.nodes] == [
+                n.start for n in result.logical_form.nodes
+            ]
+
+
 @pytest.mark.parametrize("field", ["advice", "gold"])
 def test_run_experiment_rejects_unknown_synset_before_any_parse(
     resources, corpus, fixtures_dir, monkeypatch, field
@@ -326,7 +378,7 @@ def test_run_experiment_rejects_unknown_synset_before_any_parse(
 
 def lf_result(sentence_id, spanning, types):
     nodes = tuple(LFNode(i, i, i + 1, f"w{i}", t) for i, t in enumerate(types))
-    return ParseResult(sentence_id, spanning, (), LogicalForm(nodes, ()), 0, {})
+    return ParseResult(sentence_id, spanning, (), LogicalForm(nodes, ()), 0)
 
 
 def test_variant_config_alpha_bound_is_inclusive():

@@ -28,7 +28,7 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def constituent(word, span, onto_type, score, cid=0):
-    return Constituent(cid, span, "X", onto_type, word, score)
+    return Constituent(cid, span, "X", onto_type, word, score, head=span[0])
 
 
 def combine_bass(ontology, scorer, child_scores, head_type="electric-bass", weight=1.0):
@@ -260,11 +260,12 @@ def test_prehint_unknown_type_skipped_with_diagnostic(resources):
 
 
 def test_prehint_span_outside_sentence_skipped_with_diagnostic(resources):
-    diag = Diagnostics()
-    advice = AdviceMap([Hint("bass", (7, 8), "drum", 1.0)])
-    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
-    assert additions == {}
-    assert diag.lines() == ["skipped-prehint bass drum: span outside sentence"]
+    for span in ((7, 8), (4, 5)):  # far past, and just past, the last token
+        diag = Diagnostics()
+        advice = AdviceMap([Hint("bass", span, "drum", 1.0)])
+        additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
+        assert additions == {}
+        assert diag.lines() == ["skipped-prehint bass drum: span outside sentence"]
 
 
 def test_prehint_no_template_skipped_with_diagnostic(resources):
@@ -274,6 +275,14 @@ def test_prehint_no_template_skipped_with_diagnostic(resources):
     additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
     assert additions == {}
     assert diag.lines() == ["skipped-prehint play bread: no compatible template"]
+
+
+def test_prehint_advises_the_first_token(resources):
+    advice = AdviceMap([Hint("i", (0, 1), "animal", 1.0)])
+    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS)
+    assert [(i, e.onto_type) for i, bucket in additions.items() for e in bucket] == [
+        (0, "animal")
+    ]
 
 
 def test_prehint_empty_advice_no_entries(resources):
@@ -325,6 +334,14 @@ def test_fix_senses_synthesizes_when_nothing_survives(resources):
     assert fixed[3][0].score == 1.0
 
 
+def test_fix_senses_forces_the_first_token(resources):
+    advice = AdviceMap([Hint("i", (0, 1), "animal", 1.0)])
+    fixed = fix_senses(
+        advice, base_entries(resources), resources.lexicon, resources.ontology, TOKENS
+    )
+    assert [e.onto_type for e in fixed[0]] == ["animal"]
+
+
 def test_fix_senses_leaves_unadvised_tokens_alone(resources):
     advice = AdviceMap([Hint("bass", (3, 4), "electric-bass", 1.0)])
     base = base_entries(resources)
@@ -368,6 +385,10 @@ def test_fix_senses_skips_hint_with_unknown_type(resources):
 def test_hint_rejects_bad_score():
     with pytest.raises(ValueError):
         Hint("w", (0, 1), "t", 1.5)
+
+
+def test_hint_accepts_the_bounds_of_its_score():
+    assert [Hint("w", (0, 1), "t", s).score for s in (0.0, 1.0)] == [0.0, 1.0]
 
 
 def test_hint_rejects_empty_span():

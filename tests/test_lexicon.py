@@ -117,6 +117,20 @@ def test_freq_pulls_score(mini):
     assert high.score == pytest.approx(0.75 * 0.8 + 0.25 * 0.9)
 
 
+def test_freq_bounds_are_inclusive(mini):
+    ont, _, _ = mini
+    for freq in (0.0, 1.0):
+        text = f"template n cat N slots -\nentry w cat N template n type root freq {freq}\n"
+        [entry] = parse_lexicon(text, ont).lookup("w", "N")
+        assert entry.score == pytest.approx(0.75 * 0.8 + 0.25 * freq)
+
+
+def test_template_slot_role_is_everything_after_the_first_colon(mini):
+    ont, _, _ = mini
+    lex = parse_lexicon("template t cat V slots subj:agent:x\n", ont)
+    assert lex.templates["t"].roles == ("agent:x",)
+
+
 # -- generation ------------------------------------------------------------------
 
 
@@ -195,6 +209,9 @@ def test_prune_tie_break_by_provenance_then_type():
     ]
     kept = prune_entries(entries, 2)
     assert [e.onto_type for e in kept] == ["aaa", "bbb"]
+    # provenance before type, down to a single survivor
+    kept = prune_entries([entry("w", "aaa", 0.5, "generated"), entry("w", "zzz", 0.5)], 1)
+    assert [e.onto_type for e in kept] == ["zzz"]
 
 
 def test_prune_rejects_bad_keep():

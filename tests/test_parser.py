@@ -49,7 +49,7 @@ PLAYED_BASS = sentence_tokens("i played the bass", ["PRO", "V", "DET", "N"])
 
 
 def leaf(cid, span, category, onto_type, word, score):
-    return Constituent(cid, span, category, onto_type, word, score)
+    return Constituent(cid, span, category, onto_type, word, score, head=span[0])
 
 
 # -- combine -------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_combine_accepts_restriction_satisfying_filler(resources):
     assert built is not None
     assert built.onto_type == "cook-action"
     assert built.word == "cook"
-    assert built.role_children == (("affected", 1),)
+    assert built.role_children == (("affected", np),)
     # root component: weight times the daughters' geometric mean
     assert built.effective_score == pytest.approx((math.sqrt(0.8 * 0.6) + 0.8 + 0.6) / 3)
 
@@ -88,6 +88,23 @@ def test_combine_unary_weight_one_is_identity(resources):
     n = leaf(0, (0, 1), "N", "bread", "bread", 0.37)
     built = parser.combine(np_rule, [n], cid=1)
     assert built.effective_score == pytest.approx(0.37)
+
+
+def test_combine_parent_holds_its_daughters_and_head_token(resources):
+    parser = make_parser(resources)
+    v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
+    np = leaf(1, (1, 2), "NP", "freshwater-fish", "bass", 0.6)
+    built = parser.combine(vp_rule(), [v, np])
+    assert (built.id, built.span, built.category) == (0, (0, 2), "VP")  # default id 0
+    assert built.children == (v, np)
+    assert built.head == 0
+    # the head token comes from the head daughter, however deep it sits
+    rule = GrammarRule("X", ("N", "VP"), 1, (), 1.0)
+    n = leaf(2, (2, 3), "N", "bread", "bread", 0.5)
+    shifted = built._replace(span=(3, 5), head=3)
+    outer = parser.combine(rule, [n, shifted], cid=4)
+    assert (outer.head, outer.word, outer.onto_type) == (3, "cook", "cook-action")
+    assert outer.children == (n, shifted)
 
 
 def test_combine_rejects_undeclared_role(resources):
@@ -190,7 +207,6 @@ def test_chart_indexes_match_filter_over_live_items():
         beam_width = 1 + seed % 3
         chart = Chart(beam_width)
         added: list[Constituent] = []
-        ever_live: set[int] = set()
         for cid in range(rng.randrange(5, 60)):
             start = rng.randrange(5)
             c = leaf(
@@ -209,11 +225,8 @@ def test_chart_indexes_match_filter_over_live_items():
                 cell.sort(key=lambda a: (-a.effective_score, a.onto_type, a.id))
                 expected_live.update(a.id for a in cell[:beam_width])
             assert chart.live == expected_live
-            # an item the beam pruned on arrival was never live, so never stored
-            ever_live |= expected_live
-            assert set(chart.items) == ever_live
 
-            live = [chart.items[i] for i in sorted(chart.items) if i in chart.live]
+            live = [a for a in added if a.id in chart.live]
             for position in range(8):
                 assert chart.live_starting_at(position) == [
                     a for a in live if a.span[0] == position
@@ -237,7 +250,7 @@ class InsertThenCut:
 
     def __init__(self, beam_width):
         self.beam_width = beam_width
-        self._cells, self.live, self.items = {}, set(), {}
+        self._cells, self.live = {}, set()
         self._ending, self._starting = {}, {}
 
     def add(self, constituent):
@@ -247,7 +260,6 @@ class InsertThenCut:
         if constituent in self._cells[key]:
             start, end = constituent.span
             self.live.add(constituent.id)
-            self.items[constituent.id] = constituent
             self._ending.setdefault((end, constituent.category), {})[constituent.id] = constituent
             self._starting.setdefault((start, constituent.category), {})[constituent.id] = constituent
         for cut in cell[self.beam_width :]:
@@ -265,7 +277,7 @@ def chart_state(chart):
     """Every store of the chart, with the index dicts in insertion order."""
     def ordered(index):
         return {key: list(cell.items()) for key, cell in index.items()}
-    return chart._cells, chart.live, chart.items, ordered(chart._ending), ordered(chart._starting)
+    return chart._cells, chart.live, ordered(chart._ending), ordered(chart._starting)
 
 
 def test_chart_add_matches_an_insert_then_cut_reference():
@@ -319,12 +331,15 @@ def test_fallback_two_fragments():
 
 
 def test_fallback_fills_gaps_with_fallback_type():
+    # ids count up from next_id; the category is the token's POS, or X
     chart = Chart(beam_width=5)
-    tokens = [Token(w, w, "N") for w in ("a", "b", "c")]
-    fragments = fragment_fallback(chart, tokens, 0)
-    assert len(fragments) == 3
-    assert all(f.onto_type == "referential-sem" for f in fragments)
-    assert [f.word for f in fragments] == ["a", "b", "c"]
+    tokens = [Token("A", "a", "N"), Token("B", "b", None), Token("C", "c", "N")]
+    fragments = fragment_fallback(chart, tokens, 7)
+    assert fragments == [
+        Constituent(7, (0, 1), "N", FALLBACK_TYPE, "a", 0.0, head=0),
+        Constituent(8, (1, 2), "X", FALLBACK_TYPE, "b", 0.0, head=1),
+        Constituent(9, (2, 3), "N", FALLBACK_TYPE, "c", 0.0, head=2),
+    ]
 
 
 # -- parse ------------------------------------------------------------------------
@@ -386,6 +401,37 @@ def test_parse_respects_pop_budget(resources):
     parser = make_parser(resources, max_pops=2)
     result = parser.parse(COOKED_BASS, entries_for(resources, COOKED_BASS), "t5")
     assert result.agenda_pops <= 2
+
+
+def test_parse_numbers_items_in_build_order(resources, monkeypatch):
+    # seeded leaves first, token by token, then each built item: ids
+    # count up from 0 with no gap, pruned items included
+    added = []
+    original = Chart.add
+
+    def record(chart, constituent):
+        added.append(constituent)
+        return original(chart, constituent)
+
+    monkeypatch.setattr(Chart, "add", record)
+    entries = entries_for(resources, COOKED_BASS)
+    make_parser(resources).parse(COOKED_BASS, entries, "t")
+    seeded = sum(len(e) for e in entries)
+    assert [c.id for c in added] == list(range(len(added)))
+    assert len(added) > seeded
+    assert [c.head for c in added[:seeded]] == [
+        i for i, bucket in enumerate(entries) for _ in bucket
+    ]
+    assert all(c.children for c in added[seeded:])
+
+
+def test_parse_accepts_a_root_scoring_exactly_the_threshold(resources):
+    entries = entries_for(resources, COOKED_BASS)
+    first = make_parser(resources).parse(COOKED_BASS, entries, "t")
+    threshold = first.fragments[0].effective_score
+    again = make_parser(resources, accept_threshold=threshold).parse(COOKED_BASS, entries, "t")
+    assert again.fragments == first.fragments
+    assert again.agenda_pops == first.agenda_pops
 
 
 def test_parse_deterministic(resources):
@@ -470,6 +516,15 @@ def test_best_first_root_is_optimal_on_fixture(
         assert root == pytest.approx(want, abs=1e-9)
         optimal += 1
     assert optimal == spanning
+
+
+def test_parser_config_accepts_its_smallest_settings_and_scales_the_budget():
+    smallest = ParserConfig(beam_width=1, max_pops=1, accept_threshold=0.0)
+    assert smallest.pop_budget(4) == 1
+    assert ParserConfig(accept_threshold=1.0).pop_budget(4) == 160  # 10 * n^2
+    for bad in ({"beam_width": 0}, {"max_pops": 0}, {"accept_threshold": 1.5}):
+        with pytest.raises(ValueError):
+            ParserConfig(**bad)
 
 
 def test_fallback_type_must_exist(resources):

@@ -76,6 +76,13 @@ MALFORMED = [
     ("corpus", "sentence s\ntok 0 0 4 i i PRO gold=\n", 2, "gold"),
     ("advice", "advice s 0 4 w\n", 1, "advice"),
     ("advice", "advice s 0 4 w -\n", 1, "w"),
+    ("grammar", "rules S -> NP head 0 weight 1\n", 1, "rule"),
+    ("grammar", "rule S -> NP\n", 1, "weight"),
+    ("grammar", "rule S -> NP head 1 weight 1\n", 1, "head index"),
+    ("grammar", "rule S -> NP head 0 weight 0\n", 1, "weight"),
+    ("lexicon", "template n\n", 1, "missing cat"),
+    ("lexicon", "template n cat N slots -\nentry w\n", 2, "missing cat"),
+    ("synsets", "synonym a.n lemmas a\n", 1, "synonym"),
 ]
 
 
@@ -190,7 +197,7 @@ NAMED_TUPLES = [
     (LogicalForm, ("nodes", "edges"), {}),
     (
         ParseResult,
-        ("sentence_id", "spanning", "fragments", "logical_form", "agenda_pops", "constituents"),
+        ("sentence_id", "spanning", "fragments", "logical_form", "agenda_pops"),
         {},
     ),
     (

@@ -35,15 +35,28 @@ def test_parse_synsets_roundtrip():
     graph = parse_synsets(
         "synset a.n lemmas cat,feline hypernyms -\n"
         "synset b.n lemmas dog hypernyms a.n\n"
+        "synset c.n\n"
     )
-    assert len(graph) == 2
+    assert len(graph) == 3
     assert {s.id for s in graph.synsets_for_lemma("cat")} == {"a.n"}
     assert graph.get("b.n").hypernyms == {"a.n"}
+    assert graph.get("c.n") == Synset("c.n")
 
 
 def test_hypernym_cycle_rejected():
     with pytest.raises(StructuralError, match="cycle"):
         graph_of(("s1", ["s2"]), ("s2", ["s1"]))
+
+
+def test_acyclic_check_walks_shared_hypernyms_once():
+    # 30 levels of two synsets, each under both of the next level's, listed
+    # top level first: a walk that re-entered finished synsets would follow
+    # 2**30 paths
+    levels = [(f"a{i}", f"b{i}") for i in range(30)]
+    records = [
+        (s, [*levels[i + 1]] if i < 29 else []) for i in range(29, -1, -1) for s in levels[i]
+    ]
+    assert len(graph_of(*records)) == 60
 
 
 def test_missing_hypernym_rejected():
@@ -186,6 +199,11 @@ def test_distribution_rejects_negative_weight():
 def test_distribution_rejects_mass_above_one():
     with pytest.raises(ValueError, match="sum"):
         SenseDistribution("w", (0, 1), {"s": 0.7, "t": 0.7})
+
+
+def test_distribution_accepts_zero_weight_and_the_slack_above_one():
+    SenseDistribution("w", (0, 1), {"s": 0.0})
+    SenseDistribution("w", (0, 1), {"s": 1.0 + 1e-9})
 
 
 def test_distribution_allows_truncated_mass():
