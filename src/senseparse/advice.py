@@ -6,7 +6,8 @@ everything, each advice record (a character span and one word) is matched
 onto a corpus token as read: first by intersecting character spans with
 the word equal to the token's base form, then, among leftovers, by the
 word equal to its surface.  Advice that cannot be matched onto a parser
-token is dropped (and counted) instead of being attached to a guess.
+token is dropped (and counted) instead of being attached to a guess; a
+matched record becomes (word, token, type, score) hints on that one token.
 
 Also hosts the corpus and advice file readers.
 """
@@ -19,8 +20,9 @@ from typing import NamedTuple, Sequence
 from . import records
 from .diagnostics import Diagnostics
 from .errors import FormatError
-from .hinting import AdviceMap, Hint, _spans_intersect
+from .hinting import AdviceMap, Hint
 from .ontology import Ontology
+from .parser import Span
 from .sensemap import SenseDistribution, SynsetGraph, best_types, transform_advice
 
 
@@ -57,6 +59,10 @@ def unify(
     return matched
 
 
+def _spans_intersect(a: Span, b: Span) -> bool:
+    return max(a[0], b[0]) < min(a[1], b[1])
+
+
 # -- corpus ---------------------------------------------------------------------
 
 
@@ -79,7 +85,7 @@ def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
     """Parse the corpus format: a ``sentence <id>`` header followed by
     ``tok <index> <char-start> <char-end> <surface> <lemma> <pos>
     [gold=<synset-id>]`` lines."""
-    sentences: list[tuple[str, list[CorpusToken]]] = []
+    sentences: list[tuple[str, int, list[CorpusToken]]] = []
     current: list[CorpusToken] | None = None
     seen_ids: set[str] = set()
     for lineno, tokens in records.lines(text):
@@ -107,10 +113,13 @@ def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
                 raise FormatError(f"repeated sentence id {tokens[1]}", source, lineno)
             seen_ids.add(tokens[1])
             current = []
-            sentences.append((tokens[1], current))
+            sentences.append((tokens[1], lineno, current))
         else:
             raise FormatError(f"unknown record '{tokens[0]}'", source, lineno)
-    return [SentenceRecord(sid, tuple(toks)) for sid, toks in sentences]
+    for sid, lineno, toks in sentences:
+        if not toks:
+            raise FormatError(f"sentence {sid} has no tok lines", source, lineno)
+    return [SentenceRecord(sid, tuple(toks)) for sid, _, toks in sentences]
 
 
 def load_corpus(path: str | Path) -> list[SentenceRecord]:
@@ -173,11 +182,13 @@ def build_advice_map(
 ) -> tuple[AdviceMap, int]:
     """Turn raw advice for one sentence into an advice map of hints.
 
-    Each record is transformed to type scores, its best (tied) types kept,
-    and its span re-anchored onto the parser tokenization through
-    :func:`unify`.  Records whose token cannot be matched, and records
-    none of whose synsets resolves to a type, yield no hint and are
-    dropped; the second return value counts them.
+    Each record is matched onto one parser token through :func:`unify` and
+    transformed to type scores; each of its best (tied) types becomes a
+    hint on that token, under the token's lemma.  So hints are unique per
+    (token, type), name types of ``ontology``, and score in [0, 1].
+    Records whose token cannot be matched, and records none of whose
+    synsets resolves to a type, yield no hint and are dropped; the second
+    return value counts them.
     """
     wsd_to_parser = unify(parser_tokens, records)
 
@@ -199,12 +210,5 @@ def build_advice_map(
                 )
             continue
         for onto_type, score in sorted(best):
-            hints.append(
-                Hint(
-                    word=parser_tokens[parser_index].lemma,
-                    span=(parser_index, parser_index + 1),
-                    onto_type=onto_type,
-                    score=score,
-                )
-            )
+            hints.append(Hint(parser_tokens[parser_index].lemma, parser_index, onto_type, score))
     return AdviceMap(hints), dropped

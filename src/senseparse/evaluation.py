@@ -345,14 +345,10 @@ def run_variant(
         entries: Sequence[Sequence[LexicalEntry]] = sentence.entries
         advice_map = sentence.advice_map
         if prehinting:
-            additions = prehint(
-                advice_map, resources.lexicon, resources.ontology, tokens, diagnostics
-            )
+            additions = prehint(advice_map, resources.lexicon, tokens, diagnostics)
             entries = apply_prehints(entries, additions)
         if forcing:
-            entries = fix_senses(
-                advice_map, entries, resources.lexicon, resources.ontology, tokens, diagnostics
-            )
+            entries = fix_senses(advice_map, entries, resources.lexicon, tokens, diagnostics)
         scorer = None
         if progressive:
             scorer = progressive_scorer(advice_map, resources.ontology, config.alpha)

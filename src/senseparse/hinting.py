@@ -1,23 +1,23 @@
 """Sense hinting: seeding, steering, and forcing the parser's choices.
 
-Three mechanisms share the per-sentence advice map of (word, span, type,
-score) hints:
+Three mechanisms share the per-sentence advice map of (word, token, type,
+score) hints, each advising one token of the sentence:
 
 - *prehinting* injects a score-1 lexical entry for each advised sense
   before parsing starts, guaranteeing the sense is on the chart;
 - *progressive hinting* augments a constituent's root component whenever
-  a hint matches it (same word, overlapping span, hinted type an
-  ancestor-or-self of the constituent's type), blending through
-  ``augment(s_c, s, alpha) = alpha * (s_c * s) + (1 - alpha)``; the parser
-  then averages that component with the daughters' scores;
+  a hint matches it (same word, advised token inside the constituent's
+  span, hinted type an ancestor-or-self of the constituent's type),
+  blending through ``augment(s_c, s, alpha) = alpha * (s_c * s) +
+  (1 - alpha)``; the parser then averages that component with the
+  daughters' scores;
 - *sense fixing* replaces a token's entries with the advised senses
   outright, synthesizing an entry when none exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .diagnostics import Diagnostics
 from .lexicon import LexicalEntry, Lexicon
@@ -25,20 +25,14 @@ from .ontology import Ontology
 from .parser import Scorer, Span, Token
 
 
-@dataclass(frozen=True)
-class Hint:
-    """One advised sense: base-form word, token span, type, confidence."""
+class Hint(NamedTuple):
+    """One advised sense: the token's base-form word, the token's index,
+    an ontology type, and a confidence in [0, 1]."""
 
     word: str
-    span: Span
+    token: int
     onto_type: str
     score: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError("hint score must be in [0, 1]")
-        if self.span[0] >= self.span[1]:
-            raise ValueError("hint span must be non-empty")
 
 
 class AdviceMap:
@@ -51,9 +45,6 @@ class AdviceMap:
             self._by_word.setdefault(hint.word, []).append(hint)
         self._ranked: dict[tuple[str, str], list[Hint]] = {}
 
-    def __len__(self) -> int:
-        return len(self.hints)
-
     def best_match(
         self, word: str, span: Span, onto_type: str, ontology: Ontology
     ) -> Hint | None:
@@ -61,8 +52,8 @@ class AdviceMap:
 
         The hints of ``word`` whose type is an ancestor-or-self of
         ``onto_type`` are ranked once per (word, type), so a query only
-        scans them for the first span that intersects.  The ranking assumes
-        one ontology for every query, as within one parse.
+        scans them for the first whose token lies inside ``span``.  The
+        ranking assumes one ontology for every query, as within one parse.
         """
         key = (word, onto_type)
         ranked = self._ranked.get(key)
@@ -73,14 +64,11 @@ class AdviceMap:
                 key=lambda h: (-h.score, h.onto_type),
             )
             self._ranked[key] = ranked
+        start, end = span
         for hint in ranked:
-            if _spans_intersect(hint.span, span):
+            if start <= hint.token < end:
                 return hint
         return None
-
-
-def _spans_intersect(a: Span, b: Span) -> bool:
-    return max(a[0], b[0]) < min(a[1], b[1])
 
 
 def augment(s_c: float, s: float, alpha: float) -> float:
@@ -118,32 +106,27 @@ def progressive_scorer(advice: AdviceMap, ontology: Ontology, alpha: float) -> S
 def prehint(
     advice: AdviceMap,
     lexicon: Lexicon,
-    ontology: Ontology,
     tokens: Sequence[Token],
     diagnostics: Diagnostics | None = None,
 ) -> dict[int, list[LexicalEntry]]:
     """Score-1 entries to inject for each advised sense, keyed by token.
 
-    The template is chosen exactly as for generated entries.  A hint whose
-    type is missing from the ontology or for which no template fits is
-    skipped with a diagnostic; existing entries are never removed.
+    The template is chosen exactly as for generated entries.  A hint for
+    which no template fits is skipped with a diagnostic; existing entries
+    are never removed.  Hints are unique per (token, type), so each advised
+    type gets one entry.
     """
     additions: dict[int, list[LexicalEntry]] = {}
-    for hint in sorted(set(advice.hints), key=lambda h: (h.span, h.onto_type)):
-        index = hint.span[0]
-        if not 0 <= index < len(tokens):
-            _skip(diagnostics, "skipped-prehint", hint, "span outside sentence")
-            continue
-        if hint.onto_type not in ontology:
-            _skip(diagnostics, "skipped-prehint", hint, "type missing from ontology")
-            continue
-        entry = _advised_entry(lexicon, hint.word, tokens[index].pos, hint.onto_type)
+    for hint in sorted(advice.hints, key=lambda h: (h.token, h.onto_type)):
+        entry = _advised_entry(lexicon, hint.word, tokens[hint.token].pos, hint.onto_type)
         if entry is None:
-            _skip(diagnostics, "skipped-prehint", hint, "no compatible template")
+            if diagnostics is not None:
+                diagnostics.note(
+                    "skipped-prehint",
+                    f"{hint.word} {hint.onto_type}: no compatible template",
+                )
             continue
-        bucket = additions.setdefault(index, [])
-        if all(e.key() != entry.key() for e in bucket):
-            bucket.append(entry)
+        additions.setdefault(hint.token, []).append(entry)
     return additions
 
 
@@ -162,11 +145,6 @@ def _advised_entry(
         score=1.0,
         provenance="prehint",
     )
-
-
-def _skip(diagnostics: Diagnostics | None, kind: str, hint: Hint, reason: str) -> None:
-    if diagnostics is not None:
-        diagnostics.note(kind, f"{hint.word} {hint.onto_type}: {reason}")
 
 
 def apply_prehints(
@@ -196,7 +174,6 @@ def fix_senses(
     advice: AdviceMap,
     entries: Sequence[Sequence[LexicalEntry]],
     lexicon: Lexicon,
-    ontology: Ontology,
     tokens: Sequence[Token],
     diagnostics: Diagnostics | None = None,
 ) -> list[list[LexicalEntry]]:
@@ -209,11 +186,7 @@ def fix_senses(
     """
     advised: dict[int, set[str]] = {}
     for hint in advice.hints:
-        if hint.onto_type not in ontology:
-            _skip(diagnostics, "skipped-forcing", hint, "type missing from ontology")
-            continue
-        for index in range(max(hint.span[0], 0), min(hint.span[1], len(tokens))):
-            advised.setdefault(index, set()).add(hint.onto_type)
+        advised.setdefault(hint.token, set()).add(hint.onto_type)
 
     out: list[list[LexicalEntry]] = []
     for index, bucket in enumerate(entries):

@@ -319,9 +319,10 @@ def _parse_template(tokens: list[str], source: str, lineno: int) -> SyntacticTem
         raise FormatError(f"template {name} missing cat", source, lineno)
     roles: list[str] = []
     for item in records.split_list(fields.get("slots", "-")):
-        if ":" not in item:
+        parts = item.split(":")
+        if len(parts) != 2 or "" in parts:
             raise FormatError(f"bad slot '{item}' in template {name}", source, lineno)
-        roles.append(item.split(":", 1)[1])
+        roles.append(parts[1])
     return SyntacticTemplate(name, fields["cat"], tuple(roles))
 
 

@@ -251,7 +251,7 @@ def verify_role_soundness(result, ontology: Ontology) -> list[str]:
 
 
 def best_match_oracle(hints, word, span, onto_type, ontology: Ontology):
-    """Scan every hint: keep those of ``word`` whose span intersects
+    """Scan every hint: keep those of ``word`` whose token lies inside
     ``span`` and whose type lies on ``onto_type``'s chain to the root, and
     return the one with the highest score, ties by type name, then by hint
     order; None when nothing matches."""
@@ -260,7 +260,7 @@ def best_match_oracle(hints, word, span, onto_type, ontology: Ontology):
     for h in hints:
         if h.word != word or h.onto_type not in chain:
             continue
-        if not set(range(*h.span)) & set(range(*span)):
+        if h.token not in range(*span):
             continue
         if best is None or (-h.score, h.onto_type) < (-best.score, best.onto_type):
             best = h

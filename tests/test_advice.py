@@ -1,3 +1,4 @@
+from senseparse import cli, evaluation
 from senseparse.advice import CorpusToken, build_advice_map, unify
 from senseparse.diagnostics import Diagnostics
 from senseparse.evaluation import VARIANT_NAMES, VariantConfig, run_experiment
@@ -47,6 +48,18 @@ def test_unify_claims_one_to_one_span_pass_first():
     assert unify(parser, wsd) == {0: 2}
 
 
+def test_unify_span_pass_ignores_spans_that_only_touch():
+    # the record starts where the second "bass" ends, so only the surface
+    # pass matches it, onto the first occurrence
+    parser = [
+        parser_token(0, (0, 4), "bass", "bass"),
+        parser_token(1, (5, 8), "saw", "see"),
+        parser_token(2, (9, 13), "bass", "bass"),
+    ]
+    wsd = [wsd_token((13, 17), "bass")]
+    assert unify(parser, wsd) == {0: 0}
+
+
 def test_unify_surface_pass_is_greedy_left_to_right():
     parser = [parser_token(0, (0, 4), "bass", "bass"), parser_token(1, (5, 9), "bass", "bass")]
     wsd = [wsd_token((40, 44), "bass"), wsd_token((50, 54), "bass")]
@@ -70,7 +83,7 @@ def test_advice_resolving_to_no_type_is_dropped_and_noted(resources, corpus, adv
         advice["s01"], corpus[0].tokens, resources.graph, resources.ontology,
         diagnostics=diagnostics, sentence_id="s01",
     )
-    assert len(advice_map) == 0
+    assert advice_map.hints == ()
     assert dropped == 1
     assert diagnostics.lines() == ["dropped-advice s01 bass (13, 17): no type"]
 
@@ -81,3 +94,60 @@ def test_eval_counts_advice_resolving_to_no_type(resources, corpus, advice_recor
     assert {row.variant: row.dropped_advice for row in report.rows} == {
         "plain": 0, "pre": 1, "prog": 1, "comb": 1, "fixed": 1,
     }
+
+
+# -- the hints build_advice_map emits ------------------------------------------------
+
+
+def assert_one_hint_per_token_and_type(advice_map, tokens, ontology):
+    """Each hint advises one token of the sentence with a known type, under
+    that token's lemma and a score in [0, 1]; no (token, type) pair repeats."""
+    pairs = [(hint.token, hint.onto_type) for hint in advice_map.hints]
+    assert len(set(pairs)) == len(pairs)
+    for hint in advice_map.hints:
+        assert 0 <= hint.token < len(tokens)
+        assert hint.onto_type in ontology
+        assert hint.word == tokens[hint.token].lemma
+        assert 0.0 <= hint.score <= 1.0
+
+
+def test_hints_advise_one_known_type_per_token(
+    resources, corpus, advice_records, long_ambig_chunk
+):
+    workloads = [(resources, corpus, advice_records), long_ambig_chunk]
+    seen = 0
+    for res, sentences, advice in workloads:
+        for sentence in sentences:
+            advice_map, _ = build_advice_map(
+                advice.get(sentence.sentence_id, ()), sentence.tokens, res.graph, res.ontology
+            )
+            assert_one_hint_per_token_and_type(advice_map, sentence.tokens, res.ontology)
+            seen += len(advice_map.hints)
+    assert seen > len(corpus)
+
+
+def test_cli_parse_hints_advise_one_known_type_per_token(
+    resources, corpus, fixtures_dir, tmp_path, monkeypatch
+):
+    built = []
+
+    def recording(records, tokens, *args, **kwargs):
+        advice_map, dropped = build_advice_map(records, tokens, *args, **kwargs)
+        built.append((advice_map, tokens))
+        return advice_map, dropped
+
+    monkeypatch.setattr(evaluation, "build_advice_map", recording)
+    resource_args = []
+    for name in ("ontology", "synsets", "lexicon", "grammar"):
+        resource_args += [f"--{name}", str(fixtures_dir / f"{name}.txt")]
+    for sentence in corpus:
+        text = " ".join(f"{t.surface}/{t.lemma}/{t.pos}" for t in sentence.tokens)
+        code = cli.main(["parse", *resource_args, "--sentence", text, "--variant", "comb",
+                         "--advice", str(fixtures_dir / "advice.txt"),
+                         "--sentence-id", sentence.sentence_id,
+                         "--output", str(tmp_path / "lf.txt")])
+        assert code in (0, 2)
+    assert len(built) == len(corpus)
+    for advice_map, tokens in built:
+        assert_one_hint_per_token_and_type(advice_map, tokens, resources.ontology)
+    assert sum(len(advice_map.hints) for advice_map, _ in built) >= len(corpus)

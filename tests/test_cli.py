@@ -127,6 +127,19 @@ def test_eval_rejects_unknown_synset_before_parsing(
     assert not output.exists()
 
 
+def test_eval_rejects_a_sentence_without_tokens(resource_args, fixtures_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("sentence s00\n" + (fixtures_dir / "corpus.txt").read_text())
+    output = tmp_path / "report.tsv"
+    code = main(["eval", *resource_args, "--corpus", str(corpus),
+                 "--advice", str(fixtures_dir / "advice.txt"), "--output", str(output)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"senseparse: error: {corpus}:1: sentence s00 has no tok lines\n"
+    )
+    assert not output.exists()
+
+
 def test_eval_checks_synsets_once(resource_args, fixtures_dir, tmp_path, monkeypatch):
     calls = []
     original = evaluation.check_synsets

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import best_match_oracle
 from senseparse.diagnostics import Diagnostics
+from senseparse.errors import UnknownName
 from senseparse.hinting import (
     AdviceMap,
     Hint,
@@ -52,27 +53,29 @@ def matches(hint, word, span, onto_type, ontology):
 
 
 def test_match_hint_on_descendant_type(ontology):
-    hint = Hint("bass", (3, 4), "musical-instrument", 0.9)
+    hint = Hint("bass", 3, "musical-instrument", 0.9)
     assert matches(hint, "bass", (3, 4), "electric-bass", ontology)
 
 
 def test_match_fails_on_unrelated_type(ontology):
-    hint = Hint("bass", (3, 4), "musical-instrument", 0.9)
+    hint = Hint("bass", 3, "musical-instrument", 0.9)
     assert not matches(hint, "bass", (3, 4), "freshwater-fish", ontology)
 
 
 def test_match_fails_on_disjoint_spans(ontology):
-    hint = Hint("bass", (0, 1), "musical-instrument", 0.9)
-    assert not matches(hint, "bass", (2, 3), "electric-bass", ontology)
+    # the advised token lies just past one span and at the end of the other
+    hint = Hint("bass", 2, "musical-instrument", 0.9)
+    assert not matches(hint, "bass", (0, 2), "electric-bass", ontology)
+    assert not matches(hint, "bass", (3, 4), "electric-bass", ontology)
 
 
 def test_match_fails_on_word_mismatch(ontology):
-    hint = Hint("bass", (3, 4), "musical-instrument", 0.9)
+    hint = Hint("bass", 3, "musical-instrument", 0.9)
     assert not matches(hint, "drum", (3, 4), "electric-bass", ontology)
 
 
 def test_match_exact_type_is_reflexive(ontology):
-    hint = Hint("bass", (3, 4), "electric-bass", 0.9)
+    hint = Hint("bass", 3, "electric-bass", 0.9)
     assert matches(hint, "bass", (3, 4), "electric-bass", ontology)
 
 
@@ -123,7 +126,7 @@ def test_progressive_leaf_without_hint_is_own_score(ontology):
 
 
 def test_progressive_leaf_with_hint_is_augment(ontology):
-    advice = AdviceMap([Hint("bass", (3, 4), "musical-instrument", 0.8)])
+    advice = AdviceMap([Hint("bass", 3, "musical-instrument", 0.8)])
     item = ("bass", (3, 4), "electric-bass")
     assert progressive_scorer(advice, ontology, 0.5)(item, 0.5) == pytest.approx(0.7)
 
@@ -131,7 +134,7 @@ def test_progressive_leaf_with_hint_is_augment(ontology):
 def test_progressive_parent_averages_root_and_children(ontology):
     # the hook augments the root component, sqrt(0.4 * 0.9) = 0.6, to
     # 0.5 * (0.6 * 0.8) + 0.5 = 0.74; combine averages it with the daughters
-    advice = AdviceMap([Hint("bass", (1, 2), "musical-instrument", 0.8)])
+    advice = AdviceMap([Hint("bass", 1, "musical-instrument", 0.8)])
     scorer = progressive_scorer(advice, ontology, 0.5)
     parent = combine_bass(ontology, scorer, [0.4, 0.9])
     assert parent.effective_score == pytest.approx((0.74 + 0.4 + 0.9) / 3)
@@ -139,8 +142,8 @@ def test_progressive_parent_averages_root_and_children(ontology):
 
 def test_progressive_best_hint_highest_score_then_name(ontology):
     hints = [
-        Hint("bass", (3, 4), "musical-instrument", 0.6),
-        Hint("bass", (3, 4), "electric-bass", 0.9),
+        Hint("bass", 3, "musical-instrument", 0.6),
+        Hint("bass", 3, "electric-bass", 0.9),
     ]
     advice = AdviceMap(hints)
     item = ("bass", (3, 4), "electric-bass")
@@ -149,8 +152,8 @@ def test_progressive_best_hint_highest_score_then_name(ontology):
 
     tied = AdviceMap(
         [
-            Hint("bass", (3, 4), "musical-instrument", 0.9),
-            Hint("bass", (3, 4), "artifact", 0.9),
+            Hint("bass", 3, "musical-instrument", 0.9),
+            Hint("bass", 3, "artifact", 0.9),
         ]
     )
     best = tied.best_match("bass", (3, 4), "electric-bass", ontology)
@@ -163,7 +166,7 @@ _hints = st.lists(
     st.builds(
         Hint,
         word=st.sampled_from(("bass", "drum")),
-        span=_spans,
+        token=st.integers(0, 6),
         onto_type=st.sampled_from(_TYPES),
         score=st.sampled_from((0.25, 0.5, 1.0)),
     ),
@@ -201,11 +204,12 @@ def test_progressive_empty_advice_equals_plain_recursive_mean(ontology):
 
 
 def test_alpha_zero_hinted_order_determined_by_children(ontology):
-    # both parents match hints; with alpha=0 each root component is 1, so
-    # only the children decide the ordering, whatever the rule weights
+    # both parents match a hint on their head token; with alpha=0 each root
+    # component is 1, so only the children decide the ordering, whatever
+    # the rule weights
     advice = AdviceMap(
-        [Hint("bass", (0, 2), "musical-instrument", 0.2),
-         Hint("bass", (0, 2), "electric-bass", 0.9)]
+        [Hint("bass", 0, "musical-instrument", 0.2),
+         Hint("bass", 0, "electric-bass", 0.9)]
     )
     scorer = progressive_scorer(advice, ontology, 0.0)
     assert scorer(("bass", (0, 2), "electric-bass"), 0.1) == 1.0
@@ -228,8 +232,8 @@ TOKENS = [
 
 
 def test_prehint_emits_score_one_entry(resources):
-    advice = AdviceMap([Hint("bass", (3, 4), "musical-instrument", 0.9)])
-    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS)
+    advice = AdviceMap([Hint("bass", 3, "musical-instrument", 0.9)])
+    additions = prehint(advice, resources.lexicon, TOKENS)
     assert list(additions) == [3]
     [entry] = additions[3]
     assert entry.score == 1.0
@@ -238,55 +242,46 @@ def test_prehint_emits_score_one_entry(resources):
 
 
 def test_prehint_keeps_one_entry_per_advised_type(resources):
-    # two types on one token both get an entry; a repeated (word, span,
-    # type) hint, whatever its score, adds no second entry for its type
+    # two types on one token both get an entry, in type order
     advice = AdviceMap(
         [
-            Hint("bass", (3, 4), "musical-instrument", 0.9),
-            Hint("bass", (3, 4), "drum", 0.6),
-            Hint("bass", (3, 4), "musical-instrument", 0.4),
+            Hint("bass", 3, "musical-instrument", 0.9),
+            Hint("bass", 3, "drum", 0.6),
         ]
     )
-    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS)
+    additions = prehint(advice, resources.lexicon, TOKENS)
     assert [e.onto_type for e in additions[3]] == ["drum", "musical-instrument"]
 
 
-def test_prehint_unknown_type_skipped_with_diagnostic(resources):
-    diag = Diagnostics()
-    advice = AdviceMap([Hint("bass", (3, 4), "no-such-type", 0.9)])
-    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
-    assert additions == {}
-    assert diag.lines() == ["skipped-prehint bass no-such-type: type missing from ontology"]
-
-
-def test_prehint_span_outside_sentence_skipped_with_diagnostic(resources):
-    for span in ((7, 8), (4, 5)):  # far past, and just past, the last token
-        diag = Diagnostics()
-        advice = AdviceMap([Hint("bass", span, "drum", 1.0)])
-        additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
-        assert additions == {}
-        assert diag.lines() == ["skipped-prehint bass drum: span outside sentence"]
+def test_hint_with_unknown_type_raises(resources):
+    # build_advice_map only emits ontology types; a direct caller's unknown
+    # type fails loudly instead of being skipped
+    advice = AdviceMap([Hint("bass", 3, "no-such-type", 0.9)])
+    with pytest.raises(UnknownName, match="no-such-type"):
+        prehint(advice, resources.lexicon, TOKENS)
+    with pytest.raises(UnknownName, match="no-such-type"):
+        fix_senses(advice, base_entries(resources), resources.lexicon, TOKENS)
 
 
 def test_prehint_no_template_skipped_with_diagnostic(resources):
     # a verb-position token advised with a type no verb template fits
     diag = Diagnostics()
-    advice = AdviceMap([Hint("play", (1, 2), "bread", 0.9)])
-    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS, diag)
+    advice = AdviceMap([Hint("play", 1, "bread", 0.9)])
+    additions = prehint(advice, resources.lexicon, TOKENS, diag)
     assert additions == {}
     assert diag.lines() == ["skipped-prehint play bread: no compatible template"]
 
 
 def test_prehint_advises_the_first_token(resources):
-    advice = AdviceMap([Hint("i", (0, 1), "animal", 1.0)])
-    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS)
+    advice = AdviceMap([Hint("i", 0, "animal", 1.0)])
+    additions = prehint(advice, resources.lexicon, TOKENS)
     assert [(i, e.onto_type) for i, bucket in additions.items() for e in bucket] == [
         (0, "animal")
     ]
 
 
 def test_prehint_empty_advice_no_entries(resources):
-    assert prehint(AdviceMap(()), resources.lexicon, resources.ontology, TOKENS) == {}
+    assert prehint(AdviceMap(()), resources.lexicon, TOKENS) == {}
 
 
 def test_apply_prehints_never_shrinks_and_replaces_duplicates(resources):
@@ -294,8 +289,8 @@ def test_apply_prehints_never_shrinks_and_replaces_duplicates(resources):
         resources.lexicon.candidate_entries(t.lemma, t.pos, resources.graph, 4)
         for t in TOKENS
     ]
-    advice = AdviceMap([Hint("bass", (3, 4), "electric-bass", 1.0)])
-    additions = prehint(advice, resources.lexicon, resources.ontology, TOKENS)
+    advice = AdviceMap([Hint("bass", 3, "electric-bass", 1.0)])
+    additions = prehint(advice, resources.lexicon, TOKENS)
     merged = apply_prehints(base, additions)
     for before, after in zip(base, merged):
         assert len(after) >= len(before)
@@ -316,38 +311,30 @@ def base_entries(resources):
 
 
 def test_fix_senses_filters_to_advised_type(resources):
-    advice = AdviceMap([Hint("bass", (3, 4), "electric-bass", 1.0)])
-    fixed = fix_senses(
-        advice, base_entries(resources), resources.lexicon, resources.ontology, TOKENS
-    )
+    advice = AdviceMap([Hint("bass", 3, "electric-bass", 1.0)])
+    fixed = fix_senses(advice, base_entries(resources), resources.lexicon, TOKENS)
     assert {e.onto_type for e in fixed[3]} == {"electric-bass"}
     assert fixed[3][0].provenance == "core"  # surviving entry is the core one
 
 
 def test_fix_senses_synthesizes_when_nothing_survives(resources):
-    advice = AdviceMap([Hint("bass", (3, 4), "drum", 1.0)])
-    fixed = fix_senses(
-        advice, base_entries(resources), resources.lexicon, resources.ontology, TOKENS
-    )
+    advice = AdviceMap([Hint("bass", 3, "drum", 1.0)])
+    fixed = fix_senses(advice, base_entries(resources), resources.lexicon, TOKENS)
     assert {e.onto_type for e in fixed[3]} == {"drum"}
     assert fixed[3][0].provenance == "prehint"
     assert fixed[3][0].score == 1.0
 
 
 def test_fix_senses_forces_the_first_token(resources):
-    advice = AdviceMap([Hint("i", (0, 1), "animal", 1.0)])
-    fixed = fix_senses(
-        advice, base_entries(resources), resources.lexicon, resources.ontology, TOKENS
-    )
+    advice = AdviceMap([Hint("i", 0, "animal", 1.0)])
+    fixed = fix_senses(advice, base_entries(resources), resources.lexicon, TOKENS)
     assert [e.onto_type for e in fixed[0]] == ["animal"]
 
 
 def test_fix_senses_leaves_unadvised_tokens_alone(resources):
-    advice = AdviceMap([Hint("bass", (3, 4), "electric-bass", 1.0)])
+    advice = AdviceMap([Hint("bass", 3, "electric-bass", 1.0)])
     base = base_entries(resources)
-    fixed = fix_senses(
-        advice, base, resources.lexicon, resources.ontology, TOKENS
-    )
+    fixed = fix_senses(advice, base, resources.lexicon, TOKENS)
     assert fixed[0] == base[0]
     assert fixed[1] == base[1]
     assert fixed[2] == base[2]
@@ -356,11 +343,9 @@ def test_fix_senses_leaves_unadvised_tokens_alone(resources):
 def test_fix_senses_never_empties_an_advised_token(resources):
     # advised type that no template fits: forcing is skipped, entries kept
     diag = Diagnostics()
-    advice = AdviceMap([Hint("play", (1, 2), "bread", 1.0)])
+    advice = AdviceMap([Hint("play", 1, "bread", 1.0)])
     base = base_entries(resources)
-    fixed = fix_senses(
-        advice, base, resources.lexicon, resources.ontology, TOKENS, diag
-    )
+    fixed = fix_senses(advice, base, resources.lexicon, TOKENS, diag)
     assert fixed[1] == base[1]
     assert diag.lines() == [
         "forced-entry-failed play bread: no template",
@@ -368,35 +353,10 @@ def test_fix_senses_never_empties_an_advised_token(resources):
     ]
 
 
-def test_fix_senses_skips_hint_with_unknown_type(resources):
-    diag = Diagnostics()
-    advice = AdviceMap([Hint("bass", (3, 4), "no-such-type", 1.0)])
-    base = base_entries(resources)
-    fixed = fix_senses(
-        advice, base, resources.lexicon, resources.ontology, TOKENS, diag
-    )
-    assert fixed == base
-    assert diag.lines() == ["skipped-forcing bass no-such-type: type missing from ontology"]
-
-
-# -- hint validation ----------------------------------------------------------------
-
-
-def test_hint_rejects_bad_score():
-    with pytest.raises(ValueError):
-        Hint("w", (0, 1), "t", 1.5)
-
-
-def test_hint_accepts_the_bounds_of_its_score():
-    assert [Hint("w", (0, 1), "t", s).score for s in (0.0, 1.0)] == [0.0, 1.0]
-
-
-def test_hint_rejects_empty_span():
-    with pytest.raises(ValueError):
-        Hint("w", (1, 1), "t", 0.5)
+# -- alpha validation ---------------------------------------------------------------
 
 
 def test_progressive_score_rejects_bad_alpha(ontology):
-    advice = AdviceMap([Hint("bass", (3, 4), "electric-bass", 0.9)])
+    advice = AdviceMap([Hint("bass", 3, "electric-bass", 0.9)])
     with pytest.raises(ValueError, match="alpha must be in"):
         progressive_scorer(advice, ontology, 1.5)(("bass", (3, 4), "electric-bass"), 0.5)

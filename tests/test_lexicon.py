@@ -125,10 +125,11 @@ def test_freq_bounds_are_inclusive(mini):
         assert entry.score == pytest.approx(0.75 * 0.8 + 0.25 * freq)
 
 
-def test_template_slot_role_is_everything_after_the_first_colon(mini):
+def test_template_slot_with_a_second_colon_is_rejected(mini):
+    # no ontology role can match "agent:x", so the slot itself is malformed
     ont, _, _ = mini
-    lex = parse_lexicon("template t cat V slots subj:agent:x\n", ont)
-    assert lex.templates["t"].roles == ("agent:x",)
+    with pytest.raises(FormatError, match=r"^lex.txt:2: bad slot 'subj:agent:x' in template t$"):
+        parse_lexicon("template n cat N slots -\ntemplate t cat V slots subj:agent:x\n", ont, "lex.txt")
 
 
 # -- generation ------------------------------------------------------------------

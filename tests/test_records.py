@@ -9,6 +9,7 @@ from senseparse.advice import (
 )
 from senseparse.errors import FormatError, StructuralError
 from senseparse.evaluation import PreparedSentence, VariantRow
+from senseparse.hinting import Hint
 from senseparse.lexicon import LexicalEntry, SyntacticTemplate, parse_lexicon
 from senseparse.ontology import FactorizedOntology, OntologyType, RoleSpec, parse_ontology
 from senseparse.parser import LFNode, LogicalForm, ParseResult, Token, parse_grammar
@@ -83,6 +84,9 @@ MALFORMED = [
     ("lexicon", "template n\n", 1, "missing cat"),
     ("lexicon", "template n cat N slots -\nentry w\n", 2, "missing cat"),
     ("synsets", "synonym a.n lemmas a\n", 1, "synonym"),
+    ("lexicon", "template t cat V slots subj:agent:x\n", 1, "subj:agent:x"),
+    ("lexicon", "template t cat V slots subj:\n", 1, "subj:"),
+    ("corpus", "sentence s00\nsentence s01\ntok 0 0 1 i i PRO\n", 1, "s00"),
 ]
 
 
@@ -193,6 +197,7 @@ NAMED_TUPLES = [
         {"score": 0.0, "provenance": "core", "freq": None},
     ),
     (Token, ("surface", "lemma", "pos"), {"pos": None}),
+    (Hint, ("word", "token", "onto_type", "score"), {}),
     (LFNode, ("id", "start", "end", "word", "onto_type"), {}),
     (LogicalForm, ("nodes", "edges"), {}),
     (
