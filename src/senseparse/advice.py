@@ -3,9 +3,9 @@
 The parser, the external disambiguator, and gold annotations may each
 tokenize a sentence differently.  Rather than forcing one tokenization on
 everything, each advice record (a character span and one word) is matched
-onto a corpus token as read: first by intersecting character spans with
-the word equal to the token's base form, then, among leftovers, by the
-word equal to its surface.  Advice that cannot be matched onto a parser
+onto one token of the sentence as read: first by intersecting character
+spans with the word equal to the token's base form, then, among leftovers,
+by the word equal to its surface.  Advice that cannot be matched onto a parser
 token is dropped (and counted) instead of being attached to a guess; a
 matched record becomes (word, token, type, score) hints on that one token.
 
@@ -22,12 +22,12 @@ from .diagnostics import Diagnostics
 from .errors import FormatError
 from .hinting import AdviceMap, Hint
 from .ontology import Ontology
-from .parser import Span
+from .parser import Span, Token
 from .sensemap import SenseDistribution, SynsetGraph, best_types, transform_advice
 
 
 def unify(
-    parser_tokens: Sequence[CorpusToken], records: Sequence[SenseDistribution]
+    parser_tokens: Sequence[Token], records: Sequence[SenseDistribution]
 ) -> dict[int, int]:
     """Match advice records onto parser tokens, one-to-one; returns record
     position -> parser token index.
@@ -66,27 +66,17 @@ def _spans_intersect(a: Span, b: Span) -> bool:
 # -- corpus ---------------------------------------------------------------------
 
 
-class CorpusToken(NamedTuple):
-    index: int
-    start: int
-    end: int
-    surface: str
-    lemma: str
-    pos: str
-    gold: str | None = None
-
-
 class SentenceRecord(NamedTuple):
     sentence_id: str
-    tokens: tuple[CorpusToken, ...]
+    tokens: tuple[Token, ...]
 
 
 def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
     """Parse the corpus format: a ``sentence <id>`` header followed by
     ``tok <index> <char-start> <char-end> <surface> <lemma> <pos>
     [gold=<synset-id>]`` lines."""
-    sentences: list[tuple[str, int, list[CorpusToken]]] = []
-    current: list[CorpusToken] | None = None
+    sentences: list[tuple[str, int, list[Token]]] = []
+    current: list[Token] | None = None
     seen_ids: set[str] = set()
     for lineno, tokens in records.lines(text):
         if tokens[0] == "tok":
@@ -105,7 +95,7 @@ def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
                 gold = tokens[7][len("gold="):]
                 if not gold:
                     raise FormatError("empty gold synset", source, lineno)
-            current.append(CorpusToken(index, start, end, tokens[4], tokens[5], tokens[6], gold))
+            current.append(Token(index, start, end, tokens[4], tokens[5], tokens[6], gold))
         elif tokens[0] == "sentence":
             if len(tokens) != 2:
                 raise FormatError("expected 'sentence <id>'", source, lineno)
@@ -174,7 +164,7 @@ def load_advice(path: str | Path) -> dict[str, list[SenseDistribution]]:
 
 def build_advice_map(
     records: Sequence[SenseDistribution],
-    parser_tokens: Sequence[CorpusToken],
+    parser_tokens: Sequence[Token],
     graph: SynsetGraph,
     ontology: Ontology,
     diagnostics: Diagnostics | None = None,

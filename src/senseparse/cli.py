@@ -18,7 +18,7 @@ import re
 import sys
 from typing import Sequence
 
-from .advice import CorpusToken, SentenceRecord, load_advice, load_corpus
+from .advice import SentenceRecord, load_advice, load_corpus
 from .diagnostics import Diagnostics
 from .errors import SenseParseError
 from .evaluation import (
@@ -30,7 +30,7 @@ from .evaluation import (
     run_experiment,
 )
 from .ontology import factorize, load_ontology
-from .parser import ParserConfig
+from .parser import ParserConfig, Token
 from .sensemap import load_synsets
 
 
@@ -103,14 +103,14 @@ def _emit(text: str, output: str | None) -> None:
 _TOKEN_PATTERN = re.compile(r"\S+")
 
 
-def _tokenize_sentence(raw: str) -> list[CorpusToken]:
+def _tokenize_sentence(raw: str) -> list[Token]:
     """Whitespace tokenization with character spans over the raw text.
 
     Each token must be ``surface``, ``surface/POS``, or
     ``surface/lemma/POS`` with no part empty; the lemma defaults to the
     lowercased surface.
     """
-    tokens: list[CorpusToken] = []
+    tokens: list[Token] = []
     for index, match in enumerate(_TOKEN_PATTERN.finditer(raw)):
         text = match.group()
         parts = text.split("/")
@@ -124,9 +124,7 @@ def _tokenize_sentence(raw: str) -> list[CorpusToken]:
             surface, lemma, pos = parts[0], parts[0].lower(), parts[1]
         else:
             surface, lemma, pos = text, text.lower(), None
-        tokens.append(
-            CorpusToken(index, match.start(), match.end(), surface, lemma, pos)
-        )
+        tokens.append(Token(index, match.start(), match.end(), surface, lemma, pos))
     return tokens
 
 

@@ -8,8 +8,8 @@ those three flags, read from one table, ``_VARIANT_FLAGS``: ``plain`` sets
 none and ignores the advice, ``pre`` prehints, ``prog`` is progressive,
 ``comb`` does both, and ``fixed`` forces.
 
-Preparing a sentence (tokens, base candidate entries, and the advice map
-with its dropped count) depends on no variant setting, so
+Preparing a sentence (base candidate entries, and the advice map with its
+dropped count) depends on no variant setting, so
 ``run_experiment`` prepares each corpus position once and every variant
 parses from that preparation through ``run_variant``, the one parse path;
 the blend weight only enters through the progressive scorer.  The shared
@@ -44,7 +44,7 @@ from .hinting import AdviceMap, apply_prehints, fix_senses, prehint, progressive
 from .lexicon import ENTRY_KEEP, LexicalEntry, Lexicon, load_lexicon
 from .ontology import FactorizedOntology, Ontology, factorize, load_ontology
 from .parser import (
-    FALLBACK_TYPE, ChartParser, Grammar, ParseResult, ParserConfig, Token, load_grammar
+    FALLBACK_TYPE, ChartParser, Grammar, ParseResult, ParserConfig, load_grammar
 )
 from .sensemap import SenseDistribution, SynsetGraph, load_synsets
 
@@ -252,7 +252,6 @@ class PreparedSentence(NamedTuple):
     """
 
     sentence: SentenceRecord
-    tokens: tuple[Token, ...]
     entries: tuple[tuple[LexicalEntry, ...], ...]
     advice_map: AdviceMap
     dropped: int
@@ -265,8 +264,8 @@ def prepare_sentence(
     sentence: SentenceRecord,
     advice_records: Sequence[SenseDistribution],
 ) -> PreparedSentence:
-    """Tokens, base entries and advice map of one sentence, with their
-    diagnostics buffered for replay."""
+    """Base entries and advice map of one sentence, with their diagnostics
+    buffered for replay."""
     entry_notes, advice_notes = Diagnostics(), Diagnostics()
     entries = tuple(
         tuple(
@@ -276,20 +275,11 @@ def prepare_sentence(
         )
         for t in sentence.tokens
     )
-    advice_map, dropped = AdviceMap(), 0
-    if advice_records:
-        advice_map, dropped = build_advice_map(
-            advice_records,
-            sentence.tokens,
-            resources.graph,
-            resources.ontology,
-            advice_notes,
-            sentence.sentence_id,
-        )
-    tokens = tuple(Token(t.surface, t.lemma, t.pos) for t in sentence.tokens)
-    return PreparedSentence(
-        sentence, tokens, entries, advice_map, dropped, entry_notes, advice_notes
+    advice_map, dropped = build_advice_map(
+        advice_records, sentence.tokens, resources.graph, resources.ontology,
+        advice_notes, sentence.sentence_id,
     )
+    return PreparedSentence(sentence, entries, advice_map, dropped, entry_notes, advice_notes)
 
 
 def parse_sentence_with_variant(
@@ -341,7 +331,7 @@ def run_variant(
             diagnostics.replay(sentence.entry_notes)
             if uses_advice:
                 diagnostics.replay(sentence.advice_notes)
-        tokens = sentence.tokens
+        tokens = sentence.sentence.tokens
         entries: Sequence[Sequence[LexicalEntry]] = sentence.entries
         advice_map = sentence.advice_map
         if prehinting:

@@ -38,7 +38,7 @@ class Hint(NamedTuple):
 class AdviceMap:
     """All hints for one sentence, indexed by word."""
 
-    def __init__(self, hints: Sequence[Hint] = ()) -> None:
+    def __init__(self, hints: Sequence[Hint]) -> None:
         self.hints = tuple(hints)
         self._by_word: dict[str, list[Hint]] = {}
         for hint in self.hints:

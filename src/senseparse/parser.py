@@ -16,9 +16,9 @@ acceptance threshold is popped, when the agenda drains, or at the pop
 budget; without an accepted root the result is a best-effort greedy
 fragment cover, with sense-neutral fallback fragments over tokens nothing
 else covers.
-Each constituent holds its own derivation: its daughters, its role fillers
-and the token of its head leaf.  The logical form is read off the
-fragments in one walk: a node per leaf, an edge per role attachment.
+Each constituent holds its own derivation: its daughters, its rule's role
+links and the token of its head leaf.  The logical form is read off the
+fragments in one walk: a node per leaf, an edge per role link.
 """
 
 from __future__ import annotations
@@ -42,9 +42,17 @@ FALLBACK_TYPE = "referential-sem"
 
 
 class Token(NamedTuple):
+    """One token of a sentence as read: its position, its character span
+    in the raw text, surface and base forms, part of speech (None when
+    untagged) and gold synset (None when unannotated)."""
+
+    index: int
+    start: int
+    end: int
     surface: str
     lemma: str
-    pos: str | None = None
+    pos: str | None
+    gold: str | None = None
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,8 @@ class Constituent(NamedTuple):
     agenda and the beam order by it.  ``head`` is the token of the item's
     head leaf: a leaf's own token, a parent's head daughter's head.
     ``children`` are the derivation daughters (none for a leaf), and
-    ``role_children`` pair each role attachment with its filler daughter.
+    ``role_links`` are the building rule's (daughter index, role) links,
+    the rule's own tuple (empty for a leaf).
 
     A named tuple by the rule in :mod:`senseparse.records`: it validates
     nothing, and the parser builds each item once, with its score.
@@ -112,7 +121,7 @@ class Constituent(NamedTuple):
     word: str
     effective_score: float
     head: int
-    role_children: tuple[tuple[str, Constituent], ...] = ()
+    role_links: tuple[tuple[int, str], ...] = ()
     children: tuple[Constituent, ...] = ()
 
 
@@ -289,15 +298,14 @@ class ChartParser:
         violation.
 
         The parent takes the head daughter's type, head word and head
-        token, and holds its daughters and role fillers; each role link is
-        checked against the head type's effective roles and the
-        restriction must subsume the filler's type.  Its root component is
-        the rule weight times the daughters' geometric mean, or what
-        ``scorer`` makes of that; its score is the recursive mean of the
-        root component and the daughters' scores.
+        token, and holds its daughters and the rule's role links.  Each
+        link is checked against the head type's effective roles, and the
+        restriction must subsume the linked daughter's type.  Its root
+        component is the rule weight times the daughters' geometric mean,
+        or what ``scorer`` makes of that; its score is the recursive mean
+        of the root component and the daughters' scores.
         """
         head = children[rule.head_index]
-        role_children: list[tuple[str, Constituent]] = []
         if rule.role_links:
             ancestor_sets = self.ontology.ancestor_sets
             plan = self._role_plan(rule.role_links, head.onto_type)
@@ -311,7 +319,6 @@ class ChartParser:
                         diagnostics, sentence_id, role, restriction or "(undeclared)", filler
                     )
                     return None
-                role_children.append((role, filler))
         child_scores = [c.effective_score for c in children]
         span = (children[0].span[0], children[-1].span[1])
         root = rule.weight * _geometric_mean(child_scores)
@@ -319,7 +326,7 @@ class ChartParser:
             root = scorer((head.word, span, head.onto_type), root)
         return Constituent(
             cid, span, rule.lhs, head.onto_type, head.word,
-            recursive_score(root, child_scores), head.head, tuple(role_children),
+            recursive_score(root, child_scores), head.head, rule.role_links,
             tuple(children),
         )
 
@@ -541,8 +548,8 @@ def _geometric_mean(scores: Sequence[float]) -> float:
 
 def _extract_logical_form(fragments: Sequence[Constituent]) -> LogicalForm:
     """A node per leaf of the fragments' derivations and an edge per role
-    attachment, from head token to filler's head token.  The leaves cover
-    every token exactly once, so a leaf's token is its node id."""
+    link, from head token to the linked daughter's head token.  The leaves
+    cover every token exactly once, so a leaf's token is its node id."""
     nodes = []
     edges = []
     stack = list(fragments)
@@ -550,7 +557,7 @@ def _extract_logical_form(fragments: Sequence[Constituent]) -> LogicalForm:
         c = stack.pop()
         if not c.children:
             nodes.append(LFNode(c.head, c.span[0], c.span[1], c.word, c.onto_type))
-        edges.extend((c.head, role, filler.head) for role, filler in c.role_children)
+        edges.extend((c.head, role, c.children[index].head) for index, role in c.role_links)
         stack.extend(c.children)
     return LogicalForm(tuple(sorted(nodes)), tuple(sorted(edges)))
 

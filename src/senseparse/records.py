@@ -14,7 +14,7 @@ Record types built once per input line, token or parse follow one rule:
 - A record that validates nothing is a ``typing.NamedTuple``, which is
   built several times faster than a frozen dataclass.  It is immutable
   and compares equal to a plain tuple of its values.  The ``index``
-  field of ``CorpusToken`` hides ``tuple.index``.
+  field of ``parser.Token`` hides ``tuple.index``.
 - A record that validates its values in ``__post_init__`` stays a frozen
   dataclass, so no instance skips the check.
 """

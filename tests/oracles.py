@@ -236,7 +236,8 @@ def verify_role_soundness(result, ontology: Ontology) -> list[str]:
         c = stack.pop()
         stack.extend(c.children)
         roles = ontology.effective_roles(c.onto_type)
-        for role, filler in c.role_children:
+        for index, role in c.role_links:
+            filler = c.children[index]
             spec = roles.get(role)
             if spec is None:
                 problems.append(f"{c.id}: role {role} undeclared on {c.onto_type}")

@@ -1,12 +1,13 @@
 from senseparse import cli, evaluation
-from senseparse.advice import CorpusToken, build_advice_map, unify
+from senseparse.advice import build_advice_map, unify
 from senseparse.diagnostics import Diagnostics
 from senseparse.evaluation import VARIANT_NAMES, VariantConfig, run_experiment
+from senseparse.parser import Token
 from senseparse.sensemap import SenseDistribution
 
 
 def parser_token(index, span, surface, lemma):
-    return CorpusToken(index, span[0], span[1], surface, lemma, "N")
+    return Token(index, span[0], span[1], surface, lemma, "N")
 
 
 def wsd_token(span, word):

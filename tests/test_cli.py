@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from senseparse import cli, evaluation
@@ -379,3 +384,35 @@ def test_fixture_map_matches_golden(fixtures_dir, tmp_path):
     assert main(["map", "--ontology", str(fixtures_dir / "ontology.txt"),
                  "--synsets", str(fixtures_dir / "synsets.txt"), "--output", str(out)]) == 0
     assert out.read_text() == GOLDEN_MAP
+
+
+def test_output_does_not_follow_the_hash_seed(resource_args, fixtures_dir, tmp_path):
+    # string hashes, and so set order, change with PYTHONHASHSEED; the
+    # eval report, its diagnostics and a parse with advice must not
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        out.mkdir()
+        commands = [
+            ["eval", *resource_args, "--corpus", str(fixtures_dir / "corpus.txt"),
+             "--advice", str(fixtures_dir / "advice.txt"),
+             "--output", str(out / "report.tsv"), "--diagnostics", str(out / "notes.txt")],
+            ["parse", *resource_args, "--advice", str(fixtures_dir / "advice.txt"),
+             "--sentence-id", "s01", "--variant", "comb",
+             "--sentence", "i/PRO played/play/V the/DET bass/N",
+             "--output", str(out / "lf.txt")],
+        ]
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        exits = []
+        for command in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "senseparse.cli", *command],
+                env=env, capture_output=True, check=False,
+            )
+            exits.append((done.returncode, done.stderr))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((exits, files))
+    assert runs[0][0] == [(0, b""), (0, b"")]
+    assert sorted(runs[0][1]) == ["lf.txt", "notes.txt", "report.tsv"]
+    assert runs[0] == runs[1]

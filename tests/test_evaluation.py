@@ -6,7 +6,6 @@ import pytest
 
 from senseparse import evaluation
 from senseparse.advice import (
-    CorpusToken,
     SentenceRecord,
     parse_advice,
 )
@@ -34,6 +33,7 @@ from senseparse.parser import (
     LFNode,
     LogicalForm,
     ParseResult,
+    Token,
 )
 from senseparse.sensemap import parse_synsets
 
@@ -307,9 +307,30 @@ def test_prepare_sentence_keeps_four_entries_per_token(resources, fixtures_dir):
     types = ("bread", "cheese", "drum", "hammer", "barrel")
     text += "".join(f"entry zork cat N template noun type {t}\n" for t in types)
     lexicon = parse_lexicon(text, resources.ontology)
-    sentence = SentenceRecord("z", (CorpusToken(0, 0, 4, "zork", "zork", "N"),))
+    sentence = SentenceRecord("z", (Token(0, 0, 4, "zork", "zork", "N"),))
     prepared = prepare_sentence(replace(resources, lexicon=lexicon), sentence, ())
     assert len(prepared.entries[0]) == 4
+
+
+def test_the_parser_reads_the_sentence_records_tokens(
+    resources, corpus, advice_records, monkeypatch
+):
+    # no copy: each parse gets the reader's own token tuple, whether the
+    # sentence was prepared for all variants or for one
+    seen = []
+    original = ChartParser.parse
+
+    def capture(self, tokens, *args, **kwargs):
+        seen.append(tokens)
+        return original(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(ChartParser, "parse", capture)
+    variants = [VariantConfig(name) for name in VARIANT_NAMES]
+    run_experiment(resources, corpus, advice_records, variants)
+    run_variant(resources, corpus, advice_records, VariantConfig("comb"))
+    sentences = corpus * (len(VARIANT_NAMES) + 1)
+    assert len(seen) == len(sentences)
+    assert all(tokens is s.tokens for tokens, s in zip(seen, sentences))
 
 
 def test_a_sentence_without_advice_drops_no_advice(resources, corpus):
@@ -423,7 +444,7 @@ def test_score_run_abstention_lowers_recall_not_precision(resources):
     }
     corpus = [
         SentenceRecord(sid, tuple(
-            CorpusToken(i, i, i + 1, f"w{i}", f"w{i}", "N", gold) for i, gold in enumerate(g)
+            Token(i, i, i + 1, f"w{i}", f"w{i}", "N", gold) for i, gold in enumerate(g)
         ))
         for sid, g in golds.items()
     ]

@@ -224,10 +224,10 @@ def test_alpha_zero_hinted_order_determined_by_children(ontology):
 
 
 TOKENS = [
-    Token("i", "i", "PRO"),
-    Token("played", "play", "V"),
-    Token("the", "the", "DET"),
-    Token("bass", "bass", "N"),
+    Token(0, 0, 1, "i", "i", "PRO"),
+    Token(1, 2, 8, "played", "play", "V"),
+    Token(2, 9, 12, "the", "the", "DET"),
+    Token(3, 13, 17, "bass", "bass", "N"),
 ]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from random import Random
 
 import pytest
@@ -38,9 +39,11 @@ def entries_for(resources, tokens, keep=4):
 
 
 def sentence_tokens(text, pos_tags):
+    """The tokens of ``text``, split at spaces, with their character spans."""
     lemmas = {"cooked": "cook", "played": "play", "saw": "see"}
     return [
-        Token(w, lemmas.get(w, w), p) for w, p in zip(text.split(), pos_tags)
+        Token(i, m.start(), m.end(), m.group(), lemmas.get(m.group(), m.group()), p)
+        for i, (m, p) in enumerate(zip(re.finditer(r"\S+", text), pos_tags))
     ]
 
 
@@ -67,7 +70,7 @@ def test_combine_accepts_restriction_satisfying_filler(resources):
     assert built is not None
     assert built.onto_type == "cook-action"
     assert built.word == "cook"
-    assert built.role_children == (("affected", np),)
+    assert [(role, built.children[i]) for i, role in built.role_links] == [("affected", np)]
     # root component: weight times the daughters' geometric mean
     assert built.effective_score == pytest.approx((math.sqrt(0.8 * 0.6) + 0.8 + 0.6) / 3)
 
@@ -94,10 +97,14 @@ def test_combine_parent_holds_its_daughters_and_head_token(resources):
     parser = make_parser(resources)
     v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
     np = leaf(1, (1, 2), "NP", "freshwater-fish", "bass", 0.6)
-    built = parser.combine(vp_rule(), [v, np])
+    rule = vp_rule()
+    built = parser.combine(rule, [v, np])
     assert (built.id, built.span, built.category) == (0, (0, 2), "VP")  # default id 0
     assert built.children == (v, np)
     assert built.head == 0
+    # the role edges are the rule's own links; a leaf has none
+    assert built.role_links is rule.role_links
+    assert v.role_links == ()
     # the head token comes from the head daughter, however deep it sits
     rule = GrammarRule("X", ("N", "VP"), 1, (), 1.0)
     n = leaf(2, (2, 3), "N", "bread", "bread", 0.5)
@@ -316,7 +323,7 @@ def test_fallback_returns_single_full_span_fragment():
     chart = Chart(beam_width=5)
     chart.add(leaf(0, (0, 3), "S", "action", "cook", 0.2))
     chart.add(leaf(1, (0, 1), "N", "bread", "bread", 0.9))
-    tokens = [Token("a", "a", None)] * 3
+    tokens = sentence_tokens("a a a", [None] * 3)
     fragments = fragment_fallback(chart, tokens, 10)
     assert [f.span for f in fragments] == [(0, 3)]
 
@@ -325,7 +332,7 @@ def test_fallback_two_fragments():
     chart = Chart(beam_width=5)
     chart.add(leaf(0, (0, 2), "NP", "bread", "bread", 0.5))
     chart.add(leaf(1, (2, 3), "N", "cheese", "cheese", 0.5))
-    tokens = [Token("a", "a", None)] * 3
+    tokens = sentence_tokens("a a a", [None] * 3)
     fragments = fragment_fallback(chart, tokens, 10)
     assert [f.span for f in fragments] == [(0, 2), (2, 3)]
 
@@ -333,7 +340,9 @@ def test_fallback_two_fragments():
 def test_fallback_fills_gaps_with_fallback_type():
     # ids count up from next_id; the category is the token's POS, or X
     chart = Chart(beam_width=5)
-    tokens = [Token("A", "a", "N"), Token("B", "b", None), Token("C", "c", "N")]
+    tokens = [
+        Token(0, 0, 1, "A", "a", "N"), Token(1, 2, 3, "B", "b", None), Token(2, 4, 5, "C", "c", "N")
+    ]
     fragments = fragment_fallback(chart, tokens, 7)
     assert fragments == [
         Constituent(7, (0, 1), "N", FALLBACK_TYPE, "a", 0.0, head=0),
@@ -366,7 +375,7 @@ def test_parse_played_bass_reproduces_biased_mislabel(resources):
 
 def test_parse_no_entries_yields_per_token_fallback(resources):
     parser = make_parser(resources)
-    tokens = [Token(w, w, "N") for w in ("blorp", "zzz", "qqq")]
+    tokens = sentence_tokens("blorp zzz qqq", ["N"] * 3)
     result = parser.parse(tokens, [[], [], []], "t3")
     assert not result.spanning
     assert len(result.fragments) == 3

@@ -1,7 +1,6 @@
 import pytest
 
 from senseparse.advice import (
-    CorpusToken,
     SentenceRecord,
     load_advice,
     parse_advice,
@@ -182,9 +181,11 @@ def test_structural_error_names_its_source(fmt, text, problem):
 
 # -- record types -----------------------------------------------------------------
 
+TOKEN_FIELDS = ("index", "start", "end", "surface", "lemma", "pos", "gold")
+
 # records that validate nothing: (type, field names in order, defaults)
 NAMED_TUPLES = [
-    (CorpusToken, ("index", "start", "end", "surface", "lemma", "pos", "gold"), {"gold": None}),
+    (Token, TOKEN_FIELDS, {"gold": None}),
     (SentenceRecord, ("sentence_id", "tokens"), {}),
     (Synset, ("id", "lemmas", "hypernyms"), {"lemmas": frozenset(), "hypernyms": frozenset()}),
     (OntologyType, ("name", "parent", "roles", "synsets"), {"roles": (), "synsets": frozenset()}),
@@ -196,7 +197,6 @@ NAMED_TUPLES = [
         ("word", "template", "onto_type", "score", "provenance", "freq"),
         {"score": 0.0, "provenance": "core", "freq": None},
     ),
-    (Token, ("surface", "lemma", "pos"), {"pos": None}),
     (Hint, ("word", "token", "onto_type", "score"), {}),
     (LFNode, ("id", "start", "end", "word", "onto_type"), {}),
     (LogicalForm, ("nodes", "edges"), {}),
@@ -207,7 +207,7 @@ NAMED_TUPLES = [
     ),
     (
         PreparedSentence,
-        ("sentence", "tokens", "entries", "advice_map", "dropped", "entry_notes", "advice_notes"),
+        ("sentence", "entries", "advice_map", "dropped", "entry_notes", "advice_notes"),
         {},
     ),
     (
@@ -219,8 +219,19 @@ NAMED_TUPLES = [
 ]
 
 
+# the token type the corpus reader builds, checked under the name of the
+# reader's own token record that ``Token`` replaced
+CORPUS_TOKEN = (
+    type(parse_corpus("sentence s\ntok 0 0 1 a a DT\n")[0].tokens[0]),
+    TOKEN_FIELDS,
+    {"gold": None},
+)
+
+
 @pytest.mark.parametrize(
-    "record_type, names, defaults", NAMED_TUPLES, ids=[t.__name__ for t, _, _ in NAMED_TUPLES]
+    "record_type, names, defaults",
+    [*NAMED_TUPLES, CORPUS_TOKEN],
+    ids=[*(t.__name__ for t, _, _ in NAMED_TUPLES), "CorpusToken"],
 )
 def test_record_without_checks_is_an_immutable_named_tuple(record_type, names, defaults):
     assert record_type._fields == names
