@@ -51,7 +51,6 @@ def _add_resource_args(p: argparse.ArgumentParser) -> None:
 
 # value ranges are checked once, by VariantConfig and ParserConfig
 def _add_parser_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=VARIANT_NAMES, default="plain")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--beam-width", type=int, default=3)
     p.add_argument("--max-pops", type=int, default=None)
@@ -61,6 +60,7 @@ def _add_parser_flags(p: argparse.ArgumentParser) -> None:
 def _add_parse_args(p: argparse.ArgumentParser) -> None:
     _add_resource_args(p)
     _add_parser_flags(p)
+    p.add_argument("--variant", choices=VARIANT_NAMES, default="plain")
     p.add_argument("--sentence", help="sentence text; read from stdin if omitted")
     p.add_argument("--sentence-id", help="id used to select advice records (default: cli)")
     p.add_argument("--advice", help="advice file path")

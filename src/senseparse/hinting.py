@@ -43,32 +43,22 @@ class AdviceMap:
         self._by_word: dict[str, list[Hint]] = {}
         for hint in self.hints:
             self._by_word.setdefault(hint.word, []).append(hint)
-        self._ranked: dict[tuple[str, str], list[Hint]] = {}
 
     def best_match(
         self, word: str, span: Span, onto_type: str, ontology: Ontology
     ) -> Hint | None:
-        """The matching hint with the highest score; ties by type name.
-
-        The hints of ``word`` whose type is an ancestor-or-self of
-        ``onto_type`` are ranked once per (word, type), so a query only
-        scans them for the first whose token lies inside ``span``.  The
-        ranking assumes one ontology for every query, as within one parse.
-        """
-        key = (word, onto_type)
-        ranked = self._ranked.get(key)
-        if ranked is None:
-            ancestors = ontology.ancestor_sets.get(onto_type, ())
-            ranked = sorted(
-                (h for h in self._by_word.get(word, ()) if h.onto_type in ancestors),
-                key=lambda h: (-h.score, h.onto_type),
-            )
-            self._ranked[key] = ranked
+        """The hint of ``word`` with the highest score among those whose
+        token lies inside ``span`` and whose type is an ancestor-or-self of
+        ``onto_type``; ties by type name, then by hint order."""
+        ancestors = ontology.ancestor_sets.get(onto_type, ())
         start, end = span
-        for hint in ranked:
-            if start <= hint.token < end:
-                return hint
-        return None
+        best = None
+        for hint in self._by_word.get(word, ()):
+            if start <= hint.token < end and hint.onto_type in ancestors and (
+                best is None or (-hint.score, hint.onto_type) < (-best.score, best.onto_type)
+            ):
+                best = hint
+        return best
 
 
 def augment(s_c: float, s: float, alpha: float) -> float:

@@ -1,8 +1,11 @@
 """Best-first bottom-up chart parser with semantic role restrictions.
 
 The chart is seeded with one constituent per lexical entry.  A priority
-agenda repeatedly pops the highest-scoring constituent and combines it
-with adjacent chart items under the grammar rules; a combination that
+agenda repeatedly pops the highest-scoring constituent and plugs it into
+each rule position its category fills: a unary rule's one match is the
+item itself, a binary rule pairs it with each live item of the one
+neighbouring cell, and a longer rule extends it outward cell by cell.
+Each (rule, daughters) match is combined once; a combination that
 violates a role restriction is rejected outright rather than penalized,
 and each distinct rejection is noted once per parse.
 Each constituent is built once, with its final score: the recursive mean
@@ -206,8 +209,9 @@ def recursive_score(root_component: float, child_scores: Sequence[float]) -> flo
 class Chart:
     """Constituent store with per-(span, category) beam pruning.
 
-    Each cell is kept in beam order, so a new item is admitted (or pruned)
-    before it is stored.  An item the beam prunes on arrival is never
+    Each cell is kept in beam order (a new cell starts as its first item)
+    and cut by ``prune_cell`` on every add, so a new item is admitted (or
+    pruned) before it is stored.  An item the beam prunes on arrival is never
     stored: it cannot become a daughter, so no derivation reaches it; an
     item pruned later stays reachable from the parents built on it.  Live
     items are indexed by (end, category) and (start, category), so a rule
@@ -228,7 +232,11 @@ class Chart:
         cid = constituent.id
         key = (constituent.span, constituent.category)
         self.live.add(cid)
-        insort(self._cells.setdefault(key, []), constituent, key=_beam_key)
+        cell = self._cells.get(key)
+        if cell is None:
+            self._cells[key] = [constituent]
+        else:
+            insort(cell, constituent, key=_beam_key)
         self.prune_cell(key)
         if cid not in self.live:
             return False
@@ -263,7 +271,7 @@ def _beam_key(c: Constituent) -> tuple[float, str, int]:
 class ChartParser:
     """Parses token sequences against a grammar, ontology, and templates.
 
-    The parser holds no per-sentence state; one instance can parse many
+    The parser holds no mutable state; one instance can parse many
     sentences.  ``templates`` resolves each lexical entry's template name
     to the category it seeds.
     """
@@ -281,7 +289,6 @@ class ChartParser:
         self.ontology = ontology
         self.templates = templates
         self.config = config
-        self._role_plans: dict[tuple, tuple[str | None, ...]] = {}
 
     # -- combination --------------------------------------------------------
 
@@ -299,53 +306,44 @@ class ChartParser:
 
         The parent takes the head daughter's type, head word and head
         token, and holds its daughters and the rule's role links.  Each
-        link is checked against the head type's effective roles, and the
+        link's role must be among the head type's effective roles, and its
         restriction must subsume the linked daughter's type.  Its root
         component is the rule weight times the daughters' geometric mean,
         or what ``scorer`` makes of that; its score is the recursive mean
-        of the root component and the daughters' scores.
+        of the root component and the daughters' scores, spelled out for
+        two daughters with the general form's rounding.
         """
         head = children[rule.head_index]
         if rule.role_links:
             ancestor_sets = self.ontology.ancestor_sets
-            plan = self._role_plan(rule.role_links, head.onto_type)
-            for (index, role), restriction in zip(rule.role_links, plan):
+            roles = self.ontology.effective_roles(head.onto_type)
+            for index, role in rule.role_links:
                 filler = children[index]
+                spec = roles.get(role)
                 # leaf types were validated at seeding and restrictions at
-                # ontology construction, so the unchecked ancestry test is
-                # safe; an undeclared role (None) is in no ancestor set
-                if restriction not in ancestor_sets[filler.onto_type]:
-                    self._reject(
-                        diagnostics, sentence_id, role, restriction or "(undeclared)", filler
-                    )
+                # ontology construction, so the unchecked ancestry test is safe
+                if spec is None or spec.restriction not in ancestor_sets[filler.onto_type]:
+                    restriction = "(undeclared)" if spec is None else spec.restriction
+                    self._reject(diagnostics, sentence_id, role, restriction, filler)
                     return None
-        child_scores = [c.effective_score for c in children]
         span = (children[0].span[0], children[-1].span[1])
-        root = rule.weight * _geometric_mean(child_scores)
-        if scorer is not None:
-            root = scorer((head.word, span, head.onto_type), root)
+        if len(children) == 2:
+            left, right = children[0].effective_score, children[1].effective_score
+            # the rounding of math.prod(scores) ** (1 / 2) and of fsum / count
+            root = rule.weight * (left * right) ** 0.5
+            if scorer is not None:
+                root = scorer((head.word, span, head.onto_type), root)
+            score = math.fsum((root, left, right)) / 3
+        else:
+            child_scores = [c.effective_score for c in children]
+            root = rule.weight * math.prod(child_scores) ** (1.0 / len(child_scores))
+            if scorer is not None:
+                root = scorer((head.word, span, head.onto_type), root)
+            score = recursive_score(root, child_scores)
         return Constituent(
-            cid, span, rule.lhs, head.onto_type, head.word,
-            recursive_score(root, child_scores), head.head, rule.role_links,
-            tuple(children),
+            cid, span, rule.lhs, head.onto_type, head.word, score, head.head,
+            rule.role_links, tuple(children),
         )
-
-    def _role_plan(
-        self, role_links: tuple[tuple[int, str], ...], head_type: str
-    ) -> tuple[str | None, ...]:
-        """Per role link, the restriction its filler must satisfy under a
-        head of ``head_type``, or None for a role the type does not declare;
-        memoised per (links, head type)."""
-        key = (role_links, head_type)
-        plan = self._role_plans.get(key)
-        if plan is None:
-            roles = self.ontology.effective_roles(head_type)
-            plan = tuple(
-                spec.restriction if (spec := roles.get(role)) is not None else None
-                for _, role in role_links
-            )
-            self._role_plans[key] = plan
-        return plan
 
     @staticmethod
     def _reject(
@@ -387,10 +385,6 @@ class ChartParser:
         # rejections repeat once per combine attempt; keep each first one
         rejections = Diagnostics() if diagnostics is not None else None
 
-        def admit(c: Constituent) -> None:
-            if chart.add(c):
-                heappush(agenda, (-c.effective_score, c.id, c))
-
         for i in range(n):
             for entry in entries[i]:
                 template = self.templates.get(entry.template)
@@ -403,20 +397,21 @@ class ChartParser:
                 score = entry.score
                 if scorer is not None:
                     score = scorer((entry.word, span, entry.onto_type), score)
-                admit(
-                    Constituent(
-                        next_id, span, template.category, entry.onto_type, entry.word, score, i
-                    )
+                leaf = Constituent(
+                    next_id, span, template.category, entry.onto_type, entry.word, score, i
                 )
                 next_id += 1
+                if chart.add(leaf):
+                    heappush(agenda, (-score, leaf.id, leaf))
 
         pops = 0
         accepted: Constituent | None = None
         rules = self.grammar.rules
         goal = self.grammar.goal
+        live, ending, starting = chart.live, chart._ending, chart._starting
         while agenda and pops < budget:
             _, cid, popped = heappop(agenda)
-            if cid not in chart.live:
+            if cid not in live:
                 continue
             pops += 1
             if (
@@ -426,20 +421,45 @@ class ChartParser:
             ):
                 accepted = popped
                 break
+            start, end = popped.span
             for rule_index, j in self.grammar.positions(popped.category):
                 rule = rules[rule_index]
-                for children in self._rhs_matches(chart, rule, j, popped):
-                    signature = (rule_index, *[c.id for c in children])
-                    if signature in seen:
+                rhs = rule.rhs
+                if len(rhs) == 1:
+                    # an item is popped once, so its unary match is new
+                    matches: list[Sequence[Constituent]] = [(popped,)]
+                elif len(rhs) == 2:
+                    # the popped item's partners are the live items of the
+                    # one cell on its other side
+                    if j == 1:
+                        cell = ending.get((start, rhs[0]))
+                    else:
+                        cell = starting.get((end, rhs[1]))
+                    if not cell:
                         continue
-                    seen.add(signature)
+                    matches = []
+                    for other in cell.values():
+                        pair = (other, popped) if j == 1 else (popped, other)
+                        signature = (rule_index, pair[0].id, pair[1].id)
+                        if signature not in seen:
+                            seen.add(signature)
+                            matches.append(pair)
+                else:
+                    matches = []
+                    for children in self._rhs_matches(chart, rule, j, popped):
+                        signature = (rule_index, *[c.id for c in children])
+                        if signature not in seen:
+                            seen.add(signature)
+                            matches.append(children)
+                for children in matches:
                     built = self.combine(
                         rule, children, next_id, rejections, sentence_id, scorer
                     )
                     if built is None:
                         continue
                     next_id += 1
-                    admit(built)
+                    if chart.add(built):
+                        heappush(agenda, (-built.effective_score, built.id, built))
 
         if diagnostics is not None:
             diagnostics.events.extend(dict.fromkeys(rejections.events))
@@ -536,14 +556,6 @@ def fragment_fallback(
             next_id += 1
             position += 1
     return fragments
-
-
-def _geometric_mean(scores: Sequence[float]) -> float:
-    # the binary case rounds exactly as the general form: prod starts from
-    # 1.0 and 1.0 / 2 is exactly 0.5
-    if len(scores) == 2:
-        return (scores[0] * scores[1]) ** 0.5
-    return math.prod(scores) ** (1.0 / len(scores))
 
 
 def _extract_logical_form(fragments: Sequence[Constituent]) -> LogicalForm:

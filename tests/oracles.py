@@ -4,16 +4,19 @@ Everything here recomputes expected answers from definitions, without
 touching the implementation paths under test: ancestry by walking parent
 chains, similarity by enumerating common ancestors, subsumption by
 enumerating hypernym paths, template choice by scanning every core entry,
-and parsing by exhaustively enumerating derivations CKY-style.
+parsing by exhaustively enumerating derivations CKY-style, and the
+parser's best-first search by an agenda over plain lists.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from random import Random
 from statistics import fmean
+from typing import NamedTuple
 
 from senseparse.lexicon import LexicalEntry, Lexicon, SyntacticTemplate
 from senseparse.ontology import Ontology, OntologyType, RoleSpec
+from senseparse.parser import FALLBACK_TYPE
 from senseparse.sensemap import Synset, SynsetGraph
 
 # -- ancestry and similarity ------------------------------------------------
@@ -222,6 +225,169 @@ def best_parse_oracle(tokens, entries, grammar, ontology, templates) -> float | 
     if not cell:
         return None
     return max(d.eff for d in cell)
+
+
+# -- best-first search --------------------------------------------------------------
+
+
+class Item(NamedTuple):
+    id: int
+    span: tuple[int, int]
+    category: str
+    onto_type: str
+    word: str
+    score: float
+    head: int
+    links: tuple[tuple[int, str], ...] = ()
+    children: tuple["Item", ...] = ()
+
+
+class Search(NamedTuple):
+    """What :func:`reference_parse` found: the fragments, as :func:`shape`
+    renders them, whether they are one goal item over the sentence, the
+    counted pops, the logical form's node and edge tuples, and each
+    distinct role-violation note in first-seen order."""
+
+    fragments: tuple
+    spanning: bool
+    pops: int
+    nodes: tuple
+    edges: tuple
+    notes: tuple[str, ...]
+
+
+def shape(c) -> tuple:
+    """A chart item as comparable plain data, its score as ``repr``; reads
+    both :class:`Item` and the parser's ``Constituent`` by position."""
+    *fields, links, children = c
+    fields[5] = repr(fields[5])
+    return (*fields, links, tuple(shape(d) for d in children))
+
+
+def reference_parse(tokens, entries, grammar, ontology, templates, config,
+                    sentence_id="", scorer=None) -> Search:
+    """The parser's best-first search as an executable spec: an agenda of
+    items over plain lists, with no indexes (after Shieber, Schabes &
+    Pereira 1995, *Principles and Implementation of Deductive Parsing*).
+
+    Each (span, category) cell is re-sorted by (-score, type, id) and cut
+    to the beam after every add.  The agenda is scanned for the least
+    (-score, id) until the budget (``max_pops``, else 10 n^2) is popped.
+    A pop tries every rule position of its category, in rule order,
+    against every product of live, span-adjacent items, taken in the order
+    of the ids at positions j-1 down to 0, then j+1 up; a (rule,
+    daughters) pair is combined once.
+    """
+    n, prefix = len(tokens), f"{sentence_id} " if sentence_id else ""
+    cells: dict = {}
+    agenda: list[Item] = []
+    seen, notes = set(), []
+
+    def live():
+        return [c for cell in cells.values() for c in cell]
+
+    def add(item):
+        cell = cells.setdefault((item.span, item.category), [])
+        cell.append(item)
+        cell.sort(key=lambda c: (-c.score, c.onto_type, c.id))
+        del cell[config.beam_width:]
+        if item in cell:
+            agenda.append(item)
+
+    def build(rule, children, cid):
+        head = children[rule.head_index]
+        roles = ontology.effective_roles(head.onto_type)
+        for index, role in rule.role_links:
+            spec, filler = roles.get(role), children[index]
+            if spec is None or not is_a(ontology, filler.onto_type, spec.restriction):
+                restriction = "(undeclared)" if spec is None else spec.restriction
+                note = f"role-violation {prefix}{role} {restriction} {filler.onto_type}"
+                if note not in notes:
+                    notes.append(note)
+                return None
+        product_score = 1.0
+        for c in children:
+            product_score *= c.score
+        own = rule.weight * product_score ** (1.0 / len(children))
+        span = (children[0].span[0], children[-1].span[1])
+        if scorer is not None:
+            own = scorer((head.word, span, head.onto_type), own)
+        score = fmean([own, *(c.score for c in children)])
+        return Item(cid, span, rule.lhs, head.onto_type, head.word, score, head.head,
+                    rule.role_links, tuple(children))
+
+    next_id = 0
+    for i, bucket in enumerate(entries):
+        for entry in bucket:
+            score = entry.score
+            if scorer is not None:
+                score = scorer((entry.word, (i, i + 1), entry.onto_type), score)
+            add(Item(next_id, (i, i + 1), templates[entry.template].category,
+                     entry.onto_type, entry.word, score, i))
+            next_id += 1
+
+    pops, accepted = 0, None
+    budget = config.max_pops if config.max_pops is not None else 10 * n * n
+    while agenda and pops < budget:
+        popped = min(agenda, key=lambda c: (-c.score, c.id))
+        agenda.remove(popped)
+        if popped not in cells[(popped.span, popped.category)]:
+            continue
+        pops += 1
+        if (popped.span == (0, n) and popped.category == grammar.goal
+                and popped.score >= config.accept_threshold):
+            accepted = popped
+            break
+        for rule_index, rule in enumerate(grammar.rules):
+            for j, category in enumerate(rule.rhs):
+                if category != popped.category:
+                    continue
+                # the products of live items with adjacent spans, grown
+                # outward from the popped item
+                items, matches = live(), [(popped,)]
+                for k in range(j - 1, -1, -1):
+                    matches = [(c, *m) for m in matches for c in items
+                               if c.category == rule.rhs[k] and c.span[1] == m[0].span[0]]
+                for k in range(j + 1, len(rule.rhs)):
+                    matches = [(*m, c) for m in matches for c in items
+                               if c.category == rule.rhs[k] and c.span[0] == m[-1].span[1]]
+                order = [*range(j - 1, -1, -1), *range(j + 1, len(rule.rhs))]
+                matches.sort(key=lambda m: [m[k].id for k in order])
+                for match in matches:
+                    signature = (rule_index, *(c.id for c in match))
+                    if signature in seen:
+                        continue
+                    seen.add(signature)
+                    built = build(rule, match, next_id)
+                    if built is not None:
+                        next_id += 1
+                        add(built)
+
+    fragments = [accepted] if accepted is not None else []
+    position = 0
+    while accepted is None and position < n:
+        starting = [c for c in live() if c.span[0] == position]
+        if starting:
+            best = min(starting, key=lambda c: (-c.span[1], -c.score, c.onto_type, c.id))
+        else:
+            token = tokens[position]
+            category = token.pos if token.pos is not None else "X"
+            best = Item(next_id, (position, position + 1), category,
+                        FALLBACK_TYPE, token.lemma, 0.0, position)
+            next_id += 1
+        fragments.append(best)
+        position = best.span[1]
+
+    nodes, edges, stack = [], [], list(fragments)
+    while stack:
+        c = stack.pop()
+        if not c.children:
+            nodes.append((c.head, *c.span, c.word, c.onto_type))
+        edges.extend((c.head, role, c.children[index].head) for index, role in c.links)
+        stack.extend(c.children)
+    spanning = [(f.span, f.category) for f in fragments] == [((0, n), grammar.goal)]
+    return Search(tuple(shape(f) for f in fragments), spanning, pops, tuple(sorted(nodes)),
+                  tuple(sorted(edges)), tuple(notes))
 
 
 def verify_role_soundness(result, ontology: Ontology) -> list[str]:

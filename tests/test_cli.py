@@ -90,6 +90,18 @@ def test_exit_code_one_for_unknown_variant(resource_args, fixtures_dir, capsys):
     assert exited.value.code == 1
 
 
+def test_eval_reads_variant_as_its_own_variants_flag(resource_args, fixtures_dir, capsys):
+    # --variant is parse's flag alone; eval reads it as argparse reads any
+    # unique prefix of an option, here of --variants, so it is not ignored
+    evaluate = ["eval", *resource_args, "--corpus", str(fixtures_dir / "corpus.txt")]
+    assert "variant" not in vars(parse_args([*evaluate, "--variant", "fixed"]))
+    assert main([*evaluate, "--variant", "fixed"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == ["fixed"]
+    assert main([*evaluate, "--variant", "bogus"]) == 1
+    assert "unknown variant bogus" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--alpha", "1.5", "alpha must be in [0, 1]"),
     ("--alpha", "nan", "alpha must be in [0, 1]"),

@@ -182,7 +182,7 @@ _queries = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(hints=_hints, queries=_queries)
 def test_best_match_equals_list_scan_oracle(ontology, hints, queries):
-    # repeated queries on one map also exercise the per-(word, type) ranking
+    # each query scans the map afresh, so a repeated one gives the same hint
     advice = AdviceMap(hints)
     for word, span, onto_type in queries + queries:
         expected = best_match_oracle(hints, word, span, onto_type, ontology)

@@ -238,7 +238,7 @@ def test_chart_indexes_match_filter_over_live_items():
                 assert chart.live_starting_at(position) == [
                     a for a in live if a.span[0] == position
                 ]
-                # the (end|start, category) indexes ChartParser._rhs_matches reads
+                # the (end|start, category) indexes the parse loop reads
                 for category in categories:
                     ending = chart._ending.get((position, category), {})
                     assert list(ending.values()) == [
