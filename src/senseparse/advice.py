@@ -138,7 +138,7 @@ def parse_advice(text: str, source: str = "<string>") -> dict[str, list[SenseDis
         sid, word = tokens[1], tokens[4]
         span = records.span(tokens[2], tokens[3], source, lineno)
         weights: dict[str, float] = {}
-        for pair in records.split_list(tokens[5]):
+        for pair in records.split_list(tokens[5], source, lineno):
             synset, eq, prob_text = pair.rpartition("=")
             if not eq:
                 raise FormatError(f"bad weight '{pair}'", source, lineno)

@@ -2,8 +2,8 @@
 
 Non-fatal events (dropped advice, role-restriction rejections, ambiguous
 subsumption, skipped prehints) are appended here by whichever component
-observes them.  The evaluator writes the event log to the ``--diagnostics``
-path; tests count its events by kind.
+observes them, one ``<kind> <message>`` line each.  The evaluator writes
+the lines to the ``--diagnostics`` path, in the order they were noted.
 """
 
 from dataclasses import dataclass, field
@@ -19,10 +19,6 @@ class Diagnostics:
     def replay(self, other: "Diagnostics") -> None:
         """Note every event of ``other`` here, in its order."""
         self.events.extend(other.events)
-
-    def count(self, kind: str) -> int:
-        prefix = kind + " "
-        return sum(1 for event in self.events if event.startswith(prefix))
 
     def lines(self) -> list[str]:
         return list(self.events)

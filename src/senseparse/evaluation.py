@@ -41,7 +41,7 @@ from .advice import SentenceRecord, build_advice_map
 from .diagnostics import Diagnostics
 from .errors import SenseParseError
 from .hinting import AdviceMap, apply_prehints, fix_senses, prehint, progressive_scorer
-from .lexicon import ENTRY_KEEP, LexicalEntry, Lexicon, load_lexicon
+from .lexicon import LexicalEntry, Lexicon, load_lexicon
 from .ontology import FactorizedOntology, Ontology, factorize, load_ontology
 from .parser import (
     FALLBACK_TYPE, ChartParser, Grammar, ParseResult, ParserConfig, load_grammar
@@ -269,9 +269,7 @@ def prepare_sentence(
     entry_notes, advice_notes = Diagnostics(), Diagnostics()
     entries = tuple(
         tuple(
-            resources.lexicon.candidate_entries(
-                t.lemma, t.pos, resources.graph, ENTRY_KEEP, entry_notes
-            )
+            resources.lexicon.candidate_entries(t.lemma, t.pos, resources.graph, entry_notes)
         )
         for t in sentence.tokens
     )

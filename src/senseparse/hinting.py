@@ -128,13 +128,7 @@ def _advised_entry(
     template = lexicon.template_for_type(onto_type, pos)
     if template is None:
         return None
-    return LexicalEntry(
-        word=word,
-        template=template.name,
-        onto_type=onto_type,
-        score=1.0,
-        provenance="prehint",
-    )
+    return LexicalEntry(word, template.name, onto_type, 1.0)
 
 
 def apply_prehints(

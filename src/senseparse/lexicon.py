@@ -1,17 +1,28 @@
 """Lexical entries pairing syntactic templates with semantic types.
 
 An entry is the (word, template, type) triple the parser seeds its chart
-with; its category is its template's.  Core entries come from the lexicon
-file; additional entries are generated on demand for words reachable
-through the synset graph, so coverage extends well beyond the hand-written
-core.  Entries are scored
-with simple deterministic heuristics and pruned before parsing.
+with, and a score; its category is its template's.  Each score is set once,
+where its entry is made:
+
+- a core entry, read from the lexicon file, scores ``CORE_SCORE``; a
+  ``freq`` on its line pulls that toward itself by ``FREQ_WEIGHT``, to
+  between 0.6 and 0.85;
+- an entry generated on demand for a word reachable through the synset
+  graph, which extends coverage beyond the hand-written core, scores
+  ``GENERATED_SCORE``;
+- an advised sense that hinting injects (:mod:`senseparse.hinting`)
+  scores 1.
+
+A token keeps its ``ENTRY_KEEP`` best candidates, by score, then type, then
+template.  A core entry always outscores a generated one, so where an entry
+came from needs no tie-break of its own, and no two candidates of one word
+share a (type, template) pair, so the order is total.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from . import records
 from .diagnostics import Diagnostics
@@ -19,14 +30,10 @@ from .errors import FormatError, StructuralError
 from .ontology import Ontology
 from .sensemap import SynsetGraph
 
-# Scoring configuration: priors by provenance, and how strongly a
-# file-declared frequency pulls the score toward itself.  Nothing depends
-# on the category: an entry has none apart from its template's.
-PROVENANCE_PRIOR = {"core": 0.8, "generated": 0.5}
+# Entry scores, as the module docstring sets out.
+CORE_SCORE = 0.8
 FREQ_WEIGHT = 0.25
-
-# Tie-break order when pruning: core entries outrank generated entries.
-PROVENANCE_RANK = {"core": 0, "generated": 1}
+GENERATED_SCORE = 0.5
 
 # How many candidate entries each token keeps for parsing.
 ENTRY_KEEP = 4
@@ -45,9 +52,7 @@ class LexicalEntry(NamedTuple):
     word: str
     template: str
     onto_type: str
-    score: float = 0.0
-    provenance: str = "core"
-    freq: float | None = None
+    score: float
 
     def key(self) -> tuple[str, str, str]:
         return (self.word, self.template, self.onto_type)
@@ -98,8 +103,7 @@ class Lexicon:
                     f"duplicate entry {entry.word}/{entry.template}/{entry.onto_type}"
                 )
             seen.add(entry.key())
-            scored = entry._replace(score=self.score_entry(entry))
-            self._entries.setdefault(entry.word, []).append(scored)
+            self._entries.setdefault(entry.word, []).append(entry)
             donors.setdefault(entry.onto_type, set()).add(entry.template)
 
         # Donor template names per core entry type, in name order, and the
@@ -124,8 +128,6 @@ class Lexicon:
             raise StructuralError(
                 f"template {tpl.name} names roles absent from {entry.onto_type}"
             )
-        if entry.freq is not None and not 0.0 <= entry.freq <= 1.0:
-            raise StructuralError(f"entry {entry.word} freq out of range")
 
     def template_fits(self, template: SyntacticTemplate, onto_type: str) -> bool:
         """True when every role the template names exists on the type."""
@@ -141,20 +143,6 @@ class Lexicon:
             if compatible(self.templates[entry.template].category, pos):
                 out.append(entry)
         return out
-
-    def words(self) -> list[str]:
-        return sorted(self._entries)
-
-    def score_entry(self, entry: LexicalEntry) -> float:
-        """Deterministic heuristic score in [0, 1].
-
-        The provenance prior, blended with the file-declared frequency when
-        one exists.
-        """
-        score = PROVENANCE_PRIOR[entry.provenance]
-        if entry.freq is not None:
-            score = (1.0 - FREQ_WEIGHT) * score + FREQ_WEIGHT * entry.freq
-        return score
 
     def template_for_type(
         self, onto_type: str, pos: str | None
@@ -202,8 +190,8 @@ class Lexicon:
         """Candidate entries for ``word`` reached through the synset graph.
 
         Each synset containing the word that subsumes to a type yields one
-        entry, unless a core entry already pairs the same template with the
-        same type.  Pure in all inputs.
+        entry, scored ``GENERATED_SCORE``, unless a core entry already pairs
+        the same template with the same type.  Pure in all inputs.
         """
         mapping = self._ontology.synset_mapping
         out: list[LexicalEntry] = []
@@ -223,13 +211,7 @@ class Lexicon:
             if (tpl.name, onto_type) in core_keys or (tpl.name, onto_type) in emitted:
                 continue
             emitted.add((tpl.name, onto_type))
-            entry = LexicalEntry(
-                word=word,
-                template=tpl.name,
-                onto_type=onto_type,
-                provenance="generated",
-            )
-            out.append(entry._replace(score=self.score_entry(entry)))
+            out.append(LexicalEntry(word, tpl.name, onto_type, GENERATED_SCORE))
         return out
 
     def candidate_entries(
@@ -237,30 +219,15 @@ class Lexicon:
         word: str,
         pos: str | None,
         graph: SynsetGraph,
-        keep: int,
         diagnostics: Diagnostics | None = None,
     ) -> list[LexicalEntry]:
-        """Looked-up plus generated entries, pruned to the ``keep`` best."""
+        """Looked-up plus generated entries: the ``ENTRY_KEEP`` best by
+        score, then type, then template."""
         merged = self.lookup(word, pos) + self.generate_entries(
             word, pos, graph, diagnostics
         )
-        return prune_entries(merged, keep)
-
-
-def prune_entries(entries: Sequence[LexicalEntry], keep: int) -> list[LexicalEntry]:
-    """Top-``keep`` entries by score.
-
-    Ties break by provenance rank (core, generated) and then lexicographic
-    type.
-    """
-    if keep < 1:
-        raise ValueError("keep must be >= 1")
-
-    def sort_key(item: tuple[int, LexicalEntry]):
-        index, e = item
-        return (-e.score, PROVENANCE_RANK[e.provenance], e.onto_type, e.template, index)
-
-    return [e for _, e in sorted(enumerate(entries), key=sort_key)[:keep]]
+        merged.sort(key=lambda e: (-e.score, e.onto_type, e.template))
+        return merged[:ENTRY_KEEP]
 
 
 # -- file format --------------------------------------------------------------
@@ -318,7 +285,7 @@ def _parse_template(tokens: list[str], source: str, lineno: int) -> SyntacticTem
     if "cat" not in fields:
         raise FormatError(f"template {name} missing cat", source, lineno)
     roles: list[str] = []
-    for item in records.split_list(fields.get("slots", "-")):
+    for item in records.split_list(fields.get("slots", "-"), source, lineno):
         parts = item.split(":")
         if len(parts) != 2 or "" in parts:
             raise FormatError(f"bad slot '{item}' in template {name}", source, lineno)
@@ -334,14 +301,13 @@ def _parse_entry(tokens: list[str], source: str, lineno: int) -> tuple[LexicalEn
     for required in ("cat", "template", "type"):
         if required not in fields:
             raise FormatError(f"entry {word} missing {required}", source, lineno)
-    freq: float | None = None
+    score = CORE_SCORE
     if "freq" in fields:
         freq = records.finite(fields["freq"], "freq", source, lineno)
-    entry = LexicalEntry(
-        word=word,
-        template=fields["template"],
-        onto_type=fields["type"],
-        provenance="core",
-        freq=freq,
-    )
+        if not 0.0 <= freq <= 1.0:
+            raise FormatError(
+                f"freq '{fields['freq']}' of entry {word} not in [0, 1]", source, lineno
+            )
+        score = (1.0 - FREQ_WEIGHT) * score + FREQ_WEIGHT * freq
+    entry = LexicalEntry(word, fields["template"], fields["type"], score)
     return entry, fields["cat"]

@@ -126,9 +126,6 @@ class Ontology:
     def __iter__(self) -> Iterator[str]:
         return iter(self._types)
 
-    def __len__(self) -> int:
-        return len(self._types)
-
     def get(self, name: str) -> OntologyType:
         self._check(name)
         return self._types[name]
@@ -267,19 +264,19 @@ def _parse_type_block(tokens: list[str], source: str, lineno: int) -> OntologyTy
     parent = None if sections["parent"] == "-" else sections["parent"]
     _check_features(sections.get("features", "-"), name, source, lineno)
     roles = _parse_roles(sections.get("roles", "-"), name, source, lineno)
-    synsets = records.split_list(sections.get("synsets", "-"))
+    synsets = records.split_list(sections.get("synsets", "-"), source, lineno)
     return OntologyType(name, parent, roles, frozenset(synsets))
 
 
 def _check_features(value: str, name: str, source: str, lineno: int) -> None:
-    for item in records.split_list(value):
+    for item in records.split_list(value, source, lineno):
         if "=" not in item:
             raise FormatError(f"bad feature '{item}' for type {name}", source, lineno)
 
 
 def _parse_roles(value: str, name: str, source: str, lineno: int) -> tuple[RoleSpec, ...]:
     roles: list[RoleSpec] = []
-    for item in records.split_list(value):
+    for item in records.split_list(value, source, lineno):
         parts = item.split(":")
         if len(parts) == 2:
             roles.append(RoleSpec(parts[0], parts[1]))

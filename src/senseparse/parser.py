@@ -604,7 +604,7 @@ def parse_grammar(text: str, source: str = "<string>") -> Grammar:
         head = records.integer(fields["head"], "head", source, lineno)
         weight = records.finite(fields["weight"], "weight", source, lineno)
         links: list[tuple[int, str]] = []
-        for item in records.split_list(fields.get("link", "-")):
+        for item in records.split_list(fields.get("link", "-"), source, lineno):
             daughter, _, role = item.partition(":")
             if not role:
                 raise FormatError(f"bad link '{item}' in rule {lhs}", source, lineno)

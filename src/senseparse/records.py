@@ -4,10 +4,10 @@ The ontology, synset, lexicon, grammar, corpus and advice files are all
 line-oriented: ``#`` starts a comment line, blank lines are skipped (the
 ontology uses them to separate multi-line blocks), a record is a run of
 whitespace-separated tokens, optional fields are ``key value`` pairs, and
-a list value is comma-separated with ``-`` for the empty list.  Every
-malformed record raises :class:`FormatError` naming ``file:line`` and the
-offending token.  The format modules keep only what is particular to
-their own records.
+a list value is comma-separated, with ``-`` for the empty list and no
+empty item.  Every malformed record raises :class:`FormatError` naming
+``file:line`` and the offending token.  The format modules keep only what
+is particular to their own records.
 
 Record types built once per input line, token or parse follow one rule:
 
@@ -102,12 +102,15 @@ def fields(
     return out
 
 
-def split_list(value: str) -> list[str]:
-    """The non-empty items of a comma-separated list; ``-`` is the empty list."""
+def split_list(value: str, source: str, lineno: int) -> list[str]:
+    """The items of a comma-separated list; ``-`` is the empty list.  An
+    empty item, as in ``a,,b``, ``a,`` or ``,a``, is malformed."""
     if value == "-":
         return []
     items = value.split(",")
-    return [v for v in items if v] if "" in items else items
+    if "" in items:
+        raise FormatError(f"empty item in list '{value}'", source, lineno)
+    return items
 
 
 def integer(text: str, what: str, source: str, lineno: int) -> int:

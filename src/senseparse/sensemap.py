@@ -79,9 +79,6 @@ class SynsetGraph:
     def __iter__(self) -> Iterator[str]:
         return iter(self._synsets)
 
-    def __len__(self) -> int:
-        return len(self._synsets)
-
     def get(self, synset_id: str) -> Synset:
         self._check(synset_id)
         return self._synsets[synset_id]
@@ -197,8 +194,8 @@ def parse_synsets(text: str, source: str = "<string>") -> SynsetGraph:
             raise FormatError(f"expected 'synset <id> ...', got '{tokens[0]}'", source, lineno)
         sid = tokens[1]
         sections = records.fields(tokens, 2, ("lemmas", "hypernyms"), source, lineno)
-        lemmas = records.split_list(sections.get("lemmas", "-"))
-        hypernyms = records.split_list(sections.get("hypernyms", "-"))
+        lemmas = records.split_list(sections.get("lemmas", "-"), source, lineno)
+        hypernyms = records.split_list(sections.get("hypernyms", "-"), source, lineno)
         synsets.append(Synset(sid, frozenset(lemmas), frozenset(hypernyms)))
     return records.build(SynsetGraph, source, synsets)
 

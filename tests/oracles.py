@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from random import Random
 from statistics import fmean
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from senseparse.lexicon import LexicalEntry, Lexicon, SyntacticTemplate
 from senseparse.ontology import Ontology, OntologyType, RoleSpec
@@ -89,9 +89,13 @@ def _fits(ontology: Ontology, template: SyntacticTemplate, onto_type: str) -> bo
 
 
 def template_for_type_oracle(
-    lexicon: Lexicon, ontology: Ontology, onto_type: str, pos: str | None
+    lexicon: Lexicon,
+    entries: Sequence[LexicalEntry],
+    ontology: Ontology,
+    onto_type: str,
+    pos: str | None,
 ) -> SyntacticTemplate | None:
-    """Scan every core entry of every word for a donor template.
+    """Scan ``entries``, the lexicon's core entries, for a donor template.
 
     A donor is an entry whose type is an ancestor-or-self of ``onto_type``
     and whose template matches ``pos`` and fits the type; the deepest donor
@@ -100,18 +104,17 @@ def template_for_type_oracle(
     None) that fits the type.
     """
     best: tuple[int, str] | None = None
-    for word in lexicon.words():
-        for entry in lexicon.lookup(word):
-            tpl = lexicon.templates[entry.template]
-            if pos is not None and tpl.category != pos:
-                continue
-            if not is_a(ontology, onto_type, entry.onto_type):
-                continue
-            if not _fits(ontology, tpl, onto_type):
-                continue
-            candidate = (-ontology.depth(entry.onto_type), tpl.name)
-            if best is None or candidate < best:
-                best = candidate
+    for entry in entries:
+        tpl = lexicon.templates[entry.template]
+        if pos is not None and tpl.category != pos:
+            continue
+        if not is_a(ontology, onto_type, entry.onto_type):
+            continue
+        if not _fits(ontology, tpl, onto_type):
+            continue
+        candidate = (-ontology.depth(entry.onto_type), tpl.name)
+        if best is None or candidate < best:
+            best = candidate
     if best is not None:
         return lexicon.templates[best[1]]
     for category in [pos] if pos is not None else sorted(lexicon.defaults):
@@ -483,11 +486,11 @@ def random_synset_graph(
     return SynsetGraph(synsets), mapping
 
 
-def random_lexicon(rng: Random, ontology: Ontology) -> Lexicon:
+def random_lexicon(rng: Random, ontology: Ontology) -> tuple[Lexicon, list[LexicalEntry]]:
     """Random N, V and ADJ templates (with role slots from
     ``random_ontology``'s role names), a default template for some
     categories, and core entries on a random subset of types; every entry's
-    template fits its type."""
+    template fits its type.  Returns the lexicon and its core entries."""
     categories = ("N", "V", "ADJ")
     types = sorted(ontology)
     templates = []
@@ -504,14 +507,14 @@ def random_lexicon(rng: Random, ontology: Ontology) -> Lexicon:
         tpl = rng.choice(templates)
         onto_type = rng.choice(types)
         if _fits(ontology, tpl, onto_type):
-            entry = LexicalEntry(f"w{k % 7}", tpl.name, onto_type)
+            entry = LexicalEntry(f"w{k % 7}", tpl.name, onto_type, 0.8)
             entries.setdefault(entry.key(), entry)
-    return Lexicon(templates, entries.values(), defaults, ontology)
+    return Lexicon(templates, entries.values(), defaults, ontology), list(entries.values())
 
 
 def entries_to_seeds(entries: list[tuple[str, str, str, float]]) -> list[LexicalEntry]:
     """(word, template, type, score) shorthand for hand-built entry lists."""
     return [
-        LexicalEntry(word, template, onto_type, score, "core")
+        LexicalEntry(word, template, onto_type, score)
         for word, template, onto_type, score in entries
     ]

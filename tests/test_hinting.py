@@ -237,7 +237,6 @@ def test_prehint_emits_score_one_entry(resources):
     assert list(additions) == [3]
     [entry] = additions[3]
     assert entry.score == 1.0
-    assert entry.provenance == "prehint"
     assert entry.onto_type == "musical-instrument"
 
 
@@ -286,7 +285,7 @@ def test_prehint_empty_advice_no_entries(resources):
 
 def test_apply_prehints_never_shrinks_and_replaces_duplicates(resources):
     base = [
-        resources.lexicon.candidate_entries(t.lemma, t.pos, resources.graph, 4)
+        resources.lexicon.candidate_entries(t.lemma, t.pos, resources.graph)
         for t in TOKENS
     ]
     advice = AdviceMap([Hint("bass", 3, "electric-bass", 1.0)])
@@ -296,7 +295,6 @@ def test_apply_prehints_never_shrinks_and_replaces_duplicates(resources):
         assert len(after) >= len(before)
     fixed_bass = [e for e in merged[3] if e.onto_type == "electric-bass"]
     assert len(fixed_bass) == 1  # the duplicate core entry was replaced, not doubled
-    assert fixed_bass[0].provenance == "prehint"
     assert fixed_bass[0].score == 1.0
 
 
@@ -305,23 +303,24 @@ def test_apply_prehints_never_shrinks_and_replaces_duplicates(resources):
 
 def base_entries(resources):
     return [
-        resources.lexicon.candidate_entries(t.lemma, t.pos, resources.graph, 4)
+        resources.lexicon.candidate_entries(t.lemma, t.pos, resources.graph)
         for t in TOKENS
     ]
 
 
 def test_fix_senses_filters_to_advised_type(resources):
     advice = AdviceMap([Hint("bass", 3, "electric-bass", 1.0)])
-    fixed = fix_senses(advice, base_entries(resources), resources.lexicon, TOKENS)
-    assert {e.onto_type for e in fixed[3]} == {"electric-bass"}
-    assert fixed[3][0].provenance == "core"  # surviving entry is the core one
+    base = base_entries(resources)
+    fixed = fix_senses(advice, base, resources.lexicon, TOKENS)
+    # the surviving entry is the core one, not a synthesized score-1 entry
+    assert fixed[3] == [e for e in base[3] if e.onto_type == "electric-bass"]
+    assert fixed[3][0].score < 1.0
 
 
 def test_fix_senses_synthesizes_when_nothing_survives(resources):
     advice = AdviceMap([Hint("bass", 3, "drum", 1.0)])
     fixed = fix_senses(advice, base_entries(resources), resources.lexicon, TOKENS)
     assert {e.onto_type for e in fixed[3]} == {"drum"}
-    assert fixed[3][0].provenance == "prehint"
     assert fixed[3][0].score == 1.0
 
 

@@ -5,11 +5,7 @@ import pytest
 from oracles import random_lexicon, random_ontology, template_for_type_oracle
 from senseparse.diagnostics import Diagnostics
 from senseparse.errors import FormatError, StructuralError
-from senseparse.lexicon import (
-    LexicalEntry,
-    parse_lexicon,
-    prune_entries,
-)
+from senseparse.lexicon import ENTRY_KEEP, parse_lexicon
 from senseparse.ontology import parse_ontology
 from senseparse.sensemap import parse_synsets
 
@@ -99,22 +95,22 @@ def test_lookup_filters_incompatible_pos(mini):
 
 def test_core_score_compatible_no_freq(mini):
     _, lex, _ = mini
-    entry = LexicalEntry("w", "tv", "cook-type", provenance="core")
-    assert lex.score_entry(entry) == pytest.approx(0.8)
+    [entry] = lex.lookup("cook", "V")
+    assert entry.score == 0.8
 
 
 def test_generated_score_compatible(mini):
-    _, lex, _ = mini
-    entry = LexicalEntry("w", "n", "freshwater-fish", provenance="generated")
-    assert lex.score_entry(entry) == pytest.approx(0.5)
+    _, lex, graph = mini
+    [entry] = lex.generate_entries("trout", "N", graph)
+    assert entry.score == 0.5
 
 
 def test_freq_pulls_score(mini):
     _, lex, _ = mini
-    high = next(e for e in lex.lookup("bass", "N") if e.freq == 0.9)
-    low = next(e for e in lex.lookup("bass", "N") if e.freq == 0.1)
-    assert high.score > 0.8 > low.score
-    assert high.score == pytest.approx(0.75 * 0.8 + 0.25 * 0.9)
+    scores = {e.onto_type: e.score for e in lex.lookup("bass", "N")}
+    high, low = scores["freshwater-fish"], scores["musical-instrument"]  # freq 0.9, 0.1
+    assert high > 0.8 > low
+    assert high == 0.75 * 0.8 + 0.25 * 0.9
 
 
 def test_freq_bounds_are_inclusive(mini):
@@ -139,9 +135,7 @@ def test_generate_entries_for_unlisted_word(mini):
     _, lex, graph = mini
     entries = lex.generate_entries("trout", "N", graph)
     assert [e.onto_type for e in entries] == ["freshwater-fish"]
-    assert entries[0].provenance == "generated"
     assert entries[0].template == "n"
-    assert entries[0].score == pytest.approx(0.5)
 
 
 def test_generate_suppresses_core_duplicates(mini):
@@ -187,37 +181,55 @@ def test_generated_entry_roles_exist_on_type(mini, resources):
 # -- pruning ---------------------------------------------------------------------
 
 
-def entry(word, onto_type, score, provenance="core"):
-    return LexicalEntry(word, "n", onto_type, score, provenance)
+def candidates(mini, *entry_lines, word="w"):
+    """``candidate_entries`` of ``word`` (pos N) in a lexicon of two slotless
+    N templates, ``n`` and ``n2``, and the given entry lines."""
+    ont, _, graph = mini
+    text = "template n cat N slots -\ntemplate n2 cat N slots -\n"
+    lex = parse_lexicon(text + "".join(f"entry {line}\n" for line in entry_lines), ont)
+    return lex.candidate_entries(word, "N", graph)
 
 
-def test_prune_keeps_top_k():
-    entries = [entry("w", f"t{i}", s) for i, s in enumerate([0.9, 0.2, 0.7, 0.4, 0.6])]
-    kept = prune_entries(entries, 3)
-    assert [e.score for e in kept] == [0.9, 0.7, 0.6]
+def test_prune_keeps_top_k(mini):
+    types = ("root", "animate", "action", "phys-obj", "referential-sem", "cook-type")
+    freqs = (0.9, 0.2, 0.7, 0.4, 0.6, 0.1)
+    kept = candidates(
+        mini, *(f"w cat N template n type {t} freq {f}" for t, f in zip(types, freqs))
+    )
+    assert len(kept) == ENTRY_KEEP == 4
+    assert [e.onto_type for e in kept] == ["root", "action", "referential-sem", "phys-obj"]
 
 
-def test_prune_underfull_keeps_all():
-    entries = [entry("w", "t1", 0.3), entry("w", "t2", 0.6)]
-    assert len(prune_entries(entries, 3)) == 2
-
-
-def test_prune_tie_break_by_provenance_then_type():
-    entries = [
-        entry("w", "zzz", 0.5, "generated"),
-        entry("w", "aaa", 0.5, "core"),
-        entry("w", "bbb", 0.5, "core"),
+def test_prune_underfull_keeps_all(mini):
+    kept = candidates(
+        mini, "w cat N template n type root freq 0.3", "w cat N template n type animate"
+    )
+    assert [(e.onto_type, e.score) for e in kept] == [
+        ("animate", 0.8), ("root", 0.75 * 0.8 + 0.25 * 0.3),
     ]
-    kept = prune_entries(entries, 2)
-    assert [e.onto_type for e in kept] == ["aaa", "bbb"]
-    # provenance before type, down to a single survivor
-    kept = prune_entries([entry("w", "aaa", 0.5, "generated"), entry("w", "zzz", 0.5)], 1)
-    assert [e.onto_type for e in kept] == ["zzz"]
 
 
-def test_prune_rejects_bad_keep():
-    with pytest.raises(ValueError):
-        prune_entries([], 0)
+def test_prune_tie_break_by_type_then_template(mini):
+    kept = candidates(
+        mini,
+        "w cat N template n2 type root",
+        "w cat N template n type root",
+        "w cat N template n2 type animate",
+    )
+    assert [(e.onto_type, e.template) for e in kept] == [
+        ("animate", "n2"), ("root", "n"), ("root", "n2"),
+    ]
+
+
+@pytest.mark.parametrize("freq", [0.0, 1.0])
+def test_core_entry_outscores_a_generated_one_at_any_freq(mini, freq):
+    # trout's synset maps to freshwater-fish, which sorts before root: only
+    # the score puts the core entry first
+    [core, generated] = candidates(
+        mini, f"trout cat N template n type root freq {freq}", word="trout"
+    )
+    assert (core.onto_type, generated.onto_type) == ("root", "freshwater-fish")
+    assert core.score > generated.score
 
 
 # -- file validation ----------------------------------------------------------------
@@ -278,12 +290,12 @@ def test_template_for_type_matches_scan_oracle():
     for seed in range(60):
         rng = Random(seed)
         ontology = random_ontology(rng, rng.randrange(3, 30))
-        lexicon = random_lexicon(rng, ontology)
-        donor_types = {e.onto_type for w in lexicon.words() for e in lexicon.lookup(w)}
+        lexicon, entries = random_lexicon(rng, ontology)
+        donor_types = {e.onto_type for e in entries}
         for onto_type in ontology:
             has_donor = bool(donor_types.intersection(ontology.ancestors(onto_type)))
             for pos in (None, "N", "V", "ADJ", "P"):
-                expected = template_for_type_oracle(lexicon, ontology, onto_type, pos)
+                expected = template_for_type_oracle(lexicon, entries, ontology, onto_type, pos)
                 assert lexicon.template_for_type(onto_type, pos) == expected
                 # the memoised answer repeats
                 assert lexicon.template_for_type(onto_type, pos) == expected

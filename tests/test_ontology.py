@@ -29,7 +29,7 @@ def test_load_minimal_four_type_file():
         "type fish parent phys-obj\n\n"
         "type instrument parent phys-obj\n"
     )
-    assert len(ont) == 4
+    assert list(ont) == ["root", "phys-obj", "fish", "instrument"]
     assert ont.depth("fish") == 3
     assert ont.root == "root"
 

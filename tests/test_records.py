@@ -86,6 +86,15 @@ MALFORMED = [
     ("lexicon", "template t cat V slots subj:agent:x\n", 1, "subj:agent:x"),
     ("lexicon", "template t cat V slots subj:\n", 1, "subj:"),
     ("corpus", "sentence s00\nsentence s01\ntok 0 0 1 i i PRO\n", 1, "s00"),
+    ("lexicon", "template n cat N slots -\nentry w cat N template n type root freq 1.5\n", 2, "1.5"),
+    # an empty list item, in each format that reads lists
+    ("ontology", "type root parent - synsets a.n,,b.n\n", 1, "a.n,,b.n"),
+    ("synsets", "synset a.n lemmas a, hypernyms -\n", 1, "a,"),
+    ("lexicon", "template tv cat V slots ,subj:agent\n", 1, ",subj:agent"),
+    ("grammar", "rule S -> NP VP head 1 weight 1 link 0:agent,\n", 1, "0:agent,"),
+    ("advice", "advice s 0 4 w a.n=0.5,,b.n=0.5\n", 1, "a.n=0.5,,b.n=0.5"),
+    ("ontology", "typo animal parent -\n", 1, "typo"),
+    ("ontology", "type\n", 1, "got 'type'"),
 ]
 
 
@@ -168,8 +177,6 @@ STRUCTURAL = [
      "duplicate synset a.n"),
     ("lexicon", "template n cat N slots -\ntemplate n cat N slots -\n", "duplicate template n"),
     ("lexicon", "default-template N n\n", "default template n not declared"),
-    ("lexicon", "template n cat N slots -\nentry w cat N template n type root freq 1.5\n",
-     "freq out of range"),
 ]
 
 
@@ -192,11 +199,7 @@ NAMED_TUPLES = [
     (RoleSpec, ("name", "restriction", "required"), {"required": False}),
     (FactorizedOntology, ("factor_of", "factors"), {}),
     (SyntacticTemplate, ("name", "category", "roles"), {"roles": ()}),
-    (
-        LexicalEntry,
-        ("word", "template", "onto_type", "score", "provenance", "freq"),
-        {"score": 0.0, "provenance": "core", "freq": None},
-    ),
+    (LexicalEntry, ("word", "template", "onto_type", "score"), {}),
     (Hint, ("word", "token", "onto_type", "score"), {}),
     (LFNode, ("id", "start", "end", "word", "onto_type"), {}),
     (LogicalForm, ("nodes", "edges"), {}),

@@ -37,7 +37,7 @@ def test_parse_synsets_roundtrip():
         "synset b.n lemmas dog hypernyms a.n\n"
         "synset c.n\n"
     )
-    assert len(graph) == 3
+    assert sorted(graph) == ["a.n", "b.n", "c.n"]
     assert {s.id for s in graph.synsets_for_lemma("cat")} == {"a.n"}
     assert graph.get("b.n").hypernyms == {"a.n"}
     assert graph.get("c.n") == Synset("c.n")
@@ -56,7 +56,7 @@ def test_acyclic_check_walks_shared_hypernyms_once():
     records = [
         (s, [*levels[i + 1]] if i < 29 else []) for i in range(29, -1, -1) for s in levels[i]
     ]
-    assert len(graph_of(*records)) == 60
+    assert sorted(graph_of(*records)) == sorted(s for level in levels for s in level)
 
 
 def test_missing_hypernym_rejected():
@@ -98,7 +98,7 @@ def test_diamond_tie_breaks_lexicographically_and_notes_ambiguity():
     diag = Diagnostics()
     got = DIAMOND.assign_type("s1", {"s2": "Tb", "s2x": "Ta"}, diag)
     assert got == "Ta"
-    assert diag.count("ambiguous-subsumption") == 1
+    assert diag.lines() == ["ambiguous-subsumption s1 candidates Ta,Tb"]
 
 
 def test_nearer_mapping_wins_over_shorter_name():

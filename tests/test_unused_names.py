@@ -17,8 +17,6 @@ PACKAGE = ROOT / "src" / "senseparse"
 # definitions that only a caller outside the package uses, and why
 EXEMPT = {
     "cli._CliParser.error": "argparse calls it on a usage error",
-    "diagnostics.Diagnostics.count": "tests count events by kind, as the module says",
-    "lexicon.Lexicon.words": "the template oracle lists every core entry with it",
 }
 
 

@@ -5,7 +5,8 @@ Stdlib only.  Run from the repository root:
     python tests/tools/mutants.py [--jobs 1|2] [--list] [module ...]
 
 The modules (names under ``src/senseparse/``) default to ``parser``,
-``hinting``, ``evaluation``, ``advice``, ``lexicon`` and ``sensemap``.
+``hinting``, ``evaluation``, ``advice``, ``lexicon``, ``sensemap``, and the
+readers' shared ``records`` and ``ontology``.
 Each mutant changes one expression, in one of these ways:
 
 - a comparison swapped: ``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
@@ -51,7 +52,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "senseparse"
 NOT_COPIED = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-work")
-DEFAULT_MODULES = ("parser", "hinting", "evaluation", "advice", "lexicon", "sensemap")
+DEFAULT_MODULES = (
+    "parser", "hinting", "evaluation", "advice", "lexicon", "sensemap", "records", "ontology",
+)
 TIMEOUT_S = 60  # tier-1 takes under 10 s
 MEMORY_BYTES = 1024**3
 
@@ -74,8 +77,8 @@ EQUIVALENT: dict[tuple[str, str, str, str], str] = {
         "parser.py", "Chart.prune_cell",
         "len(cell) <= self.beam_width", "(len(cell) < self.beam_width)",
     ): "an exactly full cell then goes on to cut an empty tail, which changes nothing",
-    ("lexicon.py", "", "1", "(2)"): (
-        "PROVENANCE_RANK only orders core before generated, and 0 < 2 as 0 < 1"
+    ("records.py", "fields", "len(tokens) - start", "(len(tokens) + start)"): (
+        "only the parity is read, and a + b and a - b always have the same parity"
     ),
     ("sensemap.py", "SynsetGraph._check_acyclic", "2", "(3)"): (
         "BLACK need only differ from WHITE and GREY"
