@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import records
-from .diagnostics import Diagnostics
+from .diagnostics import DISCARD, Diagnostics
 from .errors import FormatError
 from .hinting import AdviceMap, Hint
 from .ontology import Ontology
@@ -167,7 +167,7 @@ def build_advice_map(
     parser_tokens: Sequence[Token],
     graph: SynsetGraph,
     ontology: Ontology,
-    diagnostics: Diagnostics | None = None,
+    diagnostics: Diagnostics = DISCARD,
     sentence_id: str = "",
 ) -> tuple[AdviceMap, int]:
     """Turn raw advice for one sentence into an advice map of hints.
@@ -184,7 +184,6 @@ def build_advice_map(
 
     hints: list[Hint] = []
     dropped = 0
-    prefix = f"{sentence_id} " if sentence_id else ""
     for k, record in enumerate(records):
         parser_index = wsd_to_parser.get(k)
         best: set[tuple[str, float]] = set()
@@ -193,11 +192,10 @@ def build_advice_map(
             best = best_types(scored)
         if not best:
             dropped += 1
-            if diagnostics is not None:
-                reason = "no token" if parser_index is None else "no type"
-                diagnostics.note(
-                    "dropped-advice", f"{prefix}{record.word} {record.span}: {reason}"
-                )
+            reason = "no token" if parser_index is None else "no type"
+            diagnostics.note(
+                "dropped-advice", f"{record.word} {record.span}: {reason}", sentence_id
+            )
             continue
         for onto_type, score in sorted(best):
             hints.append(Hint(parser_tokens[parser_index].lemma, parser_index, onto_type, score))

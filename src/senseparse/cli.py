@@ -178,10 +178,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     _emit(report.to_tsv(), args.output)
     if args.diagnostics:
-        with open(args.diagnostics, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(diagnostics.lines()))
-            if diagnostics.lines():
-                handle.write("\n")
+        _emit("".join(f"{line}\n" for line in diagnostics.lines()), args.diagnostics)
     return 0
 
 

@@ -28,7 +28,13 @@ class StructuralError(SenseParseError):
 
     Examples: multiple roots or a parent cycle in the type hierarchy, a
     role restriction naming a missing type, a synset mapped to two types.
+    When one record is at fault, ``index`` is its position among the
+    records the constructor was handed.
     """
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class UnknownName(SenseParseError, KeyError):

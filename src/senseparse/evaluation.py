@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .advice import SentenceRecord, build_advice_map
-from .diagnostics import Diagnostics
+from .diagnostics import DISCARD, Diagnostics
 from .errors import SenseParseError
 from .hinting import AdviceMap, apply_prehints, fix_senses, prehint, progressive_scorer
 from .lexicon import LexicalEntry, Lexicon, load_lexicon
@@ -285,7 +285,7 @@ def parse_sentence_with_variant(
     sentence: SentenceRecord,
     advice_records: Sequence[SenseDistribution],
     config: VariantConfig,
-    diagnostics: Diagnostics | None = None,
+    diagnostics: Diagnostics = DISCARD,
 ) -> tuple[ParseResult, int]:
     """Parse one sentence under a variant; returns (result, dropped advice)."""
     results, dropped = run_variant(
@@ -299,7 +299,7 @@ def run_variant(
     corpus: Sequence[SentenceRecord],
     advice_by_sentence: Mapping[str, Sequence[SenseDistribution]],
     config: VariantConfig,
-    diagnostics: Diagnostics | None = None,
+    diagnostics: Diagnostics = DISCARD,
     prepared: Sequence[PreparedSentence] | None = None,
 ) -> tuple[dict[str, ParseResult], int]:
     """Parse the corpus under one variant; returns the results by sentence
@@ -325,10 +325,9 @@ def run_variant(
     results: dict[str, ParseResult] = {}
     dropped = 0
     for sentence in prepared:
-        if diagnostics is not None:
-            diagnostics.replay(sentence.entry_notes)
-            if uses_advice:
-                diagnostics.replay(sentence.advice_notes)
+        diagnostics.replay(sentence.entry_notes)
+        if uses_advice:
+            diagnostics.replay(sentence.advice_notes)
         tokens = sentence.sentence.tokens
         entries: Sequence[Sequence[LexicalEntry]] = sentence.entries
         advice_map = sentence.advice_map
@@ -354,7 +353,7 @@ def run_experiment(
     corpus: Sequence[SentenceRecord],
     advice_by_sentence: Mapping[str, Sequence[SenseDistribution]],
     variants: Sequence[VariantConfig],
-    diagnostics: Diagnostics | None = None,
+    diagnostics: Diagnostics = DISCARD,
     corpus_source: str = "",
     advice_source: str = "",
 ) -> ScoreReport:
@@ -377,8 +376,7 @@ def run_experiment(
         results, dropped = run_variant(
             resources, corpus, advice_by_sentence, config, diagnostics, prepared
         )
-        if diagnostics is not None:
-            diagnostics.replay(gold_notes)
+        diagnostics.replay(gold_notes)
         metrics = score_run(results, instances, resources.ontology, factorized)
         rows.append(VariantRow(config.variant, **metrics, dropped_advice=dropped))
     return ScoreReport(tuple(rows))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .diagnostics import Diagnostics
+from .diagnostics import DISCARD, Diagnostics
 from .lexicon import LexicalEntry, Lexicon
 from .ontology import Ontology
 from .parser import Scorer, Span, Token
@@ -97,7 +97,7 @@ def prehint(
     advice: AdviceMap,
     lexicon: Lexicon,
     tokens: Sequence[Token],
-    diagnostics: Diagnostics | None = None,
+    diagnostics: Diagnostics = DISCARD,
 ) -> dict[int, list[LexicalEntry]]:
     """Score-1 entries to inject for each advised sense, keyed by token.
 
@@ -110,11 +110,9 @@ def prehint(
     for hint in sorted(advice.hints, key=lambda h: (h.token, h.onto_type)):
         entry = _advised_entry(lexicon, hint.word, tokens[hint.token].pos, hint.onto_type)
         if entry is None:
-            if diagnostics is not None:
-                diagnostics.note(
-                    "skipped-prehint",
-                    f"{hint.word} {hint.onto_type}: no compatible template",
-                )
+            diagnostics.note(
+                "skipped-prehint", f"{hint.word} {hint.onto_type}: no compatible template"
+            )
             continue
         additions.setdefault(hint.token, []).append(entry)
     return additions
@@ -159,7 +157,7 @@ def fix_senses(
     entries: Sequence[Sequence[LexicalEntry]],
     lexicon: Lexicon,
     tokens: Sequence[Token],
-    diagnostics: Diagnostics | None = None,
+    diagnostics: Diagnostics = DISCARD,
 ) -> list[list[LexicalEntry]]:
     """Force each advised token to its advised senses.
 
@@ -184,17 +182,13 @@ def fix_senses(
             for onto_type in sorted(types):
                 entry = _advised_entry(lexicon, token.lemma, token.pos, onto_type)
                 if entry is None:
-                    if diagnostics is not None:
-                        diagnostics.note(
-                            "forced-entry-failed", f"{token.lemma} {onto_type}: no template"
-                        )
+                    diagnostics.note(
+                        "forced-entry-failed", f"{token.lemma} {onto_type}: no template"
+                    )
                     continue
                 kept.append(entry)
         if not kept:
-            if diagnostics is not None:
-                diagnostics.note(
-                    "forcing-skipped", f"token {index} kept original entries"
-                )
+            diagnostics.note("forcing-skipped", f"token {index} kept original entries")
             kept = list(bucket)
         out.append(kept)
     return out

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from . import records
-from .diagnostics import Diagnostics
+from .diagnostics import DISCARD, Diagnostics
 from .errors import FormatError, StructuralError
 from .ontology import Ontology
 from .sensemap import SynsetGraph
@@ -96,12 +96,21 @@ class Lexicon:
         self._entries: dict[str, list[LexicalEntry]] = {}
         donors: dict[str, set[str]] = {}
         seen: set[tuple[str, str, str]] = set()
-        for entry in entries:
-            self._validate_entry(entry)
-            if entry.key() in seen:
-                raise StructuralError(
-                    f"duplicate entry {entry.word}/{entry.template}/{entry.onto_type}"
-                )
+        for index, entry in enumerate(entries):
+            # each check names the entry at fault by its position
+            tpl = self.templates.get(entry.template)
+            if tpl is None:
+                problem = f"entry {entry.word} references missing template {entry.template}"
+            elif entry.onto_type not in self._ontology:
+                problem = f"entry {entry.word} references missing type {entry.onto_type}"
+            elif not self.template_fits(tpl, entry.onto_type):
+                problem = f"template {tpl.name} names roles absent from {entry.onto_type}"
+            elif entry.key() in seen:
+                problem = f"duplicate entry {entry.word}/{entry.template}/{entry.onto_type}"
+            else:
+                problem = ""
+            if problem:
+                raise StructuralError(problem, index)
             seen.add(entry.key())
             self._entries.setdefault(entry.word, []).append(entry)
             donors.setdefault(entry.onto_type, set()).add(entry.template)
@@ -113,21 +122,6 @@ class Lexicon:
         self._template_choice: dict[
             tuple[str, str | None], SyntacticTemplate | None
         ] = {}
-
-    def _validate_entry(self, entry: LexicalEntry) -> None:
-        tpl = self.templates.get(entry.template)
-        if tpl is None:
-            raise StructuralError(
-                f"entry {entry.word} references missing template {entry.template}"
-            )
-        if entry.onto_type not in self._ontology:
-            raise StructuralError(
-                f"entry {entry.word} references missing type {entry.onto_type}"
-            )
-        if not self.template_fits(tpl, entry.onto_type):
-            raise StructuralError(
-                f"template {tpl.name} names roles absent from {entry.onto_type}"
-            )
 
     def template_fits(self, template: SyntacticTemplate, onto_type: str) -> bool:
         """True when every role the template names exists on the type."""
@@ -185,7 +179,7 @@ class Lexicon:
         word: str,
         pos: str | None,
         graph: SynsetGraph,
-        diagnostics: Diagnostics | None = None,
+        diagnostics: Diagnostics = DISCARD,
     ) -> list[LexicalEntry]:
         """Candidate entries for ``word`` reached through the synset graph.
 
@@ -203,10 +197,7 @@ class Lexicon:
                 continue
             tpl = self.template_for_type(onto_type, pos)
             if tpl is None:
-                if diagnostics is not None:
-                    diagnostics.note(
-                        "no-template", f"{word} {onto_type} (pos {pos or '-'})"
-                    )
+                diagnostics.note("no-template", f"{word} {onto_type} (pos {pos or '-'})")
                 continue
             if (tpl.name, onto_type) in core_keys or (tpl.name, onto_type) in emitted:
                 continue
@@ -219,7 +210,7 @@ class Lexicon:
         word: str,
         pos: str | None,
         graph: SynsetGraph,
-        diagnostics: Diagnostics | None = None,
+        diagnostics: Diagnostics = DISCARD,
     ) -> list[LexicalEntry]:
         """Looked-up plus generated entries: the ``ENTRY_KEEP`` best by
         score, then type, then template."""
@@ -260,15 +251,17 @@ def parse_lexicon(text: str, ontology: Ontology, source: str = "<string>") -> Le
             raise FormatError(f"unknown record '{kind}'", source, lineno)
 
     entries = [_parse_entry(tokens, source, lineno) for lineno, tokens in entry_lines]
-    lex = records.build(Lexicon, source, templates, [e for e, _ in entries], defaults, ontology)
+    lex = records.build(
+        Lexicon, source, templates, [e for e, _ in entries], defaults, ontology,
+        lines=[lineno for lineno, _ in entry_lines],
+    )
     # the entry line also declares a category; it must agree with the template
     for (entry, category), (lineno, _) in zip(entries, entry_lines):
         if lex.templates[entry.template].category != category:
             raise FormatError(
                 f"entry {entry.word} declares cat {category} but template "
                 f"{entry.template} builds {lex.templates[entry.template].category}",
-                source,
-                lineno,
+                source, lineno,
             )
     return lex
 

@@ -234,15 +234,17 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
         type <name> parent <name|-> [features k=v,...]
             [roles name:restriction[:required],...] [synsets id,...]
 
-    ``features`` must be well-formed but are not kept: nothing reads them.
+    A block's lines may split its pairs, but no ``key value`` pair spans
+    two lines.  ``features`` must be well-formed but are not kept: nothing
+    reads them.
     """
     types: list[OntologyType] = []
     seen: set[str] = set()
-    for lineno, tokens in records.blocks(text):
-        types.append(_parse_type_block(tokens, source, lineno))
+    for block in records.blocks(text):
+        types.append(_parse_type_block(block, source))
         name = types[-1].name
         if name in seen:
-            raise FormatError(f"duplicate type {name}", source, lineno)
+            raise FormatError(f"duplicate type {name}", source, block[0][0])
         seen.add(name)
     return records.build(Ontology, source, types)
 
@@ -251,20 +253,30 @@ def load_ontology(path: str | Path) -> Ontology:
     return records.load(parse_ontology, path)
 
 
-def _parse_type_block(tokens: list[str], source: str, lineno: int) -> OntologyType:
+_TYPE_KEYS = ("parent", "features", "roles", "synsets")
+
+
+def _parse_type_block(block: list[tuple[int, list[str]]], source: str) -> OntologyType:
+    """One type record; an error in a ``key value`` pair names that pair's
+    own line, and every error names the record ``type <name>``."""
+    lineno, tokens = block[0]
     if tokens[0] != "type" or len(tokens) < 2:
         raise FormatError(f"expected 'type <name>', got '{' '.join(tokens[:2])}'", source, lineno)
     name = tokens[1]
-    sections = records.fields(
-        tokens, 2, ("parent", "features", "roles", "synsets"), source, lineno
-    )
+    sections: dict[str, str] = {}
+    line_of: dict[str, int] = {}  # the line each key is on
+    for at, pairs in [(lineno, tokens[2:]), *block[1:]]:
+        for key, value in records.fields(["type", name, *pairs], 2, _TYPE_KEYS, source, at).items():
+            if key in sections:
+                raise FormatError(f"repeated key '{key}' in type {name}", source, at)
+            sections[key], line_of[key] = value, at
     if "parent" not in sections:
         raise FormatError(f"type {name} missing parent", source, lineno)
 
     parent = None if sections["parent"] == "-" else sections["parent"]
-    _check_features(sections.get("features", "-"), name, source, lineno)
-    roles = _parse_roles(sections.get("roles", "-"), name, source, lineno)
-    synsets = records.split_list(sections.get("synsets", "-"), source, lineno)
+    _check_features(sections.get("features", "-"), name, source, line_of.get("features", lineno))
+    roles = _parse_roles(sections.get("roles", "-"), name, source, line_of.get("roles", lineno))
+    synsets = records.split_list(sections.get("synsets", "-"), source, line_of.get("synsets", lineno))
     return OntologyType(name, parent, roles, frozenset(synsets))
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 from . import records
-from .diagnostics import Diagnostics
+from .diagnostics import DISCARD, Diagnostics
 from .errors import FormatError, ParseFailure, StructuralError
 from .lexicon import LexicalEntry, SyntacticTemplate
 from .ontology import Ontology
@@ -297,7 +297,7 @@ class ChartParser:
         rule: GrammarRule,
         children: Sequence[Constituent],
         cid: int = 0,
-        diagnostics: Diagnostics | None = None,
+        diagnostics: Diagnostics = DISCARD,
         sentence_id: str = "",
         scorer: Scorer | None = None,
     ) -> Constituent | None:
@@ -324,7 +324,9 @@ class ChartParser:
                 # ontology construction, so the unchecked ancestry test is safe
                 if spec is None or spec.restriction not in ancestor_sets[filler.onto_type]:
                     restriction = "(undeclared)" if spec is None else spec.restriction
-                    self._reject(diagnostics, sentence_id, role, restriction, filler)
+                    diagnostics.note(
+                        "role-violation", f"{role} {restriction} {filler.onto_type}", sentence_id
+                    )
                     return None
         span = (children[0].span[0], children[-1].span[1])
         if len(children) == 2:
@@ -345,20 +347,6 @@ class ChartParser:
             rule.role_links, tuple(children),
         )
 
-    @staticmethod
-    def _reject(
-        diagnostics: Diagnostics | None,
-        sentence_id: str,
-        role: str,
-        restriction: str,
-        filler: Constituent,
-    ) -> None:
-        if diagnostics is not None:
-            prefix = f"{sentence_id} " if sentence_id else ""
-            diagnostics.note(
-                "role-violation", f"{prefix}{role} {restriction} {filler.onto_type}"
-            )
-
     # -- main loop ------------------------------------------------------------
 
     def parse(
@@ -367,7 +355,7 @@ class ChartParser:
         entries: Sequence[Sequence[LexicalEntry]],
         sentence_id: str = "",
         scorer: Scorer | None = None,
-        diagnostics: Diagnostics | None = None,
+        diagnostics: Diagnostics = DISCARD,
     ) -> ParseResult:
         if not tokens:
             raise ParseFailure("cannot parse an empty token list")
@@ -383,7 +371,7 @@ class ChartParser:
         next_id = 0
         seen: set[tuple[int, ...]] = set()  # (rule index, *daughter ids)
         # rejections repeat once per combine attempt; keep each first one
-        rejections = Diagnostics() if diagnostics is not None else None
+        rejections = Diagnostics()
 
         for i in range(n):
             for entry in entries[i]:
@@ -461,8 +449,7 @@ class ChartParser:
                     if chart.add(built):
                         heappush(agenda, (-built.effective_score, built.id, built))
 
-        if diagnostics is not None:
-            diagnostics.events.extend(dict.fromkeys(rejections.events))
+        diagnostics.replay(Diagnostics(list(dict.fromkeys(rejections.events))))
         if accepted is not None:
             fragments: list[Constituent] = [accepted]
         else:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import FormatError, StructuralError
 
@@ -36,12 +36,16 @@ def load(parse: Callable[..., T], path: str | Path, *args: object) -> T:
     return parse(p.read_text(encoding="utf-8"), *args, source=str(p))
 
 
-def build(construct: Callable[..., T], source: str, *args: object) -> T:
+def build(construct: Callable[..., T], source: str, *args: object, lines: Sequence[int] = ()) -> T:
     """Call ``construct(*args)``; a :class:`StructuralError` it raises is
-    re-raised with ``source`` in front, so it names the file at fault."""
+    re-raised with ``source`` in front, so it names the file at fault.  One
+    that names the record at fault is re-raised as a :class:`FormatError`
+    at that record's line, its entry in ``lines``."""
     try:
         return construct(*args)
     except StructuralError as exc:
+        if exc.index is not None:
+            raise FormatError(str(exc), source, lines[exc.index]) from exc
         raise StructuralError(f"{source}: {exc}") from exc
 
 
@@ -54,28 +58,24 @@ def lines(text: str) -> list[tuple[int, list[str]]]:
     ]
 
 
-def blocks(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (first line number, whitespace tokens) per blank-separated block.
+def blocks(text: str) -> Iterator[list[tuple[int, list[str]]]]:
+    """Yield each blank-separated block as its lines' (line number,
+    whitespace tokens).
 
     Comment lines neither end a block nor contribute to it.
     """
-    start = None
-    tokens: list[str] = []
+    block: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
             continue
-        if not line:
-            if tokens:
-                yield start, tokens  # type: ignore[misc]
-                tokens = []
-                start = None
-            continue
-        if start is None:
-            start = lineno
-        tokens.extend(line.split())
-    if tokens:
-        yield start, tokens  # type: ignore[misc]
+        if line:
+            block.append((lineno, line.split()))
+        elif block:
+            yield block
+            block = []
+    if block:
+        yield block
 
 
 def fields(

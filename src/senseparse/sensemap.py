@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import records
-from .diagnostics import Diagnostics
+from .diagnostics import DISCARD, Diagnostics
 from .errors import FormatError, StructuralError, UnknownName
 
 _WEIGHT_SLACK = 1e-9
@@ -95,7 +95,7 @@ class SynsetGraph:
         self,
         synset_id: str,
         mapping: Mapping[str, str],
-        diagnostics: Diagnostics | None = None,
+        diagnostics: Diagnostics = DISCARD,
     ) -> str | None:
         """Resolve a synset to an ontology type by subsumption.
 
@@ -105,24 +105,20 @@ class SynsetGraph:
         lexicographically least type is returned and the ambiguity is noted.
         """
         self._check(synset_id)
-        frontier = [synset_id]
+        # a level is a set: its sorted hits are all that is read of it
+        frontier = {synset_id}
         visited = {synset_id}
         while frontier:
             hits = sorted({mapping[s] for s in frontier if s in mapping})
             if hits:
-                if len(hits) > 1 and diagnostics is not None:
+                if len(hits) > 1:
                     diagnostics.note(
                         "ambiguous-subsumption",
                         f"{synset_id} candidates {','.join(hits)}",
                     )
                 return hits[0]
-            nxt: list[str] = []
-            for s in sorted(frontier):
-                for h in sorted(self._synsets[s].hypernyms):
-                    if h not in visited:
-                        visited.add(h)
-                        nxt.append(h)
-            frontier = nxt
+            frontier = {h for s in frontier for h in self._synsets[s].hypernyms} - visited
+            visited |= frontier
         return None
 
 
@@ -153,7 +149,7 @@ def transform_advice(
     dist: SenseDistribution,
     graph: SynsetGraph,
     mapping: Mapping[str, str],
-    diagnostics: Diagnostics | None = None,
+    diagnostics: Diagnostics = DISCARD,
 ) -> dict[str, float]:
     """Push each synset's probability onto its subsumed ontology type,
     returning each reached type's score.

@@ -10,7 +10,7 @@ from senseparse.advice import (
     parse_advice,
 )
 from senseparse.cli import main
-from senseparse.diagnostics import Diagnostics
+from senseparse.diagnostics import DISCARD, Diagnostics
 from senseparse.errors import SenseParseError
 from senseparse.evaluation import (
     VARIANT_NAMES,
@@ -170,6 +170,37 @@ def test_long_ambig_chunk_notes_each_role_violation_once_per_parse(long_ambig_ch
     assert len(per_parse) == 5 * len(corpus)
     assert all(len(set(notes)) == len(notes) for notes in per_parse)
     assert len(diagnostics.lines()) == 332
+
+
+@pytest.mark.parametrize("workload", ["fixture", "long-ambig"])
+def test_discarding_notes_changes_no_result_and_keeps_none(
+    workload, resources, corpus, advice_records, long_ambig_chunk, monkeypatch
+):
+    # a run with no sink notes into the shared DISCARD; it must parse and
+    # score exactly as a run that collects, and DISCARD must keep nothing
+    if workload == "long-ambig":
+        resources, corpus, advice_records = long_ambig_chunk
+    parses = []
+    original = ChartParser.parse
+
+    def capture(self, *args, **kwargs):
+        parses.append(original(self, *args, **kwargs))
+        return parses[-1]
+
+    monkeypatch.setattr(ChartParser, "parse", capture)
+    variants = [VariantConfig(name) for name in VARIANT_NAMES]
+    discarded = run_experiment(resources, corpus, advice_records, variants)
+    discarded_parses = parses[:]
+    parses.clear()
+    diagnostics = Diagnostics()
+    collected = run_experiment(resources, corpus, advice_records, variants, diagnostics)
+
+    assert collected == discarded
+    assert len(parses) == 5 * len(corpus)
+    # whole results: LF, spanning flag, pop count and every derivation item
+    assert parses == discarded_parses
+    assert diagnostics.lines() != []
+    assert DISCARD.lines() == []
 
 
 # -- shared preparation ---------------------------------------------------------------

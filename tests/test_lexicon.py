@@ -237,13 +237,13 @@ def test_core_entry_outscores_a_generated_one_at_any_freq(mini, freq):
 
 def test_entry_with_missing_template_rejected(mini):
     ont, _, _ = mini
-    with pytest.raises(StructuralError, match="missing template"):
+    with pytest.raises(FormatError, match="^<string>:1: entry w references missing template ghost$"):
         parse_lexicon("entry w cat N template ghost type root\n", ont)
 
 
 def test_entry_with_missing_type_rejected(mini):
     ont, _, _ = mini
-    with pytest.raises(StructuralError, match="missing type"):
+    with pytest.raises(FormatError, match="^<string>:2: entry w references missing type ghost$"):
         parse_lexicon("template n cat N slots -\nentry w cat N template n type ghost\n", ont)
 
 
@@ -253,7 +253,7 @@ def test_template_roles_must_exist_on_entry_type(mini):
         "template tv cat V slots subj:agent,obj:affected\n"
         "entry w cat V template tv type phys-obj\n"
     )
-    with pytest.raises(StructuralError, match="roles absent"):
+    with pytest.raises(FormatError, match="^<string>:2: template tv names roles absent from phys-obj$"):
         parse_lexicon(text, ont)
 
 
@@ -278,7 +278,7 @@ def test_duplicate_entry_rejected(mini):
         "entry w cat N template n type root\n"
         "entry w cat N template n type root\n"
     )
-    with pytest.raises(StructuralError, match="duplicate entry"):
+    with pytest.raises(FormatError, match="^<string>:3: duplicate entry w/n/root$"):
         parse_lexicon(text, ont)
 
 

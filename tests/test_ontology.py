@@ -52,7 +52,7 @@ def test_no_root_rejected():
 
 
 def test_duplicate_name_rejected():
-    with pytest.raises(FormatError, match="duplicate type"):
+    with pytest.raises(FormatError, match="^<string>:5: duplicate type a$"):
         parse_ontology("type root parent -\n\ntype a parent root\n\ntype a parent root\n")
     # built directly, without the reader's per-line check
     with pytest.raises(StructuralError, match="^duplicate type root$"):

@@ -152,7 +152,7 @@ def test_combine_calls_no_hook_on_a_role_violation(resources):
     v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
     np = leaf(1, (1, 2), "NP", "idea-type", "idea", 0.6)
     calls = []
-    assert parser.combine(vp_rule(), [v, np], 2, None, "", lambda *a: calls.append(a)) is None
+    assert parser.combine(vp_rule(), [v, np], 2, scorer=lambda *a: calls.append(a)) is None
     assert calls == []
 
 

@@ -95,6 +95,18 @@ MALFORMED = [
     ("advice", "advice s 0 4 w a.n=0.5,,b.n=0.5\n", 1, "a.n=0.5,,b.n=0.5"),
     ("ontology", "typo animal parent -\n", 1, "typo"),
     ("ontology", "type\n", 1, "got 'type'"),
+    # a pair on a block's continuation line is named by its own line
+    ("ontology", "type root parent -\n\ntype a parent root\n  roles agent\n", 4, "agent"),
+    ("ontology", "type root parent -\n\ntype a parent root\n  synsets x,,y\n", 4, "x,,y"),
+    ("ontology", "type root parent -\n\ntype a parent\n  root\n", 3, "dangling key 'parent'"),
+    # an entry that breaks a structural check is named by its own line
+    ("lexicon", "entry w cat N template n type root\n", 1, "missing template n"),
+    ("lexicon", "template n cat N slots -\nentry w cat N template n type sort\n", 2, "missing type sort"),
+    ("lexicon", "template tv cat V slots 0:agent\nentry w cat V template tv type root\n", 2, "tv"),
+    ("lexicon", "template n cat N slots -\nentry w cat N template n type root\n"
+     "entry x cat N template n type root\nentry w cat N template n type root\n", 4, "w/n/root"),
+    # a key repeated on a continuation line is named by that line
+    ("ontology", "type root parent -\n\ntype a parent root\n  parent root\n", 4, "repeated key 'parent'"),
 ]
 
 
@@ -172,7 +184,6 @@ def test_parse_advice_rejects_mass_above_one():
 STRUCTURAL = [
     ("ontology", "type a parent b\n\ntype b parent a\n", "no root"),
     ("synsets", "synset a.n hypernyms b.n\n", "missing hypernym"),
-    ("lexicon", "entry w cat N template n type root\n", "missing template"),
     ("synsets", "synset a.n lemmas - hypernyms -\nsynset a.n lemmas - hypernyms -\n",
      "duplicate synset a.n"),
     ("lexicon", "template n cat N slots -\ntemplate n cat N slots -\n", "duplicate template n"),
