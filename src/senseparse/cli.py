@@ -187,7 +187,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     factor_of, factors = factorize(ontology)
     lines = [f"type {name} factor {factor_of[name]}" for name in sorted(ontology)]
     for factor in sorted(factors):
-        parent = factors.get(factor).parent or "-"
+        parent = factors.types[factor].parent or "-"
         lines.append(f"factor {factor} parent {parent} depth {factors.depth(factor)}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0

@@ -1,4 +1,8 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the name table that raises one."""
+
+from typing import TypeVar
+
+_V = TypeVar("_V")
 
 
 class SenseParseError(Exception):
@@ -42,6 +46,17 @@ class UnknownName(SenseParseError, KeyError):
 
     def __str__(self) -> str:  # KeyError quotes its arg; keep the message plain
         return self.args[0] if self.args else ""
+
+
+class Names(dict[str, _V]):
+    """A table by name: looking up a missing name raises :class:`UnknownName`,
+    ``unknown <kind> <name>``; ``in`` and ``.get`` test without raising."""
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+
+    def __missing__(self, name: str) -> _V:
+        raise UnknownName(f"unknown {self.kind} {name}")
 
 
 class ParseFailure(SenseParseError):

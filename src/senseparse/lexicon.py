@@ -125,7 +125,7 @@ class Lexicon:
 
     def template_fits(self, template: SyntacticTemplate, onto_type: str) -> bool:
         """True when every role the template names exists on the type."""
-        effective = self._ontology.effective_roles(onto_type)
+        effective = self._ontology.effective_roles[onto_type]
         return all(role in effective for role in template.roles)
 
     # -- lookup and generation ---------------------------------------------
@@ -158,7 +158,7 @@ class Lexicon:
     ) -> SyntacticTemplate | None:
         # ancestors run deepest first, so the first fitting donor is the
         # deepest one, and names within one type are sorted
-        for donor_type in self._ontology.ancestors(onto_type):
+        for donor_type in self._ontology.ancestors[onto_type]:
             for name in self._donors.get(donor_type, ()):
                 tpl = self.templates[name]
                 if compatible(tpl.category, pos) and self.template_fits(tpl, onto_type):

@@ -21,10 +21,10 @@ On top of the tree this module provides:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import records
-from .errors import FormatError, StructuralError, UnknownName
+from .errors import FormatError, Names, StructuralError
 
 
 class RoleSpec(NamedTuple):
@@ -52,130 +52,97 @@ class Ontology:
 
     Construction rejects duplicate names, forests (zero or multiple
     roots), parent cycles, dangling parents, role restrictions naming
-    missing types, and synsets mapped to more than one type.  Instances
-    are immutable after construction and safe to share across threads.
+    missing types, and synsets mapped to more than one type; each error but
+    the two about roots carries the position of the type at fault.
+
+    ``types``, ``ancestors`` (the type, then its chain up to the root) and
+    ``effective_roles`` (inherited and declared) are
+    :class:`~senseparse.errors.Names` tables; ``ancestor_sets`` and
+    ``synset_mapping`` are plain dicts.  None may be mutated, so an
+    instance is safe to share across threads.
     """
 
     def __init__(self, types: Iterable[OntologyType]) -> None:
-        self._types: dict[str, OntologyType] = {}
-        for t in types:
-            if t.name in self._types:
-                raise StructuralError(f"duplicate type {t.name}")
-            self._types[t.name] = t
+        self.types: Names[OntologyType] = Names("ontology type")
+        for index, t in enumerate(types):
+            if t.name in self.types:
+                raise StructuralError(f"duplicate type {t.name}", index)
+            self.types[t.name] = t
 
-        roots = sorted(n for n, t in self._types.items() if t.parent is None)
+        roots = sorted(n for n, t in self.types.items() if t.parent is None)
         if not roots:
             raise StructuralError("no root type (every type names a parent)")
         if len(roots) > 1:
             raise StructuralError("multiple roots: " + ", ".join(roots))
         self.root: str = roots[0]
 
-        self._ancestors: dict[str, tuple[str, ...]] = {}
-        self._ancestor_sets: dict[str, frozenset[str]] = {}
-        for name in self._types:
+        def fault(message: str, name: str) -> StructuralError:
+            # the position of the type at fault, looked up on the way out
+            return StructuralError(message, list(self.types).index(name))
+
+        self.ancestors: Names[tuple[str, ...]] = Names("ontology type")
+        self.ancestor_sets: dict[str, frozenset[str]] = {}
+        for name, cur in self.types.items():
             chain = [name]
             seen = {name}
-            cur = self._types[name]
             while cur.parent is not None:
-                if cur.parent not in self._types:
-                    raise StructuralError(
-                        f"type {cur.name} names missing parent {cur.parent}"
-                    )
+                if cur.parent not in self.types:
+                    raise fault(f"type {cur.name} names missing parent {cur.parent}", cur.name)
                 if cur.parent in seen:
-                    raise StructuralError(f"cycle involving type {cur.parent}")
+                    raise fault(f"cycle involving type {cur.parent}", cur.parent)
                 chain.append(cur.parent)
                 seen.add(cur.parent)
-                cur = self._types[cur.parent]
+                cur = self.types[cur.parent]
             # the chain ends at a type with no parent: the one root
-            self._ancestors[name] = tuple(chain)
-            self._ancestor_sets[name] = frozenset(chain)
+            self.ancestors[name] = tuple(chain)
+            self.ancestor_sets[name] = frozenset(chain)
 
         # Effective roles, resolved root-first so parents are done before
         # children.  A redeclared role name replaces the inherited slot in
         # place; new names append in declaration order.
-        self._effective: dict[str, dict[str, RoleSpec]] = {}
-        for name in sorted(self._types, key=lambda n: len(self._ancestors[n])):
-            t = self._types[name]
+        self.effective_roles: Names[dict[str, RoleSpec]] = Names("ontology type")
+        for name in sorted(self.types, key=lambda n: len(self.ancestors[n])):
+            t = self.types[name]
             roles: dict[str, RoleSpec] = {}
             if t.parent is not None:
-                roles.update(self._effective[t.parent])
+                roles.update(self.effective_roles[t.parent])
             for spec in t.roles:
-                if spec.restriction not in self._types:
-                    raise StructuralError(
-                        f"type {name} role {spec.name} restricts to missing "
-                        f"type {spec.restriction}"
+                if spec.restriction not in self.types:
+                    raise fault(
+                        f"type {name} role {spec.name} restricts to missing type {spec.restriction}",
+                        name,
                     )
                 roles[spec.name] = spec
-            self._effective[name] = roles
+            self.effective_roles[name] = roles
 
-        self._synset_to_type: dict[str, str] = {}
-        for name in self._types:
-            for sid in sorted(self._types[name].synsets):
-                other = self._synset_to_type.get(sid)
-                if other is not None and other != name:
-                    raise StructuralError(
-                        f"synset {sid} mapped to both {other} and {name}"
-                    )
-                self._synset_to_type[sid] = name
-
-    # -- basic access ----------------------------------------------------
+        self.synset_mapping: dict[str, str] = {}
+        for index, t in enumerate(self.types.values()):
+            for sid in sorted(t.synsets):
+                if sid in self.synset_mapping:
+                    other = self.synset_mapping[sid]
+                    raise StructuralError(f"synset {sid} mapped to both {other} and {t.name}", index)
+                self.synset_mapping[sid] = t.name
 
     def __contains__(self, name: str) -> bool:
-        return name in self._types
+        return name in self.types
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._types)
-
-    def get(self, name: str) -> OntologyType:
-        self._check(name)
-        return self._types[name]
-
-    def _check(self, name: str) -> None:
-        if name not in self._types:
-            raise UnknownName(f"unknown ontology type {name}")
-
-    @property
-    def synset_mapping(self) -> Mapping[str, str]:
-        """Read-only map of synset id to the type it is hand-mapped to."""
-        return self._synset_to_type
-
-    @property
-    def ancestor_sets(self) -> Mapping[str, frozenset[str]]:
-        """Read-only map of each type to its reflexive ancestor set, for
-        callers that validated the types they ask about."""
-        return self._ancestor_sets
+        return iter(self.types)
 
     # -- hierarchy queries -------------------------------------------------
 
-    def ancestors(self, name: str) -> list[str]:
-        """Return ``name`` followed by its parent chain up to the root."""
-        self._check(name)
-        return list(self._ancestors[name])
-
     def depth(self, name: str) -> int:
         """Depth in the tree; the root has depth 1."""
-        self._check(name)
-        return len(self._ancestors[name])
+        return len(self.ancestors[name])
 
     def wu_palmer(self, a: str, b: str) -> float:
         """Wu-Palmer similarity over the type tree, in (0, 1].  The deepest
         common ancestor is unique under single inheritance, and the root is
         common to every pair, so the first of ``a``'s chain in ``b``'s is it."""
-        self._check(a)
-        self._check(b)
-        b_set = self._ancestor_sets[b]
-        lcs = next(t for t in self._ancestors[a] if t in b_set)
-        return 2.0 * self.depth(lcs) / (self.depth(a) + self.depth(b))
-
-    def effective_roles(self, name: str) -> Mapping[str, RoleSpec]:
-        """Inherited-plus-declared roles for ``name``; do not mutate."""
-        self._check(name)
-        return self._effective[name]
-
-    def role_signature(self, name: str) -> frozenset[RoleSpec]:
-        """The effective roles as a set of (name, restriction, required)."""
-        self._check(name)
-        return frozenset(self._effective[name].values())
+        chain_a, chain_b = self.ancestors[a], self.ancestors[b]
+        b_set = self.ancestor_sets[b]
+        lcs = next(t for t in chain_a if t in b_set)
+        return 2.0 * self.depth(lcs) / (len(chain_a) + len(chain_b))
 
 
 # -- semantic factorization --------------------------------------------------
@@ -184,21 +151,18 @@ class Ontology:
 class FactorizedOntology(NamedTuple):
     """The quotient of a hierarchy by identical effective role structure.
 
-    ``factor_of`` sends each type to its factor; a factor is named after
-    the shallowest type that opened it.  ``factors`` is the quotient tree
-    itself, an :class:`Ontology` of factor types whose root factor is the
-    hierarchy's root, at depth 1.  A named tuple by the rule in
-    :mod:`senseparse.records`.
+    ``factor_of``, a :class:`~senseparse.errors.Names` table, sends each
+    type to its factor, named after the shallowest type that opened it.
+    ``factors`` is the quotient tree, an :class:`Ontology` of factor types
+    whose root factor is the hierarchy's root, at depth 1.  A named tuple
+    by the rule in :mod:`senseparse.records`.
     """
 
-    factor_of: Mapping[str, str]
+    factor_of: Names[str]
     factors: Ontology
 
     def similarity(self, a: str, b: str) -> float:
         """Wu-Palmer similarity computed over the factor tree."""
-        for name in (a, b):
-            if name not in self.factor_of:
-                raise UnknownName(f"unknown ontology type {name}")
         return self.factors.wu_palmer(self.factor_of[a], self.factor_of[b])
 
 
@@ -210,11 +174,12 @@ def factorize(ontology: Ontology) -> FactorizedOntology:
     the parent's; otherwise it opens a new factor whose factor-parent is
     the parent's factor.
     """
-    factor_of: dict[str, str] = {}
+    factor_of: Names[str] = Names("ontology type")
     factors: list[OntologyType] = []
+    roles = ontology.effective_roles
     for name in sorted(ontology, key=ontology.depth):
-        parent = ontology.get(name).parent
-        if parent is not None and ontology.role_signature(name) == ontology.role_signature(parent):
+        parent = ontology.types[name].parent
+        if parent is not None and set(roles[name].values()) == set(roles[parent].values()):
             factor_of[name] = factor_of[parent]
         else:
             factor_of[name] = name
@@ -236,17 +201,12 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
 
     A block's lines may split its pairs, but no ``key value`` pair spans
     two lines.  ``features`` must be well-formed but are not kept: nothing
-    reads them.
+    reads them.  An error that one type is at fault for names the first
+    line of its block; zero or multiple roots name the file alone.
     """
-    types: list[OntologyType] = []
-    seen: set[str] = set()
-    for block in records.blocks(text):
-        types.append(_parse_type_block(block, source))
-        name = types[-1].name
-        if name in seen:
-            raise FormatError(f"duplicate type {name}", source, block[0][0])
-        seen.add(name)
-    return records.build(Ontology, source, types)
+    blocks = list(records.blocks(text))
+    types = [_parse_type_block(block, source) for block in blocks]
+    return records.build(Ontology, source, types, lines=[block[0][0] for block in blocks])
 
 
 def load_ontology(path: str | Path) -> Ontology:

@@ -258,11 +258,6 @@ class Chart:
             self._starting[(start, category)].pop(c.id, None)
         del cell[self.beam_width :]
 
-    def live_starting_at(self, position: int) -> list[Constituent]:
-        """Every live item starting at ``position``, in id order."""
-        cells = [cell for (start, _), cell in self._starting.items() if start == position]
-        return sorted((c for cell in cells for c in cell.values()), key=lambda c: c.id)
-
 
 def _beam_key(c: Constituent) -> tuple[float, str, int]:
     return (-c.effective_score, c.onto_type, c.id)
@@ -316,7 +311,7 @@ class ChartParser:
         head = children[rule.head_index]
         if rule.role_links:
             ancestor_sets = self.ontology.ancestor_sets
-            roles = self.ontology.effective_roles(head.onto_type)
+            roles = self.ontology.effective_roles[head.onto_type]
             for index, role in rule.role_links:
                 filler = children[index]
                 spec = roles.get(role)
@@ -518,13 +513,14 @@ def fragment_fallback(
     fragments: list[Constituent] = []
     position = 0
     while position < len(tokens):
-        candidates = chart.live_starting_at(position)
-        if candidates:
-            # every candidate starts at ``position``: the longest ends last
-            best = min(
-                candidates,
-                key=lambda c: (-c.span[1], -c.effective_score, c.onto_type, c.id),
-            )
+        # of the live items starting at ``position`` the longest ends last
+        best = min(
+            (c for (start, _), cell in chart._starting.items() if start == position
+             for c in cell.values()),
+            key=lambda c: (-c.span[1], -c.effective_score, c.onto_type, c.id),
+            default=None,
+        )
+        if best is not None:
             fragments.append(best)
             position = best.span[1]
         else:

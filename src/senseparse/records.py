@@ -6,8 +6,10 @@ ontology uses them to separate multi-line blocks), a record is a run of
 whitespace-separated tokens, optional fields are ``key value`` pairs, and
 a list value is comma-separated, with ``-`` for the empty list and no
 empty item.  Every malformed record raises :class:`FormatError` naming
-``file:line`` and the offending token.  The format modules keep only what
-is particular to their own records.
+``file:line`` and the offending token.  So does an ontology type, synset
+or lexicon entry that a structural check finds at fault, such as a
+duplicate or a dangling name; another structural error names the file.
+The format modules keep only what is particular to their own records.
 
 Record types built once per input line, token or parse follow one rule:
 

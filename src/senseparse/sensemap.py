@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import records
 from .diagnostics import DISCARD, Diagnostics
-from .errors import FormatError, StructuralError, UnknownName
+from .errors import FormatError, Names, StructuralError
 
 _WEIGHT_SLACK = 1e-9
 
@@ -29,67 +29,66 @@ class Synset(NamedTuple):
 
 
 class SynsetGraph:
-    """A validated, immutable hypernym graph."""
+    """A validated, immutable hypernym graph; ``synsets`` is its
+    :class:`~senseparse.errors.Names` table of synsets by id.  A duplicate
+    id, a missing hypernym or a hypernym cycle is rejected with the position
+    of the synset at fault."""
 
     def __init__(self, synsets: Iterable[Synset]) -> None:
-        self._synsets: dict[str, Synset] = {}
-        for s in synsets:
-            if s.id in self._synsets:
-                raise StructuralError(f"duplicate synset {s.id}")
-            self._synsets[s.id] = s
+        self.synsets: Names[Synset] = Names("synset")
+        for index, s in enumerate(synsets):
+            if s.id in self.synsets:
+                raise StructuralError(f"duplicate synset {s.id}", index)
+            self.synsets[s.id] = s
 
-        for s in self._synsets.values():
+        for index, s in enumerate(self.synsets.values()):
             for h in s.hypernyms:
-                if h not in self._synsets:
-                    raise StructuralError(f"synset {s.id} names missing hypernym {h}")
+                if h not in self.synsets:
+                    # the least one, so the message does not follow set order
+                    missing = min(s.hypernyms - self.synsets.keys())
+                    raise StructuralError(f"synset {s.id} names missing hypernym {missing}", index)
 
         self._check_acyclic()
 
         self._by_lemma: dict[str, list[str]] = {}
-        for sid in sorted(self._synsets):
-            for lemma in self._synsets[sid].lemmas:
+        for sid in sorted(self.synsets):
+            for lemma in self.synsets[sid].lemmas:
                 self._by_lemma.setdefault(lemma, []).append(sid)
 
     def _check_acyclic(self) -> None:
         WHITE, GREY, BLACK = 0, 1, 2
-        color = {sid: WHITE for sid in self._synsets}
-        for start in self._synsets:
+        color = {sid: WHITE for sid in self.synsets}
+        for start in self.synsets:
             if color[start] != WHITE:
                 continue
             stack: list[tuple[str, Iterator[str]]] = [
-                (start, iter(sorted(self._synsets[start].hypernyms)))
+                (start, iter(sorted(self.synsets[start].hypernyms)))
             ]
             color[start] = GREY
             while stack:
                 node, it = stack[-1]
                 for nxt in it:
                     if color[nxt] == GREY:
-                        raise StructuralError(f"hypernym cycle involving {nxt}")
+                        raise StructuralError(
+                            f"hypernym cycle involving {nxt}", list(self.synsets).index(nxt)
+                        )
                     if color[nxt] == WHITE:
                         color[nxt] = GREY
-                        stack.append((nxt, iter(sorted(self._synsets[nxt].hypernyms))))
+                        stack.append((nxt, iter(sorted(self.synsets[nxt].hypernyms))))
                         break
                 else:
                     color[node] = BLACK
                     stack.pop()
 
     def __contains__(self, synset_id: str) -> bool:
-        return synset_id in self._synsets
+        return synset_id in self.synsets
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._synsets)
-
-    def get(self, synset_id: str) -> Synset:
-        self._check(synset_id)
-        return self._synsets[synset_id]
-
-    def _check(self, synset_id: str) -> None:
-        if synset_id not in self._synsets:
-            raise UnknownName(f"unknown synset {synset_id}")
+        return iter(self.synsets)
 
     def synsets_for_lemma(self, word: str) -> list[Synset]:
         """All synsets whose lemma set contains ``word``, sorted by id."""
-        return [self._synsets[sid] for sid in self._by_lemma.get(word, [])]
+        return [self.synsets[sid] for sid in self._by_lemma.get(word, [])]
 
     def assign_type(
         self,
@@ -104,7 +103,7 @@ class SynsetGraph:
         When distinct mapped synsets at that level disagree, the
         lexicographically least type is returned and the ambiguity is noted.
         """
-        self._check(synset_id)
+        self.synsets[synset_id]  # an unknown id raises UnknownName
         # a level is a set: its sorted hits are all that is read of it
         frontier = {synset_id}
         visited = {synset_id}
@@ -117,7 +116,7 @@ class SynsetGraph:
                         f"{synset_id} candidates {','.join(hits)}",
                     )
                 return hits[0]
-            frontier = {h for s in frontier for h in self._synsets[s].hypernyms} - visited
+            frontier = {h for s in frontier for h in self.synsets[s].hypernyms} - visited
             visited |= frontier
         return None
 
@@ -183,9 +182,12 @@ def parse_synsets(text: str, source: str = "<string>") -> SynsetGraph:
     """Parse the synset file format, one record per line::
 
         synset <id> lemmas w1,w2 hypernyms h1,h2|-
+
+    An error the graph rejects names the line of the synset at fault.
     """
     synsets: list[Synset] = []
-    for lineno, tokens in records.lines(text):
+    rows = records.lines(text)
+    for lineno, tokens in rows:
         if tokens[0] != "synset" or len(tokens) < 2:
             raise FormatError(f"expected 'synset <id> ...', got '{tokens[0]}'", source, lineno)
         sid = tokens[1]
@@ -193,7 +195,7 @@ def parse_synsets(text: str, source: str = "<string>") -> SynsetGraph:
         lemmas = records.split_list(sections.get("lemmas", "-"), source, lineno)
         hypernyms = records.split_list(sections.get("hypernyms", "-"), source, lineno)
         synsets.append(Synset(sid, frozenset(lemmas), frozenset(hypernyms)))
-    return records.build(SynsetGraph, source, synsets)
+    return records.build(SynsetGraph, source, synsets, lines=[lineno for lineno, _ in rows])
 
 
 def load_synsets(path: str | Path) -> SynsetGraph:

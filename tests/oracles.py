@@ -32,12 +32,12 @@ def chain_to_root(parents: dict[str, str | None], node: str) -> list[str]:
 def is_a(ontology: Ontology, name: str, ancestor: str) -> bool:
     """Walk ``name``'s parent chain looking for ``ancestor``; both must be
     types of ``ontology``."""
-    ontology.get(ancestor)
+    ontology.types[ancestor]  # an unknown ancestor raises UnknownName
     node: str | None = name
     while node is not None:
         if node == ancestor:
             return True
-        node = ontology.get(node).parent
+        node = ontology.types[node].parent
     return False
 
 
@@ -84,7 +84,7 @@ def assign_type_oracle(
 
 
 def _fits(ontology: Ontology, template: SyntacticTemplate, onto_type: str) -> bool:
-    effective = ontology.effective_roles(onto_type)
+    effective = ontology.effective_roles[onto_type]
     return all(role in effective for role in template.roles)
 
 
@@ -162,7 +162,7 @@ def enumerate_derivations(tokens, entries, grammar, ontology: Ontology, template
 
     def build(rule, children):
         head = children[rule.head_index]
-        roles = ontology.effective_roles(head.onto_type)
+        roles = ontology.effective_roles[head.onto_type]
         for index, role in rule.role_links:
             spec = roles.get(role)
             if spec is None or not is_a(ontology, children[index].onto_type, spec.restriction):
@@ -299,7 +299,7 @@ def reference_parse(tokens, entries, grammar, ontology, templates, config,
 
     def build(rule, children, cid):
         head = children[rule.head_index]
-        roles = ontology.effective_roles(head.onto_type)
+        roles = ontology.effective_roles[head.onto_type]
         for index, role in rule.role_links:
             spec, filler = roles.get(role), children[index]
             if spec is None or not is_a(ontology, filler.onto_type, spec.restriction):
@@ -404,7 +404,7 @@ def verify_role_soundness(result, ontology: Ontology) -> list[str]:
     while stack:
         c = stack.pop()
         stack.extend(c.children)
-        roles = ontology.effective_roles(c.onto_type)
+        roles = ontology.effective_roles[c.onto_type]
         for index, role in c.role_links:
             filler = c.children[index]
             spec = roles.get(role)
@@ -425,7 +425,7 @@ def best_match_oracle(hints, word, span, onto_type, ontology: Ontology):
     ``span`` and whose type lies on ``onto_type``'s chain to the root, and
     return the one with the highest score, ties by type name, then by hint
     order; None when nothing matches."""
-    chain = ontology.ancestors(onto_type) if onto_type in ontology else []
+    chain = ontology.ancestors.get(onto_type, ())
     best = None
     for h in hints:
         if h.word != word or h.onto_type not in chain:

@@ -400,8 +400,11 @@ def test_fixture_map_matches_golden(fixtures_dir, tmp_path):
 
 def test_output_does_not_follow_the_hash_seed(resource_args, fixtures_dir, tmp_path):
     # string hashes, and so set order, change with PYTHONHASHSEED; the
-    # eval report, its diagnostics and a parse with advice must not
+    # eval report, its diagnostics, a parse with advice and the error for a
+    # synset with several missing hypernyms must not
     src = Path(__file__).resolve().parent.parent / "src"
+    synsets = tmp_path / "synsets.txt"
+    synsets.write_text("synset a.n hypernyms x.n,y.n,z.n\n")
     runs = []
     for seed in ("0", "1"):
         out = tmp_path / seed
@@ -414,6 +417,8 @@ def test_output_does_not_follow_the_hash_seed(resource_args, fixtures_dir, tmp_p
              "--sentence-id", "s01", "--variant", "comb",
              "--sentence", "i/PRO played/play/V the/DET bass/N",
              "--output", str(out / "lf.txt")],
+            ["map", "--ontology", str(fixtures_dir / "ontology.txt"), "--synsets", str(synsets),
+             "--output", str(out / "map.txt")],
         ]
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
         exits = []
@@ -425,6 +430,7 @@ def test_output_does_not_follow_the_hash_seed(resource_args, fixtures_dir, tmp_p
             exits.append((done.returncode, done.stderr))
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         runs.append((exits, files))
-    assert runs[0][0] == [(0, b""), (0, b"")]
+    missing = f"senseparse: error: {synsets}:1: synset a.n names missing hypernym x.n\n"
+    assert runs[0][0] == [(0, b""), (0, b""), (1, missing.encode())]
     assert sorted(runs[0][1]) == ["lf.txt", "notes.txt", "report.tsv"]
     assert runs[0] == runs[1]

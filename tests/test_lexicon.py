@@ -174,7 +174,7 @@ def test_generated_entry_roles_exist_on_type(mini, resources):
     for word in ("trout", "salmon"):
         for entry in lex.generate_entries(word, "N", graph):
             template = lex.templates[entry.template]
-            effective = resources.ontology.effective_roles(entry.onto_type)
+            effective = resources.ontology.effective_roles[entry.onto_type]
             assert all(role in effective for role in template.roles)
 
 
@@ -293,7 +293,7 @@ def test_template_for_type_matches_scan_oracle():
         lexicon, entries = random_lexicon(rng, ontology)
         donor_types = {e.onto_type for e in entries}
         for onto_type in ontology:
-            has_donor = bool(donor_types.intersection(ontology.ancestors(onto_type)))
+            has_donor = bool(donor_types.intersection(ontology.ancestors[onto_type]))
             for pos in (None, "N", "V", "ADJ", "P"):
                 expected = template_for_type_oracle(lexicon, entries, ontology, onto_type, pos)
                 assert lexicon.template_for_type(onto_type, pos) == expected

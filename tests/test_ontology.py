@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import is_a, random_ontology, random_tree, wu_palmer_oracle
-from senseparse.errors import FormatError, StructuralError, UnknownName
+from senseparse.errors import FormatError, Names, StructuralError, UnknownName
 from senseparse.ontology import (
     Ontology,
     OntologyType,
@@ -13,10 +13,16 @@ from senseparse.ontology import (
     factorize,
     parse_ontology,
 )
+from senseparse.sensemap import parse_synsets
 
 
 def ontology_from_parents(parents):
     return Ontology([OntologyType(n, p) for n, p in parents.items()])
+
+
+def role_set(ont, name):
+    """The effective roles as a set of (name, restriction, required)."""
+    return frozenset(ont.effective_roles[name].values())
 
 
 # -- loading and validation ---------------------------------------------------
@@ -35,7 +41,7 @@ def test_load_minimal_four_type_file():
 
 
 def test_cycle_rejected():
-    with pytest.raises(StructuralError, match="cycle"):
+    with pytest.raises(FormatError, match="^<string>:3: cycle involving type x$"):
         parse_ontology(
             "type root parent -\n\ntype x parent y\n\ntype y parent x\n"
         )
@@ -54,18 +60,21 @@ def test_no_root_rejected():
 def test_duplicate_name_rejected():
     with pytest.raises(FormatError, match="^<string>:5: duplicate type a$"):
         parse_ontology("type root parent -\n\ntype a parent root\n\ntype a parent root\n")
-    # built directly, without the reader's per-line check
-    with pytest.raises(StructuralError, match="^duplicate type root$"):
+    # built directly, the error carries the record's position, not a line
+    with pytest.raises(StructuralError, match="^duplicate type root$") as raised:
         Ontology([OntologyType("root", None), OntologyType("root", None)])
+    assert raised.value.index == 1
 
 
 def test_missing_parent_rejected():
-    with pytest.raises(StructuralError, match="missing parent"):
+    with pytest.raises(FormatError, match="^<string>:3: type a names missing parent ghost$"):
         parse_ontology("type root parent -\n\ntype a parent ghost\n")
 
 
 def test_dangling_restriction_rejected():
-    with pytest.raises(StructuralError, match="missing"):
+    with pytest.raises(
+        FormatError, match="^<string>:3: type a role r restricts to missing type nowhere$"
+    ):
         parse_ontology("type root parent -\n\ntype a parent root roles r:nowhere\n")
 
 
@@ -76,7 +85,7 @@ def test_parse_error_carries_line_number():
 
 
 def test_duplicate_synset_mapping_rejected():
-    with pytest.raises(StructuralError, match="mapped to both"):
+    with pytest.raises(FormatError, match="^<string>:3: synset s1 mapped to both root and a$"):
         parse_ontology(
             "type root parent - synsets s1\n\ntype a parent root synsets s1\n"
         )
@@ -89,8 +98,8 @@ def test_features_and_required_roles_parse():
     )
     # well-formed features are accepted and not kept
     assert "features" not in OntologyType._fields
-    assert not hasattr(ont.get("root"), "features")
-    roles = ont.effective_roles("a")
+    assert not hasattr(ont.types["root"], "features")
+    roles = ont.effective_roles["a"]
     assert roles["agent"].required and not roles["theme"].required
     with pytest.raises(FormatError, match=r"^onto\.txt:3: bad feature 'm' for type a$"):
         parse_ontology(
@@ -102,25 +111,48 @@ def test_features_and_required_roles_parse():
 
 
 def test_ancestors_of_root(four_node):
-    assert four_node.ancestors("root") == ["root"]
+    assert four_node.ancestors["root"] == ("root",)
 
 
 def test_ancestors_chain(four_node):
-    assert four_node.ancestors("a1") == ["a1", "a", "root"]
+    assert four_node.ancestors["a1"] == ("a1", "a", "root")
 
 
 def test_ancestors_unknown_type(four_node):
     with pytest.raises(UnknownName) as raised:
-        four_node.ancestors("no-such-type")
+        four_node.ancestors["no-such-type"]
     # plain, not quoted as a KeyError message would be
     assert str(raised.value) == "unknown ontology type no-such-type"
 
 
+@pytest.mark.parametrize(
+    "table, kind",
+    [
+        (lambda ont: ont.types, "ontology type"),
+        (lambda ont: ont.ancestors, "ontology type"),
+        (lambda ont: ont.effective_roles, "ontology type"),
+        (lambda ont: factorize(ont).factor_of, "ontology type"),
+        (lambda ont: parse_synsets("synset a.n\n").synsets, "synset"),
+    ],
+    ids=["types", "ancestors", "effective_roles", "factor_of", "synsets"],
+)
+def test_name_table_raises_unknown_name_for_a_missing_name(four_node, table, kind):
+    names = table(four_node)
+    assert isinstance(names, Names)
+    known = next(iter(names))
+    assert names[known] is names.get(known) is not None
+    # testing for a name never raises
+    assert "no-such-name" not in names and names.get("no-such-name") is None
+    with pytest.raises(UnknownName) as raised:
+        names["no-such-name"]
+    assert str(raised.value) == f"unknown {kind} no-such-name"
+
+
 def test_ancestry_is_reflexive(ontology):
     for name in ontology:
-        chain = ontology.ancestors(name)
+        chain = ontology.ancestors[name]
         assert chain[0] == name
-        parent = ontology.get(name).parent
+        parent = ontology.types[name].parent
         if parent is not None:
             assert parent in chain
 
@@ -140,12 +172,12 @@ def test_ancestor_sets_equal_checked_is_a(ontology):
 
 
 def test_roles_inherit_and_override(ontology):
-    action = ontology.effective_roles("action")
+    action = ontology.effective_roles["action"]
     assert action["affected"].restriction == "phys-obj"
-    cook = ontology.effective_roles("cook-action")
+    cook = ontology.effective_roles["cook-action"]
     assert cook["affected"].restriction == "phys-obj"
     assert cook["agent"].required
-    discuss = ontology.effective_roles("discuss-action")
+    discuss = ontology.effective_roles["discuss-action"]
     assert discuss["affected"].restriction == "abstract-obj"
     assert discuss["agent"].restriction == "animate"
 
@@ -220,7 +252,7 @@ def test_factorize_every_type_distinct_roles_one_factor_each():
     # factor tree is isomorphic to the type tree
     for t in types:
         if t.parent is not None:
-            assert fact.factors.get(fact.factor_of[t.name]).parent == fact.factor_of[t.parent]
+            assert fact.factors.types[fact.factor_of[t.name]].parent == fact.factor_of[t.parent]
 
 
 def test_factor_fixture_partition(factor_tree):
@@ -258,19 +290,19 @@ def test_factor_soundness_and_quotient_on_random_ontologies(seed, n):
         by_factor.setdefault(fact.factor_of[name], []).append(name)
     # soundness: all members of a factor share an identical effective role set
     for members in by_factor.values():
-        signatures = {ont.role_signature(m) for m in members}
+        signatures = {role_set(ont, m) for m in members}
         assert len(signatures) == 1
     # quotient: a type's factor is its parent's factor or a child of it
     for name in ont:
-        parent = ont.get(name).parent
+        parent = ont.types[name].parent
         if parent is None:
             continue
         f, pf = fact.factor_of[name], fact.factor_of[parent]
-        assert f == pf or fact.factors.get(f).parent == pf
+        assert f == pf or fact.factors.types[f].parent == pf
     # completeness: role set equal to parent's implies the same factor
     for name in ont:
-        parent = ont.get(name).parent
-        if parent is not None and ont.role_signature(name) == ont.role_signature(parent):
+        parent = ont.types[name].parent
+        if parent is not None and role_set(ont, name) == role_set(ont, parent):
             assert fact.factor_of[name] == fact.factor_of[parent]
 
 
@@ -279,7 +311,7 @@ def test_factor_soundness_and_quotient_on_random_ontologies(seed, n):
 def test_semfac_equals_wu_palmer_on_factor_tree(seed, n):
     ont = random_ontology(Random(seed), n)
     fact = factorize(ont)
-    factor_parents = {f: fact.factors.get(f).parent for f in fact.factors}
+    factor_parents = {f: fact.factors.types[f].parent for f in fact.factors}
     rng = Random(seed + 1)
     names = sorted(ont)
     for _ in range(10):

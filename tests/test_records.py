@@ -107,6 +107,14 @@ MALFORMED = [
      "entry x cat N template n type root\nentry w cat N template n type root\n", 4, "w/n/root"),
     # a key repeated on a continuation line is named by that line
     ("ontology", "type root parent -\n\ntype a parent root\n  parent root\n", 4, "repeated key 'parent'"),
+    # a synset that breaks a structural check is named by its own line
+    ("synsets", "synset a.n hypernyms b.n\n", 1, "missing hypernym b.n"),
+    ("synsets", "synset a.n lemmas - hypernyms -\nsynset a.n lemmas - hypernyms -\n", 2,
+     "duplicate synset a.n"),
+    ("synsets", "synset a.n hypernyms b.n\nsynset b.n hypernyms a.n\n", 1,
+     "hypernym cycle involving a.n"),
+    # and a type by the first line of its block
+    ("ontology", "type root parent -\n\ntype a\n  parent ghost\n", 3, "missing parent ghost"),
 ]
 
 
@@ -183,9 +191,7 @@ def test_parse_advice_rejects_mass_above_one():
 # error names the file even though the text was passed in directly
 STRUCTURAL = [
     ("ontology", "type a parent b\n\ntype b parent a\n", "no root"),
-    ("synsets", "synset a.n hypernyms b.n\n", "missing hypernym"),
-    ("synsets", "synset a.n lemmas - hypernyms -\nsynset a.n lemmas - hypernyms -\n",
-     "duplicate synset a.n"),
+    ("ontology", "type r1 parent -\n\ntype r2 parent -\n", "multiple roots: r1, r2"),
     ("lexicon", "template n cat N slots -\ntemplate n cat N slots -\n", "duplicate template n"),
     ("lexicon", "default-template N n\n", "default template n not declared"),
 ]

@@ -79,7 +79,7 @@ def random_search(seed, beam_width, max_pops, threshold, hooked):
     hook (or None) over a random ontology and grammar."""
     rng = Random(seed)
     base = random_ontology(rng, rng.randrange(2, 8))
-    ontology = Ontology([*map(base.get, base), OntologyType(FALLBACK_TYPE, base.root)])
+    ontology = Ontology([*base.types.values(), OntologyType(FALLBACK_TYPE, base.root)])
     types = sorted(base)
     templates = {c: SyntacticTemplate(c, c) for c in CATEGORIES}
     n = rng.randrange(1, 6)

@@ -39,8 +39,8 @@ def test_parse_synsets_roundtrip():
     )
     assert sorted(graph) == ["a.n", "b.n", "c.n"]
     assert {s.id for s in graph.synsets_for_lemma("cat")} == {"a.n"}
-    assert graph.get("b.n").hypernyms == {"a.n"}
-    assert graph.get("c.n") == Synset("c.n")
+    assert graph.synsets["b.n"].hypernyms == {"a.n"}
+    assert graph.synsets["c.n"] == Synset("c.n")
 
 
 def test_hypernym_cycle_rejected():
@@ -111,7 +111,7 @@ def test_nearer_mapping_wins_over_shorter_name():
 @given(seed=st.integers(0, 2**31), n=st.integers(1, 100))
 def test_assign_type_matches_path_enumeration_oracle(seed, n):
     graph, mapping = random_synset_graph(Random(seed), n)
-    hypernyms = {sid: graph.get(sid).hypernyms for sid in graph}
+    hypernyms = {sid: graph.synsets[sid].hypernyms for sid in graph}
     for sid in graph:
         assert graph.assign_type(sid, mapping) == assign_type_oracle(
             hypernyms, mapping, sid

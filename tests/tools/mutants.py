@@ -5,8 +5,8 @@ Stdlib only.  Run from the repository root:
     python tests/tools/mutants.py [--jobs 1|2] [--list] [module ...]
 
 The modules (names under ``src/senseparse/``) default to ``parser``,
-``hinting``, ``evaluation``, ``advice``, ``lexicon``, ``sensemap``, and the
-readers' shared ``records`` and ``ontology``.
+``hinting``, ``evaluation``, ``advice``, ``lexicon``, ``sensemap``, the
+readers' shared ``records`` and ``ontology``, and ``errors``.
 Each mutant changes one expression, in one of these ways:
 
 - a comparison swapped: ``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
@@ -54,6 +54,7 @@ PACKAGE = ROOT / "src" / "senseparse"
 NOT_COPIED = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-work")
 DEFAULT_MODULES = (
     "parser", "hinting", "evaluation", "advice", "lexicon", "sensemap", "records", "ontology",
+    "errors",
 )
 TIMEOUT_S = 60  # tier-1 takes under 10 s
 MEMORY_BYTES = 1024**3
