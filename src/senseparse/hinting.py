@@ -67,10 +67,13 @@ def augment(s_c: float, s: float, alpha: float) -> float:
     Returns ``alpha * (s_c * s) + (1 - alpha)``, which always lands in
     ``[1 - alpha, 1]`` and is monotone in both scores.
     """
+    # each of the three in [0, 1] (NaN fails every comparison); which one
+    # is not is worked out only to name it
+    if 0.0 <= s_c <= 1.0 >= s >= 0.0 <= alpha <= 1.0:
+        return alpha * (s_c * s) + (1.0 - alpha)
     for name, value in (("s_c", s_c), ("s", s), ("alpha", alpha)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return alpha * (s_c * s) + (1.0 - alpha)
 
 
 def progressive_scorer(advice: AdviceMap, ontology: Ontology, alpha: float) -> Scorer:

@@ -65,7 +65,11 @@ def compatible(category: str, pos: str | None) -> bool:
 
 
 class Lexicon:
-    """Templates, per-category defaults, and scored core entries."""
+    """Templates, per-category defaults, and scored core entries.
+
+    A check that finds one record at fault names it by its position among
+    the templates, then the defaults, then the entries, in the order handed.
+    """
 
     def __init__(
         self,
@@ -76,28 +80,28 @@ class Lexicon:
     ) -> None:
         self._ontology = ontology
         self.templates: dict[str, SyntacticTemplate] = {}
-        for tpl in templates:
+        for index, tpl in enumerate(templates):
             if tpl.name in self.templates:
-                raise StructuralError(f"duplicate template {tpl.name}")
+                raise StructuralError(f"duplicate template {tpl.name}", index)
             self.templates[tpl.name] = tpl
 
         self.defaults: dict[str, str] = {}
-        for category, tpl_name in defaults.items():
+        for index, (category, tpl_name) in enumerate(defaults.items(), len(self.templates)):
             tpl = self.templates.get(tpl_name)
             if tpl is None:
-                raise StructuralError(f"default template {tpl_name} not declared")
+                raise StructuralError(f"default template {tpl_name} not declared", index)
             if tpl.category != category:
                 raise StructuralError(
                     f"default template {tpl_name} has category {tpl.category}, "
-                    f"not {category}"
+                    f"not {category}",
+                    index,
                 )
             self.defaults[category] = tpl_name
 
         self._entries: dict[str, list[LexicalEntry]] = {}
         donors: dict[str, set[str]] = {}
         seen: set[tuple[str, str, str]] = set()
-        for index, entry in enumerate(entries):
-            # each check names the entry at fault by its position
+        for index, entry in enumerate(entries, len(self.templates) + len(self.defaults)):
             tpl = self.templates.get(entry.template)
             if tpl is None:
                 problem = f"entry {entry.word} references missing template {entry.template}"
@@ -233,27 +237,32 @@ def parse_lexicon(text: str, ontology: Ontology, source: str = "<string>") -> Le
     """
     templates: list[SyntacticTemplate] = []
     defaults: dict[str, str] = {}
+    template_lines: list[int] = []
+    default_lines: list[int] = []
     entry_lines: list[tuple[int, list[str]]] = []
 
     for lineno, tokens in records.lines(text):
         kind = tokens[0]
         if kind == "template":
             templates.append(_parse_template(tokens, source, lineno))
+            template_lines.append(lineno)
         elif kind == "default-template":
             if len(tokens) != 3:
                 raise FormatError("expected 'default-template <cat> <name>'", source, lineno)
             if tokens[1] in defaults:
                 raise FormatError(f"repeated default for category {tokens[1]}", source, lineno)
             defaults[tokens[1]] = tokens[2]
+            default_lines.append(lineno)
         elif kind == "entry":
             entry_lines.append((lineno, tokens))
         else:
             raise FormatError(f"unknown record '{kind}'", source, lineno)
 
     entries = [_parse_entry(tokens, source, lineno) for lineno, tokens in entry_lines]
+    # a record's line by its position, counting templates, defaults, entries
     lex = records.build(
         Lexicon, source, templates, [e for e, _ in entries], defaults, ontology,
-        lines=[lineno for lineno, _ in entry_lines],
+        lines=[*template_lines, *default_lines, *(lineno for lineno, _ in entry_lines)],
     )
     # the entry line also declares a category; it must agree with the template
     for (entry, category), (lineno, _) in zip(entries, entry_lines):

@@ -93,14 +93,11 @@ class Grammar:
     def __init__(self, rules: Sequence[GrammarRule]) -> None:
         self.rules = tuple(rules)
         self.goal = self.rules[0].lhs if self.rules else None
-        self._positions: dict[str, list[tuple[int, int]]] = {}
+        # per category, the (rule index, rhs position) pairs it can plug into
+        self.positions: dict[str, list[tuple[int, int]]] = {}
         for rule_index, rule in enumerate(self.rules):
             for j, category in enumerate(rule.rhs):
-                self._positions.setdefault(category, []).append((rule_index, j))
-
-    def positions(self, category: str) -> list[tuple[int, int]]:
-        """(rule index, rhs position) pairs where ``category`` can plug in."""
-        return self._positions.get(category, [])
+                self.positions.setdefault(category, []).append((rule_index, j))
 
 
 class Constituent(NamedTuple):
@@ -114,7 +111,8 @@ class Constituent(NamedTuple):
     the rule's own tuple (empty for a leaf).
 
     A named tuple by the rule in :mod:`senseparse.records`: it validates
-    nothing, and the parser builds each item once, with its score.
+    nothing, and the parser builds each item once, with its score.  Seeding
+    and ``combine`` build it with ``tuple.__new__`` and all nine fields.
     """
 
     id: int
@@ -337,10 +335,10 @@ class ChartParser:
             if scorer is not None:
                 root = scorer((head.word, span, head.onto_type), root)
             score = recursive_score(root, child_scores)
-        return Constituent(
+        return tuple.__new__(Constituent, (
             cid, span, rule.lhs, head.onto_type, head.word, score, head.head,
             rule.role_links, tuple(children),
-        )
+        ))
 
     # -- main loop ------------------------------------------------------------
 
@@ -358,8 +356,15 @@ class ChartParser:
             raise ParseFailure("one entry list per token required")
 
         n = len(tokens)
-        budget = self.config.pop_budget(n)
-        chart = Chart(self.config.beam_width)
+        config = self.config
+        budget = config.pop_budget(n)
+        chart = Chart(config.beam_width)
+        # bound once per parse, so a wrapper put on ``ChartParser.combine`` or
+        # ``Chart.prune_cell`` before the parse still runs
+        add = chart.add
+        combine = self.combine
+        templates = self.templates
+        types = self.ontology.types
         # (-score, id, constituent): ids are unique, so the constituent
         # itself is never compared
         agenda: list[tuple[float, int, Constituent]] = []
@@ -369,43 +374,44 @@ class ChartParser:
         rejections = Diagnostics()
 
         for i in range(n):
+            span = (i, i + 1)
             for entry in entries[i]:
-                template = self.templates.get(entry.template)
+                template = templates.get(entry.template)
                 if template is None:
                     raise ParseFailure(f"entry for '{entry.word}' names missing template {entry.template}")
-                if entry.onto_type not in self.ontology:
+                if entry.onto_type not in types:
                     raise ParseFailure(f"entry for '{entry.word}' names unknown type {entry.onto_type}")
                 # a leaf's recursive mean is exactly its root component
-                span = (i, i + 1)
                 score = entry.score
                 if scorer is not None:
                     score = scorer((entry.word, span, entry.onto_type), score)
-                leaf = Constituent(
-                    next_id, span, template.category, entry.onto_type, entry.word, score, i
-                )
+                leaf = tuple.__new__(Constituent, (
+                    next_id, span, template.category, entry.onto_type, entry.word, score, i,
+                    (), (),
+                ))
+                if add(leaf):
+                    heappush(agenda, (-score, next_id, leaf))
                 next_id += 1
-                if chart.add(leaf):
-                    heappush(agenda, (-score, leaf.id, leaf))
 
         pops = 0
         accepted: Constituent | None = None
         rules = self.grammar.rules
         goal = self.grammar.goal
+        positions = self.grammar.positions
+        threshold = config.accept_threshold
+        full = (0, n)
         live, ending, starting = chart.live, chart._ending, chart._starting
         while agenda and pops < budget:
             _, cid, popped = heappop(agenda)
             if cid not in live:
                 continue
             pops += 1
-            if (
-                popped.span == (0, n)
-                and popped.category == goal
-                and popped.effective_score >= self.config.accept_threshold
-            ):
+            span = popped.span
+            if span == full and popped.category == goal and popped.effective_score >= threshold:
                 accepted = popped
                 break
-            start, end = popped.span
-            for rule_index, j in self.grammar.positions(popped.category):
+            start, end = span
+            for rule_index, j in positions.get(popped.category, ()):
                 rule = rules[rule_index]
                 rhs = rule.rhs
                 if len(rhs) == 1:
@@ -435,16 +441,15 @@ class ChartParser:
                             seen.add(signature)
                             matches.append(children)
                 for children in matches:
-                    built = self.combine(
-                        rule, children, next_id, rejections, sentence_id, scorer
-                    )
+                    built = combine(rule, children, next_id, rejections, sentence_id, scorer)
                     if built is None:
                         continue
                     next_id += 1
-                    if chart.add(built):
+                    if add(built):
                         heappush(agenda, (-built.effective_score, built.id, built))
 
-        diagnostics.replay(Diagnostics(list(dict.fromkeys(rejections.events))))
+        if rejections.events:
+            diagnostics.replay(Diagnostics(list(dict.fromkeys(rejections.events))))
         if accepted is not None:
             fragments: list[Constituent] = [accepted]
         else:
@@ -452,15 +457,11 @@ class ChartParser:
 
         spanning = (
             len(fragments) == 1
-            and fragments[0].span == (0, n)
+            and fragments[0].span == full
             and fragments[0].category == goal
         )
         return ParseResult(
-            sentence_id=sentence_id,
-            spanning=spanning,
-            fragments=tuple(fragments),
-            logical_form=_extract_logical_form(fragments),
-            agenda_pops=pops,
+            sentence_id, spanning, tuple(fragments), _extract_logical_form(fragments), pops
         )
 
     @staticmethod
@@ -550,11 +551,18 @@ def _extract_logical_form(fragments: Sequence[Constituent]) -> LogicalForm:
     stack = list(fragments)
     while stack:
         c = stack.pop()
-        if not c.children:
-            nodes.append(LFNode(c.head, c.span[0], c.span[1], c.word, c.onto_type))
-        edges.extend((c.head, role, c.children[index].head) for index, role in c.role_links)
-        stack.extend(c.children)
-    return LogicalForm(tuple(sorted(nodes)), tuple(sorted(edges)))
+        children = c.children
+        if children:
+            head = c.head
+            for index, role in c.role_links:
+                edges.append((head, role, children[index].head))
+            stack.extend(children)
+        else:
+            start, end = c.span
+            nodes.append(LFNode(c.head, start, end, c.word, c.onto_type))
+    nodes.sort()
+    edges.sort()
+    return LogicalForm(tuple(nodes), tuple(edges))
 
 
 # -- grammar file format -------------------------------------------------------

@@ -6,9 +6,10 @@ ontology uses them to separate multi-line blocks), a record is a run of
 whitespace-separated tokens, optional fields are ``key value`` pairs, and
 a list value is comma-separated, with ``-`` for the empty list and no
 empty item.  Every malformed record raises :class:`FormatError` naming
-``file:line`` and the offending token.  So does an ontology type, synset
-or lexicon entry that a structural check finds at fault, such as a
-duplicate or a dangling name; another structural error names the file.
+``file:line`` and the offending token.  So does an ontology type, a
+synset, or a lexicon template, default or entry that a structural check
+finds at fault, such as a duplicate or a dangling name; another structural
+error names the file.
 The format modules keep only what is particular to their own records.
 
 Record types built once per input line, token or parse follow one rule:
@@ -16,7 +17,10 @@ Record types built once per input line, token or parse follow one rule:
 - A record that validates nothing is a ``typing.NamedTuple``, which is
   built several times faster than a frozen dataclass.  It is immutable
   and compares equal to a plain tuple of its values.  The ``index``
-  field of ``parser.Token`` hides ``tuple.index``.
+  field of ``parser.Token`` hides ``tuple.index``.  The parser builds
+  each chart item (``parser.Constituent``) with ``tuple.__new__`` and all
+  of its fields: on the hot path that skips the generated ``__new__``,
+  one Python frame per item, and the item is the same tuple.
 - A record that validates its values in ``__post_init__`` stays a frozen
   dataclass, so no instance skips the check.
 """

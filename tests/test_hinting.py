@@ -1,3 +1,4 @@
+import itertools
 import math
 from random import Random
 
@@ -96,13 +97,26 @@ def test_augment_identity_inputs():
         assert augment(1.0, 1.0, alpha) == 1.0
 
 
-def test_augment_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        augment(1.2, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        augment(0.5, -0.1, 0.5)
-    with pytest.raises(ValueError):
-        augment(0.5, 0.5, 2.0)
+OUTSIDE_UNIT = (
+    math.nextafter(0.0, -math.inf),
+    math.nextafter(1.0, math.inf),
+    math.nan,
+)
+
+
+@pytest.mark.parametrize("good", (0.0, 1.0))
+@pytest.mark.parametrize("bad", OUTSIDE_UNIT, ids=("below", "above", "nan"))
+@pytest.mark.parametrize("name", ("s_c", "s", "alpha"))
+def test_augment_rejects_out_of_range(name, bad, good):
+    # the other two sit on a bound, so only ``name`` can be the one named
+    args = {"s_c": good, "s": good, "alpha": good, name: bad}
+    with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {bad}$"):
+        augment(**args)
+
+
+@pytest.mark.parametrize("s_c, s, alpha", itertools.product((0.0, 1.0), repeat=3))
+def test_augment_accepts_the_bounds(s_c, s, alpha):
+    assert augment(s_c, s, alpha) == alpha * (s_c * s) + (1.0 - alpha)
 
 
 @settings(max_examples=200, deadline=None)

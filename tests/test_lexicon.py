@@ -5,7 +5,7 @@ import pytest
 from oracles import random_lexicon, random_ontology, template_for_type_oracle
 from senseparse.diagnostics import Diagnostics
 from senseparse.errors import FormatError, StructuralError
-from senseparse.lexicon import ENTRY_KEEP, parse_lexicon
+from senseparse.lexicon import ENTRY_KEEP, LexicalEntry, Lexicon, SyntacticTemplate, parse_lexicon
 from senseparse.ontology import parse_ontology
 from senseparse.sensemap import parse_synsets
 
@@ -267,8 +267,36 @@ def test_entry_category_must_match_template(mini):
 def test_default_template_category_checked(mini):
     ont, _, _ = mini
     text = "template n cat N slots -\ndefault-template V n\n"
-    with pytest.raises(StructuralError, match="category"):
+    with pytest.raises(FormatError, match="^<string>:2: default template n has category N, not V$"):
         parse_lexicon(text, ont)
+
+
+NOUN = SyntacticTemplate("n", "N")
+
+
+# (templates, defaults, entries, message, index): the index counts the
+# templates, then the defaults, then the entries
+DIRECT_FAULTS = [
+    ((NOUN, NOUN), {}, (), "duplicate template n", 1),
+    ((NOUN,), {"N": "v"}, (), "default template v not declared", 1),
+    ((NOUN,), {"V": "n"}, (), "default template n has category N, not V", 1),
+    ((NOUN,), {"N": "n"}, (LexicalEntry("w", "v", "root", 0.8),),
+     "entry w references missing template v", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "templates, defaults, entries, message, index",
+    DIRECT_FAULTS,
+    ids=[message.replace(" ", "_") for _, _, _, message, _ in DIRECT_FAULTS],
+)
+def test_direct_construction_names_the_record_at_fault(
+    mini, templates, defaults, entries, message, index
+):
+    ont, _, _ = mini
+    with pytest.raises(StructuralError, match=f"^{message}$") as raised:
+        Lexicon(templates, entries, defaults, ont)
+    assert raised.value.index == index
 
 
 def test_duplicate_entry_rejected(mini):

@@ -556,8 +556,8 @@ def test_parse_grammar_roundtrip():
     )
     assert len(grammar.rules) == 2
     assert grammar.rules[0].role_links == ((0, "agent"),)
-    assert grammar.positions("NP") == [(0, 0)]
-    assert grammar.positions("N") == [(1, 0)]
+    assert grammar.positions["NP"] == [(0, 0)]
+    assert grammar.positions["N"] == [(1, 0)]
 
 
 def test_parse_grammar_rejects_bad_head():

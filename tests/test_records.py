@@ -115,6 +115,14 @@ MALFORMED = [
      "hypernym cycle involving a.n"),
     # and a type by the first line of its block
     ("ontology", "type root parent -\n\ntype a\n  parent ghost\n", 3, "missing parent ghost"),
+    # a lexicon template or default that breaks a structural check is named
+    # by its own line, wherever its line sits among the other records
+    ("lexicon", "template n cat N slots -\ntemplate n cat N slots -\n", 2, "duplicate template n"),
+    ("lexicon", "default-template N n\n", 1, "default template n not declared"),
+    ("lexicon", "default-template N v\ntemplate n cat N slots -\ntemplate v cat V slots -\n", 1,
+     "default template v has category V, not N"),
+    ("lexicon", "template n cat N slots -\nentry w cat N template n type root\n"
+     "default-template N n\nentry x cat N template m type root\n", 4, "missing template m"),
 ]
 
 
@@ -192,8 +200,6 @@ def test_parse_advice_rejects_mass_above_one():
 STRUCTURAL = [
     ("ontology", "type a parent b\n\ntype b parent a\n", "no root"),
     ("ontology", "type r1 parent -\n\ntype r2 parent -\n", "multiple roots: r1, r2"),
-    ("lexicon", "template n cat N slots -\ntemplate n cat N slots -\n", "duplicate template n"),
-    ("lexicon", "default-template N n\n", "default template n not declared"),
 ]
 
 
