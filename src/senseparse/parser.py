@@ -2,9 +2,14 @@
 
 The chart is seeded with one constituent per lexical entry.  A priority
 agenda repeatedly pops the highest-scoring constituent and plugs it into
-each rule position its category fills: a unary rule's one match is the
-item itself, a binary rule pairs it with each live item of the one
-neighbouring cell, and a longer rule extends it outward cell by cell.
+each rule position its category fills.  Rules of one, two and three
+daughters are matched inline: a unary rule's one match is the item itself,
+a binary rule pairs it with each live item of the one neighbouring cell,
+and a three-daughter rule reads the two cells around the item, or the
+neighbouring cell and, per item there, the cell beyond it.  A rule of four
+or more daughters, which the grammar format allows but no shipped grammar
+or benchmark workload has, extends the match outward cell by cell in a
+generic walk.
 Each (rule, daughters) match is combined once; a combination that
 violates a role restriction is rejected outright rather than penalized,
 and each distinct rejection is noted once per parse.
@@ -303,8 +308,10 @@ class ChartParser:
         restriction must subsume the linked daughter's type.  Its root
         component is the rule weight times the daughters' geometric mean,
         or what ``scorer`` makes of that; its score is the recursive mean
-        of the root component and the daughters' scores, spelled out for
-        two daughters with the general form's rounding.
+        of the root component and the daughters' scores.  Two and three
+        daughters, the arities of the binary and coordination rules, are
+        spelled out with the general form's rounding; one daughter and four
+        or more take the general form.
         """
         head = children[rule.head_index]
         if rule.role_links:
@@ -329,6 +336,13 @@ class ChartParser:
             if scorer is not None:
                 root = scorer((head.word, span, head.onto_type), root)
             score = math.fsum((root, left, right)) / 3
+        elif len(children) == 3:
+            a, b, c = children
+            first, second, third = a.effective_score, b.effective_score, c.effective_score
+            root = rule.weight * (first * second * third) ** (1.0 / 3)
+            if scorer is not None:
+                root = scorer((head.word, span, head.onto_type), root)
+            score = math.fsum((root, first, second, third)) / 4
         else:
             child_scores = [c.effective_score for c in children]
             root = rule.weight * math.prod(child_scores) ** (1.0 / len(child_scores))
@@ -433,6 +447,48 @@ class ChartParser:
                         if signature not in seen:
                             seen.add(signature)
                             matches.append(pair)
+                elif len(rhs) == 3:
+                    # in ``_rhs_matches``'s order: the outer loop runs over
+                    # the daughter next to the popped item (the left one when
+                    # both are), each cell in id order
+                    matches = []
+                    if j == 1:
+                        firsts = ending.get((start, rhs[0]))
+                        lasts = starting.get((end, rhs[2]))
+                        if not firsts or not lasts:
+                            continue
+                        for a in firsts.values():
+                            for c in lasts.values():
+                                signature = (rule_index, a.id, cid, c.id)
+                                if signature not in seen:
+                                    seen.add(signature)
+                                    matches.append((a, popped, c))
+                    elif j == 0:
+                        mids = starting.get((end, rhs[1]))
+                        if not mids:
+                            continue
+                        last_category = rhs[2]
+                        for b in mids.values():
+                            lasts = starting.get((b.span[1], last_category))
+                            if lasts:
+                                for c in lasts.values():
+                                    signature = (rule_index, cid, b.id, c.id)
+                                    if signature not in seen:
+                                        seen.add(signature)
+                                        matches.append((popped, b, c))
+                    else:
+                        mids = ending.get((start, rhs[1]))
+                        if not mids:
+                            continue
+                        first_category = rhs[0]
+                        for b in mids.values():
+                            firsts = ending.get((b.span[0], first_category))
+                            if firsts:
+                                for a in firsts.values():
+                                    signature = (rule_index, a.id, b.id, cid)
+                                    if signature not in seen:
+                                        seen.add(signature)
+                                        matches.append((a, b, popped))
                 else:
                     matches = []
                     for children in self._rhs_matches(chart, rule, j, popped):
@@ -469,10 +525,15 @@ class ChartParser:
         chart: Chart, rule: GrammarRule, j: int, fixed: Constituent
     ) -> list[tuple[Constituent, ...]]:
         """All ways to realize ``rule.rhs`` with ``fixed`` at position ``j``
-        and live, span-adjacent chart items elsewhere.
+        and live, span-adjacent chart items elsewhere: leftward daughters
+        first, then rightward, each cell in id order.
 
-        Reads the chart's indexes in place: every match is collected before
-        the caller combines (and so admits) any of them.
+        The parse loop matches rules of one, two and three daughters inline
+        in this same order; this generic walk serves rules of four or more,
+        which no shipped grammar or benchmark workload has, so one loop
+        covers them all rather than more inline code.  Reads the chart's
+        indexes in place: every match is collected before the caller
+        combines (and so admits) any of them.
         """
         rhs = rule.rhs
         partial: list[tuple[Constituent, ...]] = [(fixed,)]

@@ -35,34 +35,39 @@ class SynsetGraph:
     of the synset at fault."""
 
     def __init__(self, synsets: Iterable[Synset]) -> None:
-        self.synsets: Names[Synset] = Names("synset")
+        # checked and indexed as a plain dict (CPython specialises subscripts
+        # and stores on an exact dict only), then handed to ``Names`` once
+        table: dict[str, Synset] = {}
         for index, s in enumerate(synsets):
-            if s.id in self.synsets:
+            if s.id in table:
                 raise StructuralError(f"duplicate synset {s.id}", index)
-            self.synsets[s.id] = s
+            table[s.id] = s
 
-        for index, s in enumerate(self.synsets.values()):
+        for index, s in enumerate(table.values()):
             for h in s.hypernyms:
-                if h not in self.synsets:
+                if h not in table:
                     # the least one, so the message does not follow set order
-                    missing = min(s.hypernyms - self.synsets.keys())
+                    missing = min(s.hypernyms - table.keys())
                     raise StructuralError(f"synset {s.id} names missing hypernym {missing}", index)
 
-        self._check_acyclic()
+        self._check_acyclic(table)
 
         self._by_lemma: dict[str, list[str]] = {}
-        for sid in sorted(self.synsets):
-            for lemma in self.synsets[sid].lemmas:
+        for sid in sorted(table):
+            for lemma in table[sid].lemmas:
                 self._by_lemma.setdefault(lemma, []).append(sid)
+        self.synsets: Names[Synset] = Names("synset")
+        self.synsets.update(table)
 
-    def _check_acyclic(self) -> None:
+    @staticmethod
+    def _check_acyclic(synsets: dict[str, Synset]) -> None:
         WHITE, GREY, BLACK = 0, 1, 2
-        color = {sid: WHITE for sid in self.synsets}
-        for start in self.synsets:
+        color = {sid: WHITE for sid in synsets}
+        for start in synsets:
             if color[start] != WHITE:
                 continue
             stack: list[tuple[str, Iterator[str]]] = [
-                (start, iter(sorted(self.synsets[start].hypernyms)))
+                (start, iter(sorted(synsets[start].hypernyms)))
             ]
             color[start] = GREY
             while stack:
@@ -70,11 +75,11 @@ class SynsetGraph:
                 for nxt in it:
                     if color[nxt] == GREY:
                         raise StructuralError(
-                            f"hypernym cycle involving {nxt}", list(self.synsets).index(nxt)
+                            f"hypernym cycle involving {nxt}", list(synsets).index(nxt)
                         )
                     if color[nxt] == WHITE:
                         color[nxt] = GREY
-                        stack.append((nxt, iter(sorted(self.synsets[nxt].hypernyms))))
+                        stack.append((nxt, iter(sorted(synsets[nxt].hypernyms))))
                         break
                 else:
                     color[node] = BLACK

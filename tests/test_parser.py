@@ -4,6 +4,7 @@ import re
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import best_parse_oracle, verify_role_soundness
 from senseparse.diagnostics import Diagnostics
@@ -123,14 +124,21 @@ def test_combine_rejects_undeclared_role(resources):
     assert diag.lines() == ["role-violation affected (undeclared) cheese"]
 
 
-def test_combine_scores_the_parent_it_builds(resources):
-    # no hook: the recursive mean of the root component and the daughters'
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4),
+    weight=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_combine_scores_the_parent_it_builds(resources, scores, weight):
+    # two and three daughters are scored inline, four by the general form;
+    # each must equal the general form to the last bit
     parser = make_parser(resources)
-    v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
-    np = leaf(1, (1, 2), "NP", "freshwater-fish", "bass", 0.6)
-    root = 1.0 * (0.8 * 0.6) ** 0.5
-    plain = parser.combine(vp_rule(), [v, np], cid=2)
-    assert plain.effective_score == recursive_score(root, [0.8, 0.6])
+    children = [leaf(k, (k, k + 1), "N", "bread", f"w{k}", s) for k, s in enumerate(scores)]
+    rule = GrammarRule("X", ("N",) * len(scores), 0, (), weight)
+    root = weight * math.prod(scores) ** (1.0 / len(scores))
+    # no hook: the recursive mean of the root component and the daughters'
+    plain = parser.combine(rule, children)
+    assert plain.effective_score == recursive_score(root, scores)
 
     # a hook: called once with the head word, span and type and the root
     # component; its value is the root component the mean is taken over
@@ -138,12 +146,12 @@ def test_combine_scores_the_parent_it_builds(resources):
 
     def hook(item, own):
         calls.append((item, own))
-        return 0.125
+        return own / 2 + 0.25
 
-    hooked = parser.combine(vp_rule(), [v, np], cid=2, scorer=hook)
-    assert calls == [(("cook", (0, 2), "cook-action"), root)]
-    assert hooked == plain._replace(effective_score=recursive_score(0.125, [0.8, 0.6]))
-    identity = parser.combine(vp_rule(), [v, np], cid=2, scorer=lambda item, own: own)
+    hooked = parser.combine(rule, children, scorer=hook)
+    assert calls == [(("w0", (0, len(scores)), "bread"), root)]
+    assert hooked == plain._replace(effective_score=recursive_score(root / 2 + 0.25, scores))
+    identity = parser.combine(rule, children, scorer=lambda item, own: own)
     assert identity == plain
 
 

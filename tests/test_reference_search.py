@@ -5,7 +5,7 @@ scores, derivations), pop count, logical form and role-violation note."""
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import random_ontology, reference_parse, shape
 from senseparse.diagnostics import Diagnostics
@@ -44,11 +44,12 @@ def assert_same_search(parser, tokens, entries, sentence_id="", scorer=None):
 
 
 def random_grammar(rng):
-    """Unary, binary and ternary rules over three categories, so unary
-    cycles, ``X -> A A`` and links to undeclared roles all turn up."""
+    """Rules of one to four daughters over three categories, so unary
+    cycles, ``X -> A A``, links to undeclared roles and four-daughter
+    rules all turn up."""
     rules = []
     for _ in range(rng.randrange(1, 8)):
-        arity = rng.choice((1, 1, 2, 2, 2, 3))
+        arity = rng.choice((1, 1, 2, 2, 2, 3, 3, 4))
         head = rng.randrange(arity)
         links = tuple(
             (k, rng.choice(ROLES)) for k in range(arity) if k != head and rng.random() < 0.6
@@ -72,6 +73,32 @@ def test_search_equals_the_reference_on_random_grammars(
     seed, beam_width, max_pops, threshold, hooked
 ):
     assert_same_search(*random_search(seed, beam_width, max_pops, threshold, hooked))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), beam_width=st.integers(1, 4), hooked=st.booleans())
+def test_search_equals_the_reference_on_four_daughter_rules(seed, beam_width, hooked):
+    """Only rules of four or more daughters take the parser's generic match
+    walk, and the draw above seldom lets one match: here the sentence has
+    four tokens or more, and the grammar gains four-daughter rules over
+    categories its entries seed at four adjacent tokens."""
+    parser, tokens, entries, sentence_id, scorer = random_search(
+        seed, beam_width, None, 0.0, hooked
+    )
+    assume(len(tokens) >= 4)
+    rng = Random(f"{seed}/four")
+    rules = list(parser.grammar.rules)
+    for _ in range(rng.randrange(1, 4)):
+        start = rng.randrange(len(tokens) - 3)
+        rhs = tuple(
+            rng.choice([e.template for e in entries[i]] or CATEGORIES)
+            for i in range(start, start + 4)
+        )
+        head = rng.randrange(4)
+        links = tuple((k, rng.choice(ROLES)) for k in range(4) if k != head and rng.random() < 0.6)
+        rules.append(GrammarRule(rng.choice(CATEGORIES), rhs, head, links, rng.choice((0.5, 1.0))))
+    parser = ChartParser(Grammar(rules), parser.ontology, parser.templates, parser.config)
+    assert_same_search(parser, tokens, entries, sentence_id, scorer)
 
 
 def random_search(seed, beam_width, max_pops, threshold, hooked):
