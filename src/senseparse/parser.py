@@ -2,14 +2,13 @@
 
 The chart is seeded with one constituent per lexical entry.  A priority
 agenda repeatedly pops the highest-scoring constituent and plugs it into
-each rule position its category fills.  Rules of one, two and three
-daughters are matched inline: a unary rule's one match is the item itself,
-a binary rule pairs it with each live item of the one neighbouring cell,
-and a three-daughter rule reads the two cells around the item, or the
-neighbouring cell and, per item there, the cell beyond it.  A rule of four
-or more daughters, which the grammar format allows but no shipped grammar
-or benchmark workload has, extends the match outward cell by cell in a
-generic walk.
+each rule position its category fills.  A rule has one, two or three
+daughters, and each arity is matched inline: a unary rule's one match is
+the item itself, a binary rule pairs it with each live item of the one
+neighbouring cell, and a three-daughter rule reads the two cells around the
+item, or the neighbouring cell and, per item there, the cell beyond it.
+A longer rule is rejected rather than binarized: intermediate categories
+would change its scores and beam cells.
 Each (rule, daughters) match is combined once; a combination that
 violates a role restriction is rejected outright rather than penalized,
 and each distinct rejection is noted once per parse.
@@ -67,8 +66,9 @@ class Token(NamedTuple):
 class GrammarRule:
     """One context-free rule with a designated head and role attachments.
 
-    ``role_links`` attach non-head daughters to roles of the head's
-    semantic type; the filler must satisfy the role's restriction.
+    ``rhs`` holds one to three daughter categories.  ``role_links`` attach
+    non-head daughters to roles of the head's semantic type, each pair
+    once; the filler must satisfy the role's restriction.
     """
 
     lhs: str
@@ -80,13 +80,17 @@ class GrammarRule:
     def __post_init__(self) -> None:
         if not self.rhs:
             raise StructuralError(f"rule {self.lhs} has empty right-hand side")
+        if len(self.rhs) > 3:
+            raise StructuralError(f"rule {self.lhs} has more than three daughters")
         if not 0 <= self.head_index < len(self.rhs):
             raise StructuralError(f"rule {self.lhs} head index out of range")
-        for index, role in self.role_links:
+        for k, (index, role) in enumerate(self.role_links):
             if not 0 <= index < len(self.rhs):
                 raise StructuralError(f"rule {self.lhs} links missing daughter {index}")
             if index == self.head_index:
                 raise StructuralError(f"rule {self.lhs} links role {role} to its head")
+            if (index, role) in self.role_links[:k]:
+                raise StructuralError(f"rule {self.lhs} links daughter {index} to {role} twice")
         if not 0.0 < self.weight <= 1.0:
             raise StructuralError(f"rule {self.lhs} weight must be in (0, 1]")
 
@@ -200,15 +204,6 @@ class ParseResult(NamedTuple):
 Scorer = Callable[[tuple[str, Span, str], float], float]
 
 
-def recursive_score(root_component: float, child_scores: Sequence[float]) -> float:
-    """Mean of the root's component and its daughters' effective scores.
-
-    ``fsum`` over the count is exactly what ``statistics.fmean`` computes,
-    without its generic set-up on two or three numbers.
-    """
-    return math.fsum((root_component, *child_scores)) / (1 + len(child_scores))
-
-
 class Chart:
     """Constituent store with per-(span, category) beam pruning.
 
@@ -308,10 +303,9 @@ class ChartParser:
         restriction must subsume the linked daughter's type.  Its root
         component is the rule weight times the daughters' geometric mean,
         or what ``scorer`` makes of that; its score is the recursive mean
-        of the root component and the daughters' scores.  Two and three
-        daughters, the arities of the binary and coordination rules, are
-        spelled out with the general form's rounding; one daughter and four
-        or more take the general form.
+        of the root component and the daughters' scores.  Each of the three
+        arities is spelled out with the rounding of the general form,
+        ``math.prod(s) ** (1 / len(s))`` and ``statistics.fmean``.
         """
         head = children[rule.head_index]
         if rule.role_links:
@@ -329,26 +323,26 @@ class ChartParser:
                     )
                     return None
         span = (children[0].span[0], children[-1].span[1])
-        if len(children) == 2:
+        if len(children) == 1:
+            only = children[0].effective_score
+            root = rule.weight * only
+            if scorer is not None:
+                root = scorer((head.word, span, head.onto_type), root)
+            score = math.fsum((root, only)) / 2
+        elif len(children) == 2:
             left, right = children[0].effective_score, children[1].effective_score
             # the rounding of math.prod(scores) ** (1 / 2) and of fsum / count
             root = rule.weight * (left * right) ** 0.5
             if scorer is not None:
                 root = scorer((head.word, span, head.onto_type), root)
             score = math.fsum((root, left, right)) / 3
-        elif len(children) == 3:
+        else:
             a, b, c = children
             first, second, third = a.effective_score, b.effective_score, c.effective_score
             root = rule.weight * (first * second * third) ** (1.0 / 3)
             if scorer is not None:
                 root = scorer((head.word, span, head.onto_type), root)
             score = math.fsum((root, first, second, third)) / 4
-        else:
-            child_scores = [c.effective_score for c in children]
-            root = rule.weight * math.prod(child_scores) ** (1.0 / len(child_scores))
-            if scorer is not None:
-                root = scorer((head.word, span, head.onto_type), root)
-            score = recursive_score(root, child_scores)
         return tuple.__new__(Constituent, (
             cid, span, rule.lhs, head.onto_type, head.word, score, head.head,
             rule.role_links, tuple(children),
@@ -447,10 +441,10 @@ class ChartParser:
                         if signature not in seen:
                             seen.add(signature)
                             matches.append(pair)
-                elif len(rhs) == 3:
-                    # in ``_rhs_matches``'s order: the outer loop runs over
-                    # the daughter next to the popped item (the left one when
-                    # both are), each cell in id order
+                else:
+                    # leftward daughters first, then rightward: the outer
+                    # loop runs over the daughter next to the popped item
+                    # (the left one when both are), each cell in id order
                     matches = []
                     if j == 1:
                         firsts = ending.get((start, rhs[0]))
@@ -489,13 +483,6 @@ class ChartParser:
                                     if signature not in seen:
                                         seen.add(signature)
                                         matches.append((a, b, popped))
-                else:
-                    matches = []
-                    for children in self._rhs_matches(chart, rule, j, popped):
-                        signature = (rule_index, *[c.id for c in children])
-                        if signature not in seen:
-                            seen.add(signature)
-                            matches.append(children)
                 for children in matches:
                     built = combine(rule, children, next_id, rejections, sentence_id, scorer)
                     if built is None:
@@ -519,45 +506,6 @@ class ChartParser:
         return ParseResult(
             sentence_id, spanning, tuple(fragments), _extract_logical_form(fragments), pops
         )
-
-    @staticmethod
-    def _rhs_matches(
-        chart: Chart, rule: GrammarRule, j: int, fixed: Constituent
-    ) -> list[tuple[Constituent, ...]]:
-        """All ways to realize ``rule.rhs`` with ``fixed`` at position ``j``
-        and live, span-adjacent chart items elsewhere: leftward daughters
-        first, then rightward, each cell in id order.
-
-        The parse loop matches rules of one, two and three daughters inline
-        in this same order; this generic walk serves rules of four or more,
-        which no shipped grammar or benchmark workload has, so one loop
-        covers them all rather than more inline code.  Reads the chart's
-        indexes in place: every match is collected before the caller
-        combines (and so admits) any of them.
-        """
-        rhs = rule.rhs
-        partial: list[tuple[Constituent, ...]] = [(fixed,)]
-        for k in range(j - 1, -1, -1):
-            category = rhs[k]
-            extended = []
-            for seq in partial:
-                cell = chart._ending.get((seq[0].span[0], category))
-                if cell:
-                    extended.extend((cand, *seq) for cand in cell.values())
-            if not extended:
-                return extended
-            partial = extended
-        for k in range(j + 1, len(rhs)):
-            category = rhs[k]
-            extended = []
-            for seq in partial:
-                cell = chart._starting.get((seq[-1].span[1], category))
-                if cell:
-                    extended.extend((*seq, cand) for cand in cell.values())
-            if not extended:
-                return extended
-            partial = extended
-        return partial
 
 
 def fragment_fallback(
@@ -635,11 +583,11 @@ _CLAUSES = ("head", "weight", "link")
 def parse_grammar(text: str, source: str = "<string>") -> Grammar:
     """Parse the grammar file format, one rule per line::
 
-        rule <lhs> -> <rhs...> head <index> weight <w> [link <index>:<role>,...]
+        rule <lhs> -> <cat> [<cat> [<cat>]] head <index> weight <w> [link <index>:<role>,...]
 
-    The first rule's left-hand side is the goal category: only a
-    constituent of that category spanning the whole sentence is a full
-    parse.
+    A longer rule is written with intermediate categories.  The first
+    rule's left-hand side is the goal category: only a constituent of that
+    category spanning the whole sentence is a full parse.
     """
     rules: list[GrammarRule] = []
     for lineno, tokens in records.lines(text):

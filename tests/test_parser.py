@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 from random import Random
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from senseparse.parser import (
     Token,
     fragment_fallback,
     parse_grammar,
-    recursive_score,
 )
 
 
@@ -126,19 +126,19 @@ def test_combine_rejects_undeclared_role(resources):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    scores=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4),
+    scores=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     weight=st.floats(0.0, 1.0, exclude_min=True),
 )
 def test_combine_scores_the_parent_it_builds(resources, scores, weight):
-    # two and three daughters are scored inline, four by the general form;
-    # each must equal the general form to the last bit
+    # each arity is scored inline; each must equal the general form, the
+    # weighted geometric mean and ``fmean``, to the last bit
     parser = make_parser(resources)
     children = [leaf(k, (k, k + 1), "N", "bread", f"w{k}", s) for k, s in enumerate(scores)]
     rule = GrammarRule("X", ("N",) * len(scores), 0, (), weight)
     root = weight * math.prod(scores) ** (1.0 / len(scores))
     # no hook: the recursive mean of the root component and the daughters'
     plain = parser.combine(rule, children)
-    assert plain.effective_score == recursive_score(root, scores)
+    assert plain.effective_score == fmean((root, *scores))
 
     # a hook: called once with the head word, span and type and the root
     # component; its value is the root component the mean is taken over
@@ -150,7 +150,7 @@ def test_combine_scores_the_parent_it_builds(resources, scores, weight):
 
     hooked = parser.combine(rule, children, scorer=hook)
     assert calls == [(("w0", (0, len(scores)), "bread"), root)]
-    assert hooked == plain._replace(effective_score=recursive_score(root / 2 + 0.25, scores))
+    assert hooked == plain._replace(effective_score=fmean((root / 2 + 0.25, *scores)))
     identity = parser.combine(rule, children, scorer=lambda item, own: own)
     assert identity == plain
 

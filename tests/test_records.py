@@ -123,6 +123,11 @@ MALFORMED = [
      "default template v has category V, not N"),
     ("lexicon", "template n cat N slots -\nentry w cat N template n type root\n"
      "default-template N n\nentry x cat N template m type root\n", 4, "missing template m"),
+    # a rule has at most three daughters, and links a daughter to a role once
+    ("grammar", "rule S -> NP VP head 1 weight 1\nrule S -> A B C D head 0 weight 1\n", 2,
+     "three daughters"),
+    ("grammar", "rule S -> NP VP head 1 weight 1 link 0:agent,0:agent\n", 1,
+     "daughter 0 to agent twice"),
 ]
 
 
