@@ -139,8 +139,8 @@ def parse_advice(text: str, source: str = "<string>") -> dict[str, list[SenseDis
         span = records.span(tokens[2], tokens[3], source, lineno)
         weights: dict[str, float] = {}
         for pair in records.split_list(tokens[5], source, lineno):
-            synset, eq, prob_text = pair.rpartition("=")
-            if not eq:
+            synset, _, prob_text = pair.rpartition("=")
+            if not synset:  # no '=' leaves the synset empty too
                 raise FormatError(f"bad weight '{pair}'", source, lineno)
             if synset in weights:
                 raise FormatError(f"repeated synset {synset}", source, lineno)

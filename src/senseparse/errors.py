@@ -10,21 +10,14 @@ class SenseParseError(Exception):
 
 
 class FormatError(SenseParseError):
-    """A resource file failed to parse.
+    """A record of a resource file failed to parse or to check.
 
-    Carries the source path and 1-based line number when known, and puts
-    both into the message so CLI users see ``file:line: problem``.
+    The message is ``file:line: problem``, with the source path and the
+    1-based line of the record at fault.
     """
 
-    def __init__(self, message: str, source: str | None = None, line: int | None = None):
-        self.source = source
-        self.line = line
-        prefix = ""
-        if source is not None:
-            prefix = str(source)
-        if line is not None:
-            prefix += f":{line}"
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+    def __init__(self, message: str, source: str, line: int):
+        super().__init__(f"{source}:{line}: {message}")
 
 
 class StructuralError(SenseParseError):

@@ -191,22 +191,31 @@ def factorize(ontology: Ontology) -> FactorizedOntology:
 
 
 def parse_ontology(text: str, source: str = "<string>") -> Ontology:
-    """Parse the ontology file format.
+    """Parse the ontology file format, one record per line::
 
-    One record per block, blank lines separate blocks, ``#`` starts a
-    comment line.  Record syntax::
+        type <name> parent <name|-> [features k=v,...] [roles <role>,...] [synsets id,...]
 
-        type <name> parent <name|-> [features k=v,...]
-            [roles name:restriction[:required],...] [synsets id,...]
-
-    A block's lines may split its pairs, but no ``key value`` pair spans
-    two lines.  ``features`` must be well-formed but are not kept: nothing
-    reads them.  An error that one type is at fault for names the first
-    line of its block; zero or multiple roots name the file alone.
+    A ``<role>`` is ``name:restriction``, optionally followed by
+    ``:required`` or ``:optional``, and no part of it is empty.
+    ``features`` must be well-formed but are not kept: nothing reads them.
+    An error that one type is at fault for names its line; zero or
+    multiple roots name the file alone.
     """
-    blocks = list(records.blocks(text))
-    types = [_parse_type_block(block, source) for block in blocks]
-    return records.build(Ontology, source, types, lines=[block[0][0] for block in blocks])
+    types: list[OntologyType] = []
+    rows = records.lines(text)
+    for lineno, tokens in rows:
+        if tokens[0] != "type" or len(tokens) < 2:
+            raise FormatError(f"expected 'type <name>', got '{' '.join(tokens[:2])}'", source, lineno)
+        name = tokens[1]
+        sections = records.fields(tokens, 2, _TYPE_KEYS, source, lineno)
+        if "parent" not in sections:
+            raise FormatError(f"type {name} missing parent", source, lineno)
+        parent = None if sections["parent"] == "-" else sections["parent"]
+        _check_features(sections.get("features", "-"), name, source, lineno)
+        roles = _parse_roles(sections.get("roles", "-"), name, source, lineno)
+        synsets = records.split_list(sections.get("synsets", "-"), source, lineno)
+        types.append(OntologyType(name, parent, roles, frozenset(synsets)))
+    return records.build(Ontology, source, types, lines=[lineno for lineno, _ in rows])
 
 
 def load_ontology(path: str | Path) -> Ontology:
@@ -214,30 +223,6 @@ def load_ontology(path: str | Path) -> Ontology:
 
 
 _TYPE_KEYS = ("parent", "features", "roles", "synsets")
-
-
-def _parse_type_block(block: list[tuple[int, list[str]]], source: str) -> OntologyType:
-    """One type record; an error in a ``key value`` pair names that pair's
-    own line, and every error names the record ``type <name>``."""
-    lineno, tokens = block[0]
-    if tokens[0] != "type" or len(tokens) < 2:
-        raise FormatError(f"expected 'type <name>', got '{' '.join(tokens[:2])}'", source, lineno)
-    name = tokens[1]
-    sections: dict[str, str] = {}
-    line_of: dict[str, int] = {}  # the line each key is on
-    for at, pairs in [(lineno, tokens[2:]), *block[1:]]:
-        for key, value in records.fields(["type", name, *pairs], 2, _TYPE_KEYS, source, at).items():
-            if key in sections:
-                raise FormatError(f"repeated key '{key}' in type {name}", source, at)
-            sections[key], line_of[key] = value, at
-    if "parent" not in sections:
-        raise FormatError(f"type {name} missing parent", source, lineno)
-
-    parent = None if sections["parent"] == "-" else sections["parent"]
-    _check_features(sections.get("features", "-"), name, source, line_of.get("features", lineno))
-    roles = _parse_roles(sections.get("roles", "-"), name, source, line_of.get("roles", lineno))
-    synsets = records.split_list(sections.get("synsets", "-"), source, line_of.get("synsets", lineno))
-    return OntologyType(name, parent, roles, frozenset(synsets))
 
 
 def _check_features(value: str, name: str, source: str, lineno: int) -> None:
@@ -250,10 +235,8 @@ def _parse_roles(value: str, name: str, source: str, lineno: int) -> tuple[RoleS
     roles: list[RoleSpec] = []
     for item in records.split_list(value, source, lineno):
         parts = item.split(":")
-        if len(parts) == 2:
-            roles.append(RoleSpec(parts[0], parts[1]))
-        elif len(parts) == 3 and parts[2] in ("required", "optional"):
-            roles.append(RoleSpec(parts[0], parts[1], parts[2] == "required"))
-        else:
+        if (len(parts) not in (2, 3) or "" in parts
+                or parts[2:] not in ([], ["required"], ["optional"])):
             raise FormatError(f"bad role '{item}' for type {name}", source, lineno)
+        roles.append(RoleSpec(parts[0], parts[1], parts[2:] == ["required"]))
     return tuple(roles)

@@ -1,15 +1,14 @@
 """The record syntax shared by every input file.
 
 The ontology, synset, lexicon, grammar, corpus and advice files are all
-line-oriented: ``#`` starts a comment line, blank lines are skipped (the
-ontology uses them to separate multi-line blocks), a record is a run of
-whitespace-separated tokens, optional fields are ``key value`` pairs, and
-a list value is comma-separated, with ``-`` for the empty list and no
-empty item.  Every malformed record raises :class:`FormatError` naming
-``file:line`` and the offending token.  So does an ontology type, a
-synset, or a lexicon template, default or entry that a structural check
-finds at fault, such as a duplicate or a dangling name; another structural
-error names the file.
+line-oriented: ``#`` starts a comment line, blank lines are skipped, a
+record is a run of whitespace-separated tokens on one line, optional fields
+are ``key value`` pairs, and a list value is comma-separated, with ``-``
+for the empty list and no empty item.  Every malformed record raises
+:class:`FormatError` naming ``file:line`` and the offending token.  So does
+an ontology type, a synset, or a lexicon template, default or entry that a
+structural check finds at fault, such as a duplicate or a dangling name;
+another structural error names the file.
 The format modules keep only what is particular to their own records.
 
 Record types built once per input line, token or parse follow one rule:
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import FormatError, StructuralError
 
@@ -42,7 +41,7 @@ def load(parse: Callable[..., T], path: str | Path, *args: object) -> T:
     return parse(p.read_text(encoding="utf-8"), *args, source=str(p))
 
 
-def build(construct: Callable[..., T], source: str, *args: object, lines: Sequence[int] = ()) -> T:
+def build(construct: Callable[..., T], source: str, *args: object, lines: Sequence[int]) -> T:
     """Call ``construct(*args)``; a :class:`StructuralError` it raises is
     re-raised with ``source`` in front, so it names the file at fault.  One
     that names the record at fault is re-raised as a :class:`FormatError`
@@ -62,26 +61,6 @@ def lines(text: str) -> list[tuple[int, list[str]]]:
         for lineno, raw in enumerate(text.splitlines(), start=1)
         if (line := raw.strip()) and line[0] != "#"
     ]
-
-
-def blocks(text: str) -> Iterator[list[tuple[int, list[str]]]]:
-    """Yield each blank-separated block as its lines' (line number,
-    whitespace tokens).
-
-    Comment lines neither end a block nor contribute to it.
-    """
-    block: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if line:
-            block.append((lineno, line.split()))
-        elif block:
-            yield block
-            block = []
-    if block:
-        yield block
 
 
 def fields(

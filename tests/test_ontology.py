@@ -40,6 +40,12 @@ def test_load_minimal_four_type_file():
     assert ont.root == "root"
 
 
+def test_each_type_line_is_a_record_without_a_blank_line_between():
+    ont = parse_ontology("type root parent -\ntype a parent root\n# a comment\ntype b parent a\n")
+    assert list(ont) == ["root", "a", "b"]
+    assert ont.ancestors["b"] == ("b", "a", "root")
+
+
 def test_cycle_rejected():
     with pytest.raises(FormatError, match="^<string>:3: cycle involving type x$"):
         parse_ontology(

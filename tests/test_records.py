@@ -95,7 +95,8 @@ MALFORMED = [
     ("advice", "advice s 0 4 w a.n=0.5,,b.n=0.5\n", 1, "a.n=0.5,,b.n=0.5"),
     ("ontology", "typo animal parent -\n", 1, "typo"),
     ("ontology", "type\n", 1, "got 'type'"),
-    # a pair on a block's continuation line is named by its own line
+    # one record per line: a line that does not open a type record, as a
+    # pair wrapped onto the next line would, is named by its own line
     ("ontology", "type root parent -\n\ntype a parent root\n  roles agent\n", 4, "agent"),
     ("ontology", "type root parent -\n\ntype a parent root\n  synsets x,,y\n", 4, "x,,y"),
     ("ontology", "type root parent -\n\ntype a parent\n  root\n", 3, "dangling key 'parent'"),
@@ -105,16 +106,16 @@ MALFORMED = [
     ("lexicon", "template tv cat V slots 0:agent\nentry w cat V template tv type root\n", 2, "tv"),
     ("lexicon", "template n cat N slots -\nentry w cat N template n type root\n"
      "entry x cat N template n type root\nentry w cat N template n type root\n", 4, "w/n/root"),
-    # a key repeated on a continuation line is named by that line
-    ("ontology", "type root parent -\n\ntype a parent root\n  parent root\n", 4, "repeated key 'parent'"),
+    # a pair that follows its type on the next line is a record of its own
+    ("ontology", "type root parent -\n\ntype a parent root\n  parent root\n", 4, "got 'parent root'"),
     # a synset that breaks a structural check is named by its own line
     ("synsets", "synset a.n hypernyms b.n\n", 1, "missing hypernym b.n"),
     ("synsets", "synset a.n lemmas - hypernyms -\nsynset a.n lemmas - hypernyms -\n", 2,
      "duplicate synset a.n"),
     ("synsets", "synset a.n hypernyms b.n\nsynset b.n hypernyms a.n\n", 1,
      "hypernym cycle involving a.n"),
-    # and a type by the first line of its block
-    ("ontology", "type root parent -\n\ntype a\n  parent ghost\n", 3, "missing parent ghost"),
+    # a type line whose pairs sit on the next line is missing its parent
+    ("ontology", "type root parent -\n\ntype a\n  parent ghost\n", 3, "a missing parent"),
     # a lexicon template or default that breaks a structural check is named
     # by its own line, wherever its line sits among the other records
     ("lexicon", "template n cat N slots -\ntemplate n cat N slots -\n", 2, "duplicate template n"),
@@ -128,6 +129,14 @@ MALFORMED = [
      "three daughters"),
     ("grammar", "rule S -> NP VP head 1 weight 1 link 0:agent,0:agent\n", 1,
      "daughter 0 to agent twice"),
+    # a role, like a template slot, has no empty part
+    ("ontology", "type root parent -\n\ntype a parent root roles :root\n", 3, "bad role ':root'"),
+    ("ontology", "type root parent -\n\ntype a parent root roles agent:\n", 3, "bad role 'agent:'"),
+    ("ontology", "type root parent -\n\ntype a parent root roles agent::required\n", 3,
+     "bad role 'agent::required'"),
+    ("ontology", "type root parent - roles agent:root:always\n", 1, "bad role 'agent:root:always'"),
+    # an advised synset has a name
+    ("advice", "advice s01 13 17 bass =1.0\n", 1, "bad weight '=1.0'"),
 ]
 
 
