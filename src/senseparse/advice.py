@@ -148,7 +148,7 @@ def parse_advice(text: str, source: str = "<string>") -> dict[str, list[SenseDis
         if not weights:
             raise FormatError(f"no weights for '{word}'", source, lineno)
         try:
-            dist = SenseDistribution(word, span, weights)
+            dist = SenseDistribution(word, span, weights, lineno)
         except ValueError as exc:
             raise FormatError(str(exc), source, lineno)
         out.setdefault(sid, []).append(dist)

@@ -227,19 +227,20 @@ def check_synsets(
 ) -> None:
     """Fail on the first gold synset of ``corpus``, then the first advice
     synset, that the graph lacks, naming the sentence (and the file, when
-    a source is given).  Called before any parse, so a run never stops
-    half-way."""
+    a source is given, with the advice record's line when it has one).
+    Called before any parse, so a run never stops half-way."""
     uses = [
-        (corpus_source, s.sentence_id, t.gold)
+        (corpus_source, None, s.sentence_id, t.gold)
         for s in corpus for t in s.tokens if t.gold is not None
     ]
     uses += [
-        (advice_source, sid, synset)
+        (advice_source, d.line, sid, synset)
         for sid, dists in advice_by_sentence.items() for d in dists for synset in d.weights
     ]
-    for source, sentence_id, synset in uses:
+    for source, line, sentence_id, synset in uses:
         if synset not in graph:
-            prefix = f"{source}: " if source else ""
+            where = source if line is None else f"{source}:{line}"
+            prefix = f"{where}: " if source else ""
             raise SenseParseError(f"{prefix}sentence {sentence_id}: unknown synset {synset}")
 
 

@@ -36,9 +36,11 @@ T = TypeVar("T")
 
 
 def load(parse: Callable[..., T], path: str | Path, *args: object) -> T:
-    """Read ``path`` as UTF-8 and hand it to ``parse`` with the path as source."""
-    p = Path(path)
-    return parse(p.read_text(encoding="utf-8"), *args, source=str(p))
+    """Read ``path`` as UTF-8 and hand it to ``parse`` with ``str(path)``,
+    the path as given, as the source that errors name."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    return parse(text, *args, source=str(path))
 
 
 def build(construct: Callable[..., T], source: str, *args: object, lines: Sequence[int]) -> T:

@@ -132,12 +132,15 @@ class SenseDistribution:
 
     ``span`` anchors the word in the advisor's own view of the sentence;
     ``weights`` maps synset ids to probabilities (possibly truncated, so
-    they may sum to less than one).
+    they may sum to less than one).  ``line`` is the record's line in the
+    advice file it was read from, for errors that other files find; it
+    takes no part in comparison.
     """
 
     word: str
     span: tuple[int, int]
     weights: Mapping[str, float] = field(default_factory=dict)
+    line: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         total = 0.0

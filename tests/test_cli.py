@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from senseparse import cli, evaluation
 from senseparse.cli import build_arg_parser, main, parse_args
+from senseparse.evaluation import VariantConfig
 
 
 @pytest.fixture
@@ -102,6 +104,15 @@ def test_eval_reads_variant_as_its_own_variants_flag(resource_args, fixtures_dir
     assert "unknown variant bogus" in capsys.readouterr().err
 
 
+def test_flag_defaults_are_the_library_defaults(resource_args):
+    # with no parser flag, `parse` and `eval` run what VariantConfig and
+    # ParserConfig default to
+    for argv in (["parse", *resource_args], ["eval", *resource_args, "--corpus", "c"]):
+        args = parse_args(argv)
+        assert VariantConfig("plain", args.alpha, cli._parser_config(args)) == VariantConfig("plain")
+    assert parse_args(["parse", *resource_args]).variant == "plain"
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--alpha", "1.5", "alpha must be in [0, 1]"),
     ("--alpha", "nan", "alpha must be in [0, 1]"),
@@ -121,7 +132,8 @@ def test_exit_code_one_for_out_of_range_flag(
 
 def renamed_s01_copy(fixtures_dir, tmp_path, name):
     """A copy of one fixture file with s01's synset bass_guitar.n.01 (the
-    first in both the advice and the corpus file) renamed to no_such.n.01."""
+    first in both the advice file, at its line 4, and the corpus file)
+    renamed to no_such.n.01."""
     text = (fixtures_dir / name).read_text()
     path = tmp_path / name
     path.write_text(text.replace("bass_guitar.n.01", "no_such.n.01", 1))
@@ -138,8 +150,9 @@ def test_eval_rejects_unknown_synset_before_parsing(
     code = main(["eval", *resource_args, "--corpus", paths["corpus.txt"],
                  "--advice", paths["advice.txt"], "--output", str(output)])
     assert code == 1
+    where = {"advice.txt": f"{renamed}:4", "corpus.txt": renamed}[name]
     assert capsys.readouterr().err == (
-        f"senseparse: error: {renamed}: sentence s01: unknown synset no_such.n.01\n"
+        f"senseparse: error: {where}: sentence s01: unknown synset no_such.n.01\n"
     )
     assert not output.exists()
 
@@ -181,7 +194,7 @@ def test_parse_rejects_unknown_advice_synset(resource_args, fixtures_dir, tmp_pa
                  "--sentence", "i/PRO", "--output", str(output)])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"senseparse: error: {advice}: sentence s01: unknown synset no_such.n.01\n"
+        f"senseparse: error: {advice}:4: sentence s01: unknown synset no_such.n.01\n"
     )
     assert not output.exists()
 
@@ -224,7 +237,7 @@ def test_eval_rejects_advice_for_a_sentence_not_in_the_corpus(
                  "--output", str(output), "--diagnostics", str(notes)])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"senseparse: error: {advice}: sentence s99: not in corpus {corpus}\n"
+        f"senseparse: error: {advice}:34: sentence s99: not in corpus {corpus}\n"
     )
     assert not output.exists()
     assert not notes.exists()
@@ -271,6 +284,34 @@ def _outcome(read, argv, capsys):
 def test_parse_args_reads_argv_as_the_full_parser_does(argv, capsys):
     expected = _outcome(build_arg_parser().parse_args, argv, capsys)
     assert _outcome(parse_args, argv, capsys) == expected
+
+
+def test_cached_parsers_read_every_argv_afresh(capsys):
+    # each subcommand's parser is built once per process; no read, not even
+    # one that ends in a help or usage exit, may change the next
+    cli._subcommand_parser.cache_clear()
+    for _ in range(2):
+        for argv in ARGV_CASES:
+            expected = _outcome(build_arg_parser().parse_args, argv, capsys)
+            assert _outcome(parse_args, argv, capsys) == expected, argv
+
+
+def test_parse_with_a_cached_parser_matches_a_first_call(
+    resource_args, fixtures_dir, tmp_path
+):
+    def call(name, *flags):
+        out = tmp_path / name
+        code = main(["parse", *resource_args, "--advice", str(fixtures_dir / "advice.txt"),
+                     "--sentence-id", "s01", "--sentence", "i/PRO played/play/V the/DET bass/N",
+                     *flags, "--output", str(out)])
+        return code, out.read_text()
+
+    cli._subcommand_parser.cache_clear()
+    first = call("first.txt")
+    cli._subcommand_parser.cache_clear()
+    narrow = call("narrow.txt", "--variant", "fixed", "--beam-width", "1", "--max-pops", "7")
+    assert narrow != first
+    assert call("again.txt") == first
 
 
 def test_well_formed_call_builds_only_its_subcommand(resource_args, tmp_path, monkeypatch):
@@ -434,3 +475,15 @@ def test_output_does_not_follow_the_hash_seed(resource_args, fixtures_dir, tmp_p
     assert runs[0][0] == [(0, b""), (0, b""), (1, missing.encode())]
     assert sorted(runs[0][1]) == ["lf.txt", "notes.txt", "report.tsv"]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.filterwarnings("ignore:'senseparse.cli' found in sys.modules:RuntimeWarning")
+def test_module_run_as_a_script_exits_with_mains_code(fixtures_dir, tmp_path, monkeypatch):
+    # `python -m senseparse.cli`, in process
+    out = tmp_path / "factors.txt"
+    monkeypatch.setattr(sys, "argv", ["senseparse", "factorize", "--ontology",
+                                      str(fixtures_dir / "ontology.txt"), "--output", str(out)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("senseparse.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert out.read_text() == GOLDEN_FACTORIZE
