@@ -14,7 +14,6 @@ Exit codes: 0 success (spanning parse for ``parse``), 2 fragmented parse
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from typing import Sequence
@@ -227,28 +226,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    parser = _CliParser(prog=f"senseparse {name}")
-    _SUBCOMMANDS[name][1](parser)
-    return parser
-
-
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     """The arguments of ``argv``, as ``build_arg_parser().parse_args`` reads them.
 
     When ``argv`` starts with a subcommand name, only that subcommand's
-    parser reads it: the full parser would hand it everything after the name
+    parser is built: the full parser would hand it everything after the name
     unchanged.  If any argument is left over, the full parser reads ``argv``
-    again, so its own error message reports it.  Each subcommand's parser is
-    built once per process and kept, because building one costs more than
-    reading a whole call with it; a one-shot process builds only the one it
-    uses.  A parser keeps no state between reads: each read fills a new
-    namespace.
+    again, so its own error message reports it.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _SUBCOMMANDS:
-        args, extra = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
+        sub = _CliParser(prog=f"senseparse {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](sub)
+        args, extra = sub.parse_known_args(argv[1:])
         if not extra:
             args.subcommand = argv[0]
             return args

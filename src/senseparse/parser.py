@@ -187,33 +187,16 @@ class LogicalForm(NamedTuple):
         return None
 
 
-class ParseCounts(NamedTuple):
-    """The chart work of one parse, read off the chart's end state: the
-    (rule, daughters) matches combined, the items they built and the ones a
-    role restriction rejected, the items (leaves too) the beam pruned, on
-    arrival or later, and 1 when a root was accepted, 0 for a fragment
-    cover."""
-
-    combine_calls: int
-    built: int
-    role_rejected: int
-    beam_pruned: int
-    accepted: int
-
-
 class ParseResult(NamedTuple):
     """One sentence's parse.  ``fragments`` cover the sentence left to
     right, one accepted root for a full parse; each carries its
-    derivation, and ``logical_form`` is read off them.  ``agenda_pops``
-    counts the items popped and expanded, and ``counts`` the rest of the
-    chart work."""
+    derivation, and ``logical_form`` is read off them."""
 
     sentence_id: str
     spanning: bool
     fragments: tuple[Constituent, ...]
     logical_form: LogicalForm
     agenda_pops: int
-    counts: ParseCounts
 
 
 # A scoring hook: given an item's (head word, span, type) and its root
@@ -418,8 +401,6 @@ class ChartParser:
                     heappush(agenda, (-score, next_id, leaf))
                 next_id += 1
 
-        n_leaves = next_id
-        matched = 0
         pops = 0
         accepted: Constituent | None = None
         rules = self.grammar.rules
@@ -502,7 +483,6 @@ class ChartParser:
                                     if signature not in seen:
                                         seen.add(signature)
                                         matches.append((a, b, popped))
-                matched += len(matches)
                 for children in matches:
                     built = combine(rule, children, next_id, rejections, sentence_id, scorer)
                     if built is None:
@@ -523,14 +503,8 @@ class ChartParser:
             and fragments[0].span == full
             and fragments[0].category == goal
         )
-        built_count = next_id - n_leaves
-        counts = ParseCounts(
-            matched, built_count, matched - built_count, next_id - len(chart.live),
-            int(accepted is not None),
-        )
         return ParseResult(
-            sentence_id, spanning, tuple(fragments), _extract_logical_form(fragments), pops,
-            counts,
+            sentence_id, spanning, tuple(fragments), _extract_logical_form(fragments), pops
         )
 
 

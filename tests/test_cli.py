@@ -9,6 +9,7 @@ import pytest
 from senseparse import cli, evaluation
 from senseparse.cli import build_arg_parser, main, parse_args
 from senseparse.evaluation import VariantConfig
+from senseparse.parser import Token
 
 
 @pytest.fixture
@@ -50,6 +51,17 @@ def test_parse_reads_bare_tokens_and_writes_to_stdout(resource_args, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "node 0 0 1 i person"
     assert "edge 1 affected 3" in lines
+
+
+@pytest.mark.parametrize("text, surface, lemma, pos", [
+    ("Bass", "Bass", "bass", None),
+    ("Bass/N", "Bass", "bass", "N"),
+    ("Bass/bass_guitar/N", "Bass", "bass_guitar", "N"),
+])
+def test_tokens_read_surface_lemma_and_pos(text, surface, lemma, pos):
+    # the surface is what advice records are matched against
+    token = cli._tokenize_sentence(f"i {text}")[1]
+    assert token == Token(1, 2, 2 + len(text), surface, lemma, pos)
 
 
 def test_parse_rejects_a_sentence_without_tokens(resource_args, capsys):
@@ -284,34 +296,6 @@ def _outcome(read, argv, capsys):
 def test_parse_args_reads_argv_as_the_full_parser_does(argv, capsys):
     expected = _outcome(build_arg_parser().parse_args, argv, capsys)
     assert _outcome(parse_args, argv, capsys) == expected
-
-
-def test_cached_parsers_read_every_argv_afresh(capsys):
-    # each subcommand's parser is built once per process; no read, not even
-    # one that ends in a help or usage exit, may change the next
-    cli._subcommand_parser.cache_clear()
-    for _ in range(2):
-        for argv in ARGV_CASES:
-            expected = _outcome(build_arg_parser().parse_args, argv, capsys)
-            assert _outcome(parse_args, argv, capsys) == expected, argv
-
-
-def test_parse_with_a_cached_parser_matches_a_first_call(
-    resource_args, fixtures_dir, tmp_path
-):
-    def call(name, *flags):
-        out = tmp_path / name
-        code = main(["parse", *resource_args, "--advice", str(fixtures_dir / "advice.txt"),
-                     "--sentence-id", "s01", "--sentence", "i/PRO played/play/V the/DET bass/N",
-                     *flags, "--output", str(out)])
-        return code, out.read_text()
-
-    cli._subcommand_parser.cache_clear()
-    first = call("first.txt")
-    cli._subcommand_parser.cache_clear()
-    narrow = call("narrow.txt", "--variant", "fixed", "--beam-width", "1", "--max-pops", "7")
-    assert narrow != first
-    assert call("again.txt") == first
 
 
 def test_well_formed_call_builds_only_its_subcommand(resource_args, tmp_path, monkeypatch):

@@ -32,7 +32,6 @@ from senseparse.parser import (
     ChartParser,
     LFNode,
     LogicalForm,
-    ParseCounts,
     ParseResult,
     Token,
 )
@@ -431,8 +430,7 @@ def test_run_experiment_rejects_unknown_synset_before_any_parse(
 
 def lf_result(sentence_id, spanning, types):
     nodes = tuple(LFNode(i, i, i + 1, f"w{i}", t) for i, t in enumerate(types))
-    counts = ParseCounts(0, 0, 0, 0, 0)
-    return ParseResult(sentence_id, spanning, (), LogicalForm(nodes, ()), 0, counts)
+    return ParseResult(sentence_id, spanning, (), LogicalForm(nodes, ()), 0)
 
 
 def test_variant_config_alpha_bound_is_inclusive():

@@ -8,12 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import best_parse_oracle, verify_role_soundness
-from test_trace_hooks import LONG_AMBIG_CHUNK_COUNTS, traced
 from senseparse.diagnostics import Diagnostics
 from senseparse.errors import ParseFailure, StructuralError
-from senseparse.evaluation import (
-    VARIANT_NAMES, VariantConfig, parse_sentence_with_variant, run_variant,
-)
+from senseparse.evaluation import VariantConfig, parse_sentence_with_variant, run_variant
 from senseparse.lexicon import LexicalEntry
 from senseparse.parser import (
     FALLBACK_TYPE,
@@ -461,30 +458,6 @@ def test_parse_deterministic(resources):
     assert [f.effective_score for f in first.fragments] == [
         f.effective_score for f in second.fragments
     ]
-
-
-def test_parse_counts_sum_to_the_tracers_on_the_long_ambig_chunk(long_ambig_chunk):
-    # the counts read off each chart's end state equal, summed over the five
-    # variants, what the tracer's wrappers count one call at a time
-    resources, corpus, advice = long_ambig_chunk
-    results = []
-
-    def run():
-        for name in VARIANT_NAMES:
-            by_sentence, _ = run_variant(resources, corpus, advice, VariantConfig(name))
-            results.extend(by_sentence.values())
-
-    acc = traced(run)
-    summed = {
-        "parser.pops": sum(r.agenda_pops for r in results),
-        "parser.combine_calls": sum(r.counts.combine_calls for r in results),
-        "parser.built": sum(r.counts.built for r in results),
-        "parser.role_rejected": sum(r.counts.role_rejected for r in results),
-        "parser.beam_pruned": sum(r.counts.beam_pruned for r in results),
-        "parser.fallback": sum(1 - r.counts.accepted for r in results),
-    }
-    assert summed == {key: LONG_AMBIG_CHUNK_COUNTS[key] for key in summed}
-    assert summed == {key: acc[key] for key in summed}
 
 
 def test_parse_results_are_role_sound(resources, corpus):

@@ -11,9 +11,7 @@ from senseparse.evaluation import PreparedSentence, VariantRow
 from senseparse.hinting import Hint
 from senseparse.lexicon import LexicalEntry, SyntacticTemplate, parse_lexicon
 from senseparse.ontology import FactorizedOntology, OntologyType, RoleSpec, parse_ontology
-from senseparse.parser import (
-    LFNode, LogicalForm, ParseCounts, ParseResult, Token, parse_grammar,
-)
+from senseparse.parser import LFNode, LogicalForm, ParseResult, Token, parse_grammar
 from senseparse.sensemap import Synset, parse_synsets
 
 MINI_ONTOLOGY = parse_ontology("type root parent -\n")
@@ -244,12 +242,7 @@ NAMED_TUPLES = [
     (LogicalForm, ("nodes", "edges"), {}),
     (
         ParseResult,
-        ("sentence_id", "spanning", "fragments", "logical_form", "agenda_pops", "counts"),
-        {},
-    ),
-    (
-        ParseCounts,
-        ("combine_calls", "built", "role_rejected", "beam_pruned", "accepted"),
+        ("sentence_id", "spanning", "fragments", "logical_form", "agenda_pops"),
         {},
     ),
     (
