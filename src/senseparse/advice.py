@@ -14,7 +14,7 @@ Also hosts the corpus and advice file readers.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import NamedTuple, Sequence
 
 from . import records
@@ -74,7 +74,7 @@ class SentenceRecord(NamedTuple):
 def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
     """Parse the corpus format: a ``sentence <id>`` header followed by
     ``tok <index> <char-start> <char-end> <surface> <lemma> <pos>
-    [gold=<synset-id>]`` lines."""
+    [gold=<synset-id>]`` lines.  Each token carries its line."""
     sentences: list[tuple[str, int, list[Token]]] = []
     current: list[Token] | None = None
     seen_ids: set[str] = set()
@@ -95,7 +95,7 @@ def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
                 gold = tokens[7][len("gold="):]
                 if not gold:
                     raise FormatError("empty gold synset", source, lineno)
-            current.append(Token(index, start, end, tokens[4], tokens[5], tokens[6], gold))
+            current.append(Token(index, start, end, tokens[4], tokens[5], tokens[6], gold, lineno))
         elif tokens[0] == "sentence":
             if len(tokens) != 2:
                 raise FormatError("expected 'sentence <id>'", source, lineno)
@@ -112,7 +112,7 @@ def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
     return [SentenceRecord(sid, tuple(toks)) for sid, _, toks in sentences]
 
 
-def load_corpus(path: str | Path) -> list[SentenceRecord]:
+def load_corpus(path: str | os.PathLike[str]) -> list[SentenceRecord]:
     return records.load(parse_corpus, path)
 
 
@@ -125,7 +125,9 @@ def parse_advice(text: str, source: str = "<string>") -> dict[str, list[SenseDis
         advice <sentence-id> <char-start> <char-end> <word> <synset>=<prob>[,...]
 
     The character span anchors the advised word in the raw sentence, which
-    is how the advising system's tokenization is communicated.
+    is how the advising system's tokenization is communicated.  No weight
+    may be negative, and a record's weights sum to at most one (to less when
+    truncated).  Each distribution carries its line.
     """
     out: dict[str, list[SenseDistribution]] = {}
     for lineno, tokens in records.lines(text):
@@ -147,15 +149,18 @@ def parse_advice(text: str, source: str = "<string>") -> dict[str, list[SenseDis
             weights[synset] = records.finite(prob_text, "probability", source, lineno)
         if not weights:
             raise FormatError(f"no weights for '{word}'", source, lineno)
-        try:
-            dist = SenseDistribution(word, span, weights, lineno)
-        except ValueError as exc:
-            raise FormatError(str(exc), source, lineno)
-        out.setdefault(sid, []).append(dist)
+        total = 0.0
+        for synset, weight in weights.items():
+            if weight < 0:
+                raise FormatError(f"negative weight for {synset}", source, lineno)
+            total += weight
+        if total > 1.0 + 1e-9:  # a slack for rounding
+            raise FormatError(f"weights for {word} sum to {total} > 1", source, lineno)
+        out.setdefault(sid, []).append(SenseDistribution(word, span, weights, lineno))
     return out
 
 
-def load_advice(path: str | Path) -> dict[str, list[SenseDistribution]]:
+def load_advice(path: str | os.PathLike[str]) -> dict[str, list[SenseDistribution]]:
     return records.load(parse_advice, path)
 
 

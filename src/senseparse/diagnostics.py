@@ -9,12 +9,10 @@ function that notes, keeps nothing: a caller that reads no notes passes no
 sink, and a component notes whether or not anyone reads it.
 """
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Diagnostics:
-    events: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.events: list[str] = []
 
     def note(self, kind: str, message: str, sentence_id: str = "") -> None:
         prefix = f"{sentence_id} " if sentence_id else ""

@@ -33,8 +33,7 @@ attempted instances only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+import os
 from typing import Mapping, NamedTuple, Sequence
 
 from .advice import SentenceRecord, build_advice_map
@@ -63,17 +62,22 @@ REPORT_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class VariantConfig:
+class _VariantSettings(NamedTuple):
     variant: str
     alpha: float = 0.5
-    parser: ParserConfig = field(default_factory=ParserConfig)
+    parser: ParserConfig = ParserConfig()
 
-    def __post_init__(self) -> None:
+
+class VariantConfig(_VariantSettings):
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> VariantConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.variant not in VARIANT_NAMES:
             raise ValueError(f"unknown variant {self.variant}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
+        return self
 
 
 class VariantRow(NamedTuple):
@@ -94,16 +98,14 @@ class VariantRow(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     rows: tuple[VariantRow, ...]
 
     def to_tsv(self) -> str:
         return "\n".join([REPORT_HEADER, *(row.tsv() for row in self.rows)]) + "\n"
 
 
-@dataclass(frozen=True)
-class Resources:
+class Resources(NamedTuple):
     ontology: Ontology
     graph: SynsetGraph
     lexicon: Lexicon
@@ -111,10 +113,10 @@ class Resources:
 
 
 def load_resources(
-    ontology_path: str | Path,
-    synsets_path: str | Path,
-    lexicon_path: str | Path,
-    grammar_path: str | Path,
+    ontology_path: str | os.PathLike[str],
+    synsets_path: str | os.PathLike[str],
+    lexicon_path: str | os.PathLike[str],
+    grammar_path: str | os.PathLike[str],
 ) -> Resources:
     ontology = load_ontology(ontology_path)
     return Resources(
@@ -227,10 +229,10 @@ def check_synsets(
 ) -> None:
     """Fail on the first gold synset of ``corpus``, then the first advice
     synset, that the graph lacks, naming the sentence (and the file, when
-    a source is given, with the advice record's line when it has one).
+    a source is given, with the token's or record's line when it has one).
     Called before any parse, so a run never stops half-way."""
     uses = [
-        (corpus_source, None, s.sentence_id, t.gold)
+        (corpus_source, t.line, s.sentence_id, t.gold)
         for s in corpus for t in s.tokens if t.gold is not None
     ]
     uses += [

@@ -21,7 +21,7 @@ share a (type, template) pair, so the order is total.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import Iterable, Mapping, NamedTuple
 
 from . import records
@@ -189,7 +189,9 @@ class Lexicon:
 
         Each synset containing the word that subsumes to a type yields one
         entry, scored ``GENERATED_SCORE``, unless a core entry already pairs
-        the same template with the same type.  Pure in all inputs.
+        the same template with the same type.  A synset that reaches no
+        type, and a type no template fits, yield none and are noted.  Pure
+        in all inputs.
         """
         mapping = self._ontology.synset_mapping
         out: list[LexicalEntry] = []
@@ -198,6 +200,7 @@ class Lexicon:
         for synset in graph.synsets_for_lemma(word):
             onto_type = graph.assign_type(synset.id, mapping, diagnostics)
             if onto_type is None:
+                diagnostics.note("unmapped-entry", f"{word} {synset.id}")
                 continue
             tpl = self.template_for_type(onto_type, pos)
             if tpl is None:
@@ -275,7 +278,7 @@ def parse_lexicon(text: str, ontology: Ontology, source: str = "<string>") -> Le
     return lex
 
 
-def load_lexicon(path: str | Path, ontology: Ontology) -> Lexicon:
+def load_lexicon(path: str | os.PathLike[str], ontology: Ontology) -> Lexicon:
     return records.load(parse_lexicon, path, ontology)
 
 

@@ -20,7 +20,7 @@ On top of the tree this module provides:
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import Iterable, Iterator, NamedTuple
 
 from . import records
@@ -218,7 +218,7 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
     return records.build(Ontology, source, types, lines=[lineno for lineno, _ in rows])
 
 
-def load_ontology(path: str | Path) -> Ontology:
+def load_ontology(path: str | os.PathLike[str]) -> Ontology:
     return records.load(parse_ontology, path)
 
 

@@ -31,11 +31,10 @@ fragments in one walk: a node per leaf, an edge per role link.
 from __future__ import annotations
 
 import math
+import os
 from bisect import insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from pathlib import Path
-from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import records
 from .diagnostics import DISCARD, Diagnostics
@@ -51,7 +50,8 @@ FALLBACK_TYPE = "referential-sem"
 class Token(NamedTuple):
     """One token of a sentence as read: its position, its character span
     in the raw text, surface and base forms, part of speech (None when
-    untagged) and gold synset (None when unannotated)."""
+    untagged), gold synset (None when unannotated) and its line in the
+    corpus file it was read from (None when not read from one)."""
 
     index: int
     start: int
@@ -60,15 +60,16 @@ class Token(NamedTuple):
     lemma: str
     pos: str | None
     gold: str | None = None
+    line: int | None = None
 
 
-@dataclass(frozen=True)
-class GrammarRule:
+class GrammarRule(NamedTuple):
     """One context-free rule with a designated head and role attachments.
 
     ``rhs`` holds one to three daughter categories.  ``role_links`` attach
     non-head daughters to roles of the head's semantic type, each pair
-    once; the filler must satisfy the role's restriction.
+    once; the filler must satisfy the role's restriction.  The
+    :class:`Grammar` that holds a rule checks it.
     """
 
     lhs: str
@@ -77,35 +78,34 @@ class GrammarRule:
     role_links: tuple[tuple[int, str], ...] = ()
     weight: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not self.rhs:
-            raise StructuralError(f"rule {self.lhs} has empty right-hand side")
-        if len(self.rhs) > 3:
-            raise StructuralError(f"rule {self.lhs} has more than three daughters")
-        if not 0 <= self.head_index < len(self.rhs):
-            raise StructuralError(f"rule {self.lhs} head index out of range")
-        for k, (index, role) in enumerate(self.role_links):
-            if not 0 <= index < len(self.rhs):
-                raise StructuralError(f"rule {self.lhs} links missing daughter {index}")
-            if index == self.head_index:
-                raise StructuralError(f"rule {self.lhs} links role {role} to its head")
-            if (index, role) in self.role_links[:k]:
-                raise StructuralError(f"rule {self.lhs} links daughter {index} to {role} twice")
-        if not 0.0 < self.weight <= 1.0:
-            raise StructuralError(f"rule {self.lhs} weight must be in (0, 1]")
-
 
 class Grammar:
     """Rules plus the goal category: the first rule's left-hand side, the
-    only category a full parse may have (None for an empty grammar)."""
+    only category a full parse may have (None for an empty grammar).  A
+    rule that fails a check below is rejected with its position."""
 
     def __init__(self, rules: Sequence[GrammarRule]) -> None:
         self.rules = tuple(rules)
         self.goal = self.rules[0].lhs if self.rules else None
         # per category, the (rule index, rhs position) pairs it can plug into
         self.positions: dict[str, list[tuple[int, int]]] = {}
-        for rule_index, rule in enumerate(self.rules):
-            for j, category in enumerate(rule.rhs):
+        for rule_index, (lhs, rhs, head, links, weight) in enumerate(self.rules):
+            if not rhs:
+                raise StructuralError(f"rule {lhs} has empty right-hand side", rule_index)
+            if len(rhs) > 3:
+                raise StructuralError(f"rule {lhs} has more than three daughters", rule_index)
+            if not 0 <= head < len(rhs):
+                raise StructuralError(f"rule {lhs} head index out of range", rule_index)
+            for k, (index, role) in enumerate(links):
+                if not 0 <= index < len(rhs):
+                    raise StructuralError(f"rule {lhs} links missing daughter {index}", rule_index)
+                if index == head:
+                    raise StructuralError(f"rule {lhs} links role {role} to its head", rule_index)
+                if (index, role) in links[:k]:
+                    raise StructuralError(f"rule {lhs} links daughter {index} to {role} twice", rule_index)
+            if not 0.0 < weight <= 1.0:
+                raise StructuralError(f"rule {lhs} weight must be in (0, 1]", rule_index)
+            for j, category in enumerate(rhs):
                 self.positions.setdefault(category, []).append((rule_index, j))
 
 
@@ -135,20 +135,25 @@ class Constituent(NamedTuple):
     children: tuple[Constituent, ...] = ()
 
 
-@dataclass(frozen=True)
-class ParserConfig:
+class _ParserSettings(NamedTuple):
     beam_width: int = 3
     max_pops: int | None = None  # None: 10 * n^2 for an n-token sentence
     accept_threshold: float = 0.0
-    fallback_type: ClassVar[str] = FALLBACK_TYPE  # read-only: not a setting
 
-    def __post_init__(self) -> None:
+
+class ParserConfig(_ParserSettings):
+    __slots__ = ()
+    fallback_type = FALLBACK_TYPE  # read-only: not a setting
+
+    def __new__(cls, *args: object, **kwargs: object) -> ParserConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_pops is not None and self.max_pops < 1:
             raise ValueError("max_pops must be >= 1")
         if not 0.0 <= self.accept_threshold <= 1.0:
             raise ValueError("accept_threshold must be in [0, 1]")
+        return self
 
     def pop_budget(self, n_tokens: int) -> int:
         if self.max_pops is not None:
@@ -492,7 +497,8 @@ class ChartParser:
                         heappush(agenda, (-built.effective_score, built.id, built))
 
         if rejections.events:
-            diagnostics.replay(Diagnostics(list(dict.fromkeys(rejections.events))))
+            rejections.events = list(dict.fromkeys(rejections.events))
+            diagnostics.replay(rejections)
         if accepted is not None:
             fragments: list[Constituent] = [accepted]
         else:
@@ -587,10 +593,12 @@ def parse_grammar(text: str, source: str = "<string>") -> Grammar:
 
     A longer rule is written with intermediate categories.  The first
     rule's left-hand side is the goal category: only a constituent of that
-    category spanning the whole sentence is a full parse.
+    category spanning the whole sentence is a full parse.  A rule that the
+    :class:`Grammar` rejects is named by its own line.
     """
     rules: list[GrammarRule] = []
-    for lineno, tokens in records.lines(text):
+    rows = records.lines(text)
+    for lineno, tokens in rows:
         if tokens[0] != "rule" or len(tokens) < 4 or tokens[2] != "->":
             raise FormatError("expected 'rule <lhs> -> <rhs...> ...'", source, lineno)
         lhs = tokens[1]
@@ -609,12 +617,9 @@ def parse_grammar(text: str, source: str = "<string>") -> Grammar:
             if not role:
                 raise FormatError(f"bad link '{item}' in rule {lhs}", source, lineno)
             links.append((records.integer(daughter, "link daughter", source, lineno), role))
-        try:
-            rules.append(GrammarRule(lhs, rhs, head, tuple(links), weight))
-        except StructuralError as exc:
-            raise FormatError(str(exc), source, lineno)
-    return Grammar(rules)
+        rules.append(GrammarRule(lhs, rhs, head, tuple(links), weight))
+    return records.build(Grammar, source, rules, lines=[lineno for lineno, _ in rows])
 
 
-def load_grammar(path: str | Path) -> Grammar:
+def load_grammar(path: str | os.PathLike[str]) -> Grammar:
     return records.load(parse_grammar, path)

@@ -6,28 +6,34 @@ record is a run of whitespace-separated tokens on one line, optional fields
 are ``key value`` pairs, and a list value is comma-separated, with ``-``
 for the empty list and no empty item.  Every malformed record raises
 :class:`FormatError` naming ``file:line`` and the offending token.  So does
-an ontology type, a synset, or a lexicon template, default or entry that a
-structural check finds at fault, such as a duplicate or a dangling name;
-another structural error names the file.
+an ontology type, a synset, a lexicon template, default or entry, or a
+grammar rule that a structural check finds at fault, such as a duplicate
+or a dangling name; another structural error names the file.
 The format modules keep only what is particular to their own records.
 
-Record types built once per input line, token or parse follow one rule:
+Every record type is a ``typing.NamedTuple``, by one rule:
 
-- A record that validates nothing is a ``typing.NamedTuple``, which is
-  built several times faster than a frozen dataclass.  It is immutable
-  and compares equal to a plain tuple of its values.  The ``index``
-  field of ``parser.Token`` hides ``tuple.index``.  The parser builds
-  each chart item (``parser.Constituent``) with ``tuple.__new__`` and all
-  of its fields: on the hot path that skips the generated ``__new__``,
-  one Python frame per item, and the item is the same tuple.
-- A record that validates its values in ``__post_init__`` stays a frozen
-  dataclass, so no instance skips the check.
+- A record is immutable and compares equal to a plain tuple of its
+  values.  The ``index`` field of ``parser.Token`` hides ``tuple.index``.
+  The parser builds each chart item (``parser.Constituent``) with
+  ``tuple.__new__`` and all of its fields: on the hot path that skips the
+  generated ``__new__``, one Python frame per item, and the item is the
+  same tuple.
+- A config that checks its values (``parser.ParserConfig``,
+  ``evaluation.VariantConfig``) subclasses a private named tuple of its
+  fields, with ``__slots__ = ()`` and a ``__new__`` that builds the tuple
+  and checks it.  ``_make`` and ``_replace`` skip ``__new__``, so no code
+  here calls either on such a config.
+- A file record checks nothing itself.  The container it is read into
+  (``Ontology``, ``SynsetGraph``, ``Lexicon``, ``Grammar``) or its reader
+  (corpus and advice) checks it, and :func:`build` names a container's
+  fault at the ``file:line`` of the record at fault.
 """
 
 from __future__ import annotations
 
+import os
 from math import isfinite
-from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .errors import FormatError, StructuralError
@@ -35,7 +41,7 @@ from .errors import FormatError, StructuralError
 T = TypeVar("T")
 
 
-def load(parse: Callable[..., T], path: str | Path, *args: object) -> T:
+def load(parse: Callable[..., T], path: str | os.PathLike[str], *args: object) -> T:
     """Read ``path`` as UTF-8 and hand it to ``parse`` with ``str(path)``,
     the path as given, as the source that errors name."""
     with open(path, encoding="utf-8") as handle:

@@ -11,15 +11,12 @@ synset's probability mass onto its subsumed type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+import os
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import records
 from .diagnostics import DISCARD, Diagnostics
 from .errors import FormatError, Names, StructuralError
-
-_WEIGHT_SLACK = 1e-9
 
 
 class Synset(NamedTuple):
@@ -126,30 +123,20 @@ class SynsetGraph:
         return None
 
 
-@dataclass(frozen=True)
-class SenseDistribution:
+class SenseDistribution(NamedTuple):
     """External disambiguator output for one advised word occurrence.
 
     ``span`` anchors the word in the advisor's own view of the sentence;
     ``weights`` maps synset ids to probabilities (possibly truncated, so
-    they may sum to less than one).  ``line`` is the record's line in the
-    advice file it was read from, for errors that other files find; it
-    takes no part in comparison.
+    they may sum to less than one); the advice reader checks them.
+    ``line`` is the record's line in the advice file it was read from, for
+    errors that other files find (None when built in code).
     """
 
     word: str
     span: tuple[int, int]
-    weights: Mapping[str, float] = field(default_factory=dict)
-    line: int | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for sid, w in self.weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight for {sid}")
-            total += w
-        if total > 1.0 + _WEIGHT_SLACK:
-            raise ValueError(f"weights for {self.word} sum to {total} > 1")
+    weights: Mapping[str, float]
+    line: int | None = None
 
 
 def transform_advice(
@@ -162,16 +149,22 @@ def transform_advice(
     returning each reached type's score.
 
     Synsets that resolve to no type contribute nothing, so the total score
-    can be less than the total input mass.  Each type's score is capped at
-    1, so rounding in a sum (or a reader's slack) never yields a score
-    above 1.
+    can be less than the total input mass.  Each of them is noted, unless
+    none of the record's synsets resolves: the caller drops and notes that
+    record whole.  Each type's score is capped at 1, so rounding in a sum
+    (or a reader's slack) never yields a score above 1.
     """
     totals: dict[str, float] = {}
+    unmapped = []
     for sid in sorted(dist.weights):
         onto_type = graph.assign_type(sid, mapping, diagnostics)
         if onto_type is None:
+            unmapped.append(sid)
             continue
         totals[onto_type] = totals.get(onto_type, 0.0) + dist.weights[sid]
+    if totals:
+        for sid in unmapped:
+            diagnostics.note("unmapped-advice", f"{dist.word} {sid}")
     return {t: min(totals[t], 1.0) for t in sorted(totals)}
 
 
@@ -206,5 +199,5 @@ def parse_synsets(text: str, source: str = "<string>") -> SynsetGraph:
     return records.build(SynsetGraph, source, synsets, lines=[lineno for lineno, _ in rows])
 
 
-def load_synsets(path: str | Path) -> SynsetGraph:
+def load_synsets(path: str | os.PathLike[str]) -> SynsetGraph:
     return records.load(parse_synsets, path)

@@ -144,8 +144,8 @@ def test_exit_code_one_for_out_of_range_flag(
 
 def renamed_s01_copy(fixtures_dir, tmp_path, name):
     """A copy of one fixture file with s01's synset bass_guitar.n.01 (the
-    first in both the advice file, at its line 4, and the corpus file)
-    renamed to no_such.n.01."""
+    first in both the advice file, at its line 4, and the corpus file, at
+    its line 8) renamed to no_such.n.01."""
     text = (fixtures_dir / name).read_text()
     path = tmp_path / name
     path.write_text(text.replace("bass_guitar.n.01", "no_such.n.01", 1))
@@ -162,7 +162,7 @@ def test_eval_rejects_unknown_synset_before_parsing(
     code = main(["eval", *resource_args, "--corpus", paths["corpus.txt"],
                  "--advice", paths["advice.txt"], "--output", str(output)])
     assert code == 1
-    where = {"advice.txt": f"{renamed}:4", "corpus.txt": renamed}[name]
+    where = {"advice.txt": f"{renamed}:4", "corpus.txt": f"{renamed}:8"}[name]
     assert capsys.readouterr().err == (
         f"senseparse: error: {where}: sentence s01: unknown synset no_such.n.01\n"
     )
@@ -471,3 +471,17 @@ def test_module_run_as_a_script_exits_with_mains_code(fixtures_dir, tmp_path, mo
         runpy.run_module("senseparse.cli", run_name="__main__")
     assert exited.value.code == 0
     assert out.read_text() == GOLDEN_FACTORIZE
+
+
+def test_cli_import_loads_neither_dataclasses_pathlib_nor_inspect():
+    # without ``site``, which may import pathlib itself, a ``senseparse``
+    # process pays for no module its records and annotations do not need
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import senseparse.cli; "
+        "print(*sorted({'dataclasses', 'pathlib', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "\n"

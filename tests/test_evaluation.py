@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -15,6 +14,7 @@ from senseparse.errors import SenseParseError
 from senseparse.evaluation import (
     VARIANT_NAMES,
     GoldInstance,
+    Resources,
     ScoreReport,
     VariantConfig,
     VariantRow,
@@ -26,10 +26,11 @@ from senseparse.evaluation import (
     score_run,
 )
 from senseparse.lexicon import parse_lexicon
-from senseparse.ontology import factorize
+from senseparse.ontology import factorize, parse_ontology
 from senseparse.parser import (
     FALLBACK_TYPE,
     ChartParser,
+    Grammar,
     LFNode,
     LogicalForm,
     ParseResult,
@@ -101,7 +102,7 @@ def test_gold_notes_land_after_each_variants_parse_notes(
 ):
     synsets = (fixtures_dir / "synsets.txt").read_text()
     synsets += "synset bass_hybrid.n.01 hypernyms bird.n.01,fish.n.01\n"
-    resources = replace(resources, graph=parse_synsets(synsets))
+    resources = resources._replace(graph=parse_synsets(synsets))
     golds = {"s09": "bass_hybrid.n.01", "s15": "entity.n.01"}
     corpus = [
         s._replace(tokens=s.tokens[:3] + (s.tokens[3]._replace(gold=golds[s.sentence_id]),))
@@ -258,7 +259,7 @@ def test_run_experiment_matches_variant_by_variant_on_fixture(
     # note a dropped record
     synsets = (fixtures_dir / "synsets.txt").read_text()
     synsets += "synset bass_hybrid.n.01 lemmas bass hypernyms bird.n.01,fish.n.01\n"
-    resources = replace(resources, graph=parse_synsets(synsets))
+    resources = resources._replace(graph=parse_synsets(synsets))
     text = (fixtures_dir / "advice.txt").read_text()
     advice = parse_advice(text.replace("bass bass_guitar.n.01=1.0", "bass entity.n.01=1.0", 1))
     variants = [VariantConfig(name) for name in VARIANT_NAMES]
@@ -339,8 +340,24 @@ def test_prepare_sentence_keeps_four_entries_per_token(resources, fixtures_dir):
     text += "".join(f"entry zork cat N template noun type {t}\n" for t in types)
     lexicon = parse_lexicon(text, resources.ontology)
     sentence = SentenceRecord("z", (Token(0, 0, 4, "zork", "zork", "N"),))
-    prepared = prepare_sentence(replace(resources, lexicon=lexicon), sentence, ())
+    prepared = prepare_sentence(resources._replace(lexicon=lexicon), sentence, ())
     assert len(prepared.entries[0]) == 4
+
+
+def test_a_sense_that_reaches_no_type_is_noted_where_it_is_dropped():
+    # w has two senses: a.n.01 maps to thing, orphan.n.01 reaches no type
+    ontology = parse_ontology("type root parent -\n\ntype thing parent root synsets a.n.01\n")
+    graph = parse_synsets("synset a.n.01 lemmas w\nsynset orphan.n.01 lemmas w\n")
+    lexicon = parse_lexicon("template noun cat N slots -\ndefault-template N noun\n", ontology)
+    resources = Resources(ontology, graph, lexicon, Grammar([]))
+    sentence = SentenceRecord("s", (Token(0, 0, 1, "w", "w", "N"),))
+    advice = parse_advice("advice s 0 1 w a.n.01=0.6,orphan.n.01=0.4\n")["s"]
+    prepared = prepare_sentence(resources, sentence, advice)
+    assert [e.onto_type for e in prepared.entries[0]] == ["thing"]
+    assert prepared.entry_notes.lines() == ["unmapped-entry w orphan.n.01"]
+    assert [h.onto_type for h in prepared.advice_map.hints] == ["thing"]
+    assert prepared.dropped == 0
+    assert prepared.advice_notes.lines() == ["unmapped-advice w orphan.n.01"]
 
 
 def test_the_parser_reads_the_sentence_records_tokens(

@@ -7,12 +7,27 @@ from senseparse.advice import (
     parse_corpus,
 )
 from senseparse.errors import FormatError, StructuralError
-from senseparse.evaluation import PreparedSentence, VariantRow
+from senseparse.evaluation import (
+    PreparedSentence,
+    Resources,
+    ScoreReport,
+    VariantConfig,
+    VariantRow,
+)
 from senseparse.hinting import Hint
 from senseparse.lexicon import LexicalEntry, SyntacticTemplate, parse_lexicon
 from senseparse.ontology import FactorizedOntology, OntologyType, RoleSpec, parse_ontology
-from senseparse.parser import LFNode, LogicalForm, ParseResult, Token, parse_grammar
-from senseparse.sensemap import Synset, parse_synsets
+from senseparse.parser import (
+    Grammar,
+    GrammarRule,
+    LFNode,
+    LogicalForm,
+    ParserConfig,
+    ParseResult,
+    Token,
+    parse_grammar,
+)
+from senseparse.sensemap import SenseDistribution, Synset, parse_synsets
 
 MINI_ONTOLOGY = parse_ontology("type root parent -\n")
 
@@ -137,6 +152,11 @@ MALFORMED = [
     ("ontology", "type root parent - roles agent:root:always\n", 1, "bad role 'agent:root:always'"),
     # an advised synset has a name
     ("advice", "advice s01 13 17 bass =1.0\n", 1, "bad weight '=1.0'"),
+    # the reader checks a distribution's weights
+    ("advice", "advice s 0 4 w a.n=0.5,b.n=-0.1\n", 1, "negative weight for b.n"),
+    # the grammar checks its rules once all of them are read, so a format
+    # error on a later line wins over a rule an earlier line gets wrong
+    ("grammar", "rule S -> NP head 1 weight 1\nrule NP -> N head zero weight 1\n", 2, "zero"),
 ]
 
 
@@ -209,6 +229,47 @@ def test_parse_advice_rejects_mass_above_one():
         parse_advice("advice s 0 4 w a.n=0.7,b.n=0.7\n", source="src.txt")
 
 
+@pytest.mark.parametrize(
+    "weights",
+    ["a.n=0.0", f"a.n={1.0 + 1e-9!r}", "a.n=0.4"],
+    ids=["zero-weight", "slack-above-one", "truncated-mass"],
+)
+def test_parse_advice_accepts_mass_up_to_one_and_its_slack(weights):
+    (dist,) = parse_advice(f"advice s 0 4 w {weights}\n")["s"]
+    assert dist == SenseDistribution("w", (0, 4), {"a.n": float(weights[4:])}, 1)
+
+
+# a rule that a directly built grammar rejects, and the message naming it
+BAD_RULES = [
+    (GrammarRule("S", (), 0), "rule S has empty right-hand side"),
+    (GrammarRule("S", ("A", "B", "C", "D"), 0), "rule S has more than three daughters"),
+    (GrammarRule("S", ("A",), 1), "rule S head index out of range"),
+    (GrammarRule("S", ("A",), -1), "rule S head index out of range"),
+    (GrammarRule("S", ("A", "B"), 0, ((2, "agent"),)), "rule S links missing daughter 2"),
+    (GrammarRule("S", ("A", "B"), 1, ((-1, "agent"),)), "rule S links missing daughter -1"),
+    (GrammarRule("S", ("A", "B"), 0, ((0, "agent"),)), "rule S links role agent to its head"),
+    (GrammarRule("S", ("A", "B"), 0, ((1, "agent"), (1, "agent"))),
+     "rule S links daughter 1 to agent twice"),
+    (GrammarRule("S", ("A",), 0, (), 0.0), "rule S weight must be in (0, 1]"),
+    (GrammarRule("S", ("A",), 0, (), 1.5), "rule S weight must be in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    BAD_RULES,
+    ids=[f"{i}-{message.replace(' ', '_')}" for i, (_, message) in enumerate(BAD_RULES)],
+)
+def test_grammar_rejects_a_rule_with_its_position(rule, message):
+    # the rule before it links a daughter to two roles and weighs exactly 1
+    good = GrammarRule("S", ("A", "B", "C"), 2, ((0, "agent"), (0, "theme")), 1.0)
+    with pytest.raises(StructuralError) as err:
+        Grammar([good, rule])
+    assert str(err.value) == message
+    assert err.value.index == 1
+    assert Grammar([good]).rules == (good,)
+
+
 # a record set that reads cleanly but breaks a structural invariant; the
 # error names the file even though the text was passed in directly
 STRUCTURAL = [
@@ -225,11 +286,11 @@ def test_structural_error_names_its_source(fmt, text, problem):
 
 # -- record types -----------------------------------------------------------------
 
-TOKEN_FIELDS = ("index", "start", "end", "surface", "lemma", "pos", "gold")
+TOKEN_FIELDS = ("index", "start", "end", "surface", "lemma", "pos", "gold", "line")
 
 # records that validate nothing: (type, field names in order, defaults)
 NAMED_TUPLES = [
-    (Token, TOKEN_FIELDS, {"gold": None}),
+    (Token, TOKEN_FIELDS, {"gold": None, "line": None}),
     (SentenceRecord, ("sentence_id", "tokens"), {}),
     (Synset, ("id", "lemmas", "hypernyms"), {"lemmas": frozenset(), "hypernyms": frozenset()}),
     (OntologyType, ("name", "parent", "roles", "synsets"), {"roles": (), "synsets": frozenset()}),
@@ -256,6 +317,14 @@ NAMED_TUPLES = [
          "dropped_advice"),
         {},
     ),
+    (
+        GrammarRule,
+        ("lhs", "rhs", "head_index", "role_links", "weight"),
+        {"role_links": (), "weight": 1.0},
+    ),
+    (SenseDistribution, ("word", "span", "weights", "line"), {"line": None}),
+    (Resources, ("ontology", "graph", "lexicon", "grammar"), {}),
+    (ScoreReport, ("rows",), {}),
 ]
 
 
@@ -264,7 +333,7 @@ NAMED_TUPLES = [
 CORPUS_TOKEN = (
     type(parse_corpus("sentence s\ntok 0 0 1 a a DT\n")[0].tokens[0]),
     TOKEN_FIELDS,
-    {"gold": None},
+    {"gold": None, "line": None},
 )
 
 
@@ -287,3 +356,50 @@ def test_record_without_checks_is_an_immutable_named_tuple(record_type, names, d
     required = {name: v for name, v in values.items() if name not in defaults}
     assert record_type(**required)._asdict() == {**values, **defaults}
 
+
+
+# records that check their values: (type, required values, the defaults, bad
+# values); each is a named tuple subclass that checks in ``__new__``
+VALIDATED = [
+    (
+        ParserConfig,
+        {},
+        {"beam_width": 3, "max_pops": None, "accept_threshold": 0.0},
+        [{"beam_width": 0}, {"max_pops": 0}, {"accept_threshold": -0.1},
+         {"accept_threshold": 1.5}],
+    ),
+    (
+        VariantConfig,
+        {"variant": "plain"},
+        {"alpha": 0.5, "parser": ParserConfig()},
+        [{"variant": "best"}, {"alpha": -0.1}, {"alpha": 1.5}],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record_type, required, defaults, bad", VALIDATED, ids=[t.__name__ for t, *_ in VALIDATED]
+)
+def test_record_with_checks_checks_every_build_and_is_immutable(
+    record_type, required, defaults, bad
+):
+    assert record_type._fields == (*required, *defaults)
+    assert record_type._field_defaults == defaults
+    record = record_type(**required)
+    assert record._asdict() == {**required, **defaults}
+    assert record == record_type(*required.values())
+    assert type(record) is record_type
+    for name in record_type._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.other = 1
+    for values in bad:
+        fields = {**record._asdict(), **values}
+        with pytest.raises(ValueError):
+            record_type(**fields)
+        with pytest.raises(ValueError):
+            record_type(*fields.values())
+        # ``_make`` and ``_replace`` build the tuple without ``__new__``
+        assert record_type._make(fields.values())._asdict() == fields
+        assert record._replace(**values)._asdict() == fields

@@ -186,25 +186,3 @@ def test_best_types_tie_returns_all():
 
 def test_best_types_empty():
     assert best_types({}) == set()
-
-
-# -- distribution validation -------------------------------------------------------------
-
-
-def test_distribution_rejects_negative_weight():
-    with pytest.raises(ValueError, match="negative"):
-        SenseDistribution("w", (0, 1), {"s": -0.1})
-
-
-def test_distribution_rejects_mass_above_one():
-    with pytest.raises(ValueError, match="sum"):
-        SenseDistribution("w", (0, 1), {"s": 0.7, "t": 0.7})
-
-
-def test_distribution_accepts_zero_weight_and_the_slack_above_one():
-    SenseDistribution("w", (0, 1), {"s": 0.0})
-    SenseDistribution("w", (0, 1), {"s": 1.0 + 1e-9})
-
-
-def test_distribution_allows_truncated_mass():
-    SenseDistribution("w", (0, 1), {"s": 0.4})
