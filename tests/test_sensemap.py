@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import assign_type_oracle, random_synset_graph
+from senseparse.advice import parse_advice
 from senseparse.diagnostics import Diagnostics
 from senseparse.errors import FormatError, StructuralError, UnknownName
 from senseparse.sensemap import (
@@ -186,3 +187,13 @@ def test_best_types_tie_returns_all():
 
 def test_best_types_empty():
     assert best_types({}) == set()
+
+
+# -- distribution validation -------------------------------------------------------------
+
+
+def test_distribution_rejects_mass_above_one():
+    # the sum check lives where a distribution is read; three weights that are each
+    # below one but together above it are refused at their line
+    with pytest.raises(FormatError, match="weights for w sum to"):
+        parse_advice("advice s 0 1 w s.n=0.4,t.n=0.4,u.n=0.4\n")
