@@ -11,7 +11,7 @@ A longer rule is rejected rather than binarized: intermediate categories
 would change its scores and beam cells.
 Each (rule, daughters) match is combined once; a combination that
 violates a role restriction is rejected outright rather than penalized,
-and each distinct rejection is noted once per parse.
+and each distinct rejection is noted once per parse, after the search.
 Each constituent is built once, with its final score: the recursive mean
 of its root component and its daughters' scores.  A leaf's root component
 is its entry score; a parent's is the rule weight times the geometric mean
@@ -147,8 +147,12 @@ class ParserConfig(_ParserSettings):
 
     def __new__(cls, *args: object, **kwargs: object) -> ParserConfig:
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.beam_width, int):
+            raise ValueError("beam_width must be an integer")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
+        if self.max_pops is not None and not isinstance(self.max_pops, int):
+            raise ValueError("max_pops must be an integer")
         if self.max_pops is not None and self.max_pops < 1:
             raise ValueError("max_pops must be >= 1")
         if not 0.0 <= self.accept_threshold <= 1.0:
@@ -213,13 +217,14 @@ class Chart:
     """Constituent store with per-(span, category) beam pruning.
 
     Each cell is kept in beam order (a new cell starts as its first item)
-    and cut by ``prune_cell`` on every add, so a new item is admitted (or
-    pruned) before it is stored.  An item the beam prunes on arrival is never
-    stored: it cannot become a daughter, so no derivation reaches it; an
-    item pruned later stays reachable from the parents built on it.  Live
-    items are indexed by (end, category) and (start, category), so a rule
-    daughter is looked up in exactly the cell it can come from; each index
-    keeps insertion (id) order and drops an item when the beam prunes it.
+    and cut by ``prune_cell`` on every add, which overfills it by one item
+    at most, so a new item is admitted (or pruned) before it is stored.  An
+    item pruned on arrival is never stored: it cannot become a daughter, so
+    no derivation reaches it; one pruned later stays reachable from the
+    parents built on it.  Live items are indexed by (end, category) and
+    (start, category), so a rule daughter is looked up in exactly the cell
+    it can come from; each index keeps insertion (id) order and drops an
+    item when the beam prunes it.
     """
 
     def __init__(self, beam_width: int) -> None:
@@ -251,15 +256,13 @@ class Chart:
 
     def prune_cell(self, key: tuple[Span, str]) -> None:
         cell = self._cells[key]
-        if len(cell) <= self.beam_width:
-            return
-        (start, end), category = key
-        for c in cell[self.beam_width :]:
-            self.live.discard(c.id)
+        if len(cell) > self.beam_width:
+            (start, end), category = key
+            cid = cell.pop().id
+            self.live.discard(cid)
             # an item pruned on admission was never indexed
-            self._ending[(end, category)].pop(c.id, None)
-            self._starting[(start, category)].pop(c.id, None)
-        del cell[self.beam_width :]
+            self._ending[(end, category)].pop(cid, None)
+            self._starting[(start, category)].pop(cid, None)
 
 
 def _beam_key(c: Constituent) -> tuple[float, str, int]:
@@ -294,13 +297,12 @@ class ChartParser:
         self,
         rule: GrammarRule,
         children: Sequence[Constituent],
-        cid: int = 0,
-        diagnostics: Diagnostics = DISCARD,
-        sentence_id: str = "",
+        cid: int,
+        rejected: dict[tuple[str, str, str], None],
         scorer: Scorer | None = None,
     ) -> Constituent | None:
-        """Build and score the parent constituent, or reject on a role
-        violation.
+        """Build and score the parent constituent, or, on a role violation,
+        add its (role, restriction, filler type) key to ``rejected``.
 
         The parent takes the head daughter's type, head word and head
         token, and holds its daughters and the rule's role links.  Each
@@ -323,9 +325,7 @@ class ChartParser:
                 # ontology construction, so the unchecked ancestry test is safe
                 if spec is None or spec.restriction not in ancestor_sets[filler.onto_type]:
                     restriction = "(undeclared)" if spec is None else spec.restriction
-                    diagnostics.note(
-                        "role-violation", f"{role} {restriction} {filler.onto_type}", sentence_id
-                    )
+                    rejected[(role, restriction, filler.onto_type)] = None
                     return None
         span = (children[0].span[0], children[-1].span[1])
         if len(children) == 1:
@@ -383,8 +383,8 @@ class ChartParser:
         agenda: list[tuple[float, int, Constituent]] = []
         next_id = 0
         seen: set[tuple[int, ...]] = set()  # (rule index, *daughter ids)
-        # rejections repeat once per combine attempt; keep each first one
-        rejections = Diagnostics()
+        # each distinct role violation once, in first-seen order
+        rejected: dict[tuple[str, str, str], None] = {}
 
         for i in range(n):
             span = (i, i + 1)
@@ -489,16 +489,15 @@ class ChartParser:
                                         seen.add(signature)
                                         matches.append((a, b, popped))
                 for children in matches:
-                    built = combine(rule, children, next_id, rejections, sentence_id, scorer)
+                    built = combine(rule, children, next_id, rejected, scorer)
                     if built is None:
                         continue
                     next_id += 1
                     if add(built):
                         heappush(agenda, (-built.effective_score, built.id, built))
 
-        if rejections.events:
-            rejections.events = list(dict.fromkeys(rejections.events))
-            diagnostics.replay(rejections)
+        for role, restriction, filler_type in rejected:
+            diagnostics.note("role-violation", f"{role} {restriction} {filler_type}", sentence_id)
         if accepted is not None:
             fragments: list[Constituent] = [accepted]
         else:

@@ -42,9 +42,10 @@ T = TypeVar("T")
 
 
 def load(parse: Callable[..., T], path: str | os.PathLike[str], *args: object) -> T:
-    """Read ``path`` as UTF-8 and hand it to ``parse`` with ``str(path)``,
-    the path as given, as the source that errors name."""
-    with open(path, encoding="utf-8") as handle:
+    """Read ``path`` as UTF-8, less a leading byte-order mark, and hand it
+    to ``parse`` with ``str(path)``, the path as given, as the source that
+    errors name."""
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     return parse(text, *args, source=str(path))
 

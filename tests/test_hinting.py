@@ -42,7 +42,7 @@ def combine_bass(ontology, scorer, child_scores, head_type="electric-bass", weig
     ]
     rule = GrammarRule("X", ("X",) * len(children), 0, (), weight)
     parser = ChartParser(Grammar([]), ontology, {})
-    return parser.combine(rule, children, cid=len(children), scorer=scorer)
+    return parser.combine(rule, children, cid=len(children), rejected={}, scorer=scorer)
 
 
 # -- matching ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import best_parse_oracle, verify_role_soundness
-from senseparse.diagnostics import Diagnostics
 from senseparse.errors import ParseFailure, StructuralError
 from senseparse.evaluation import VariantConfig, parse_sentence_with_variant, run_variant
 from senseparse.lexicon import LexicalEntry
@@ -66,7 +65,7 @@ def test_combine_accepts_restriction_satisfying_filler(resources):
     parser = make_parser(resources)
     v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
     np = leaf(1, (1, 2), "NP", "freshwater-fish", "bass", 0.6)
-    built = parser.combine(vp_rule(), [v, np], cid=2)
+    built = parser.combine(vp_rule(), [v, np], cid=2, rejected={})
     assert built is not None
     assert built.onto_type == "cook-action"
     assert built.word == "cook"
@@ -77,18 +76,18 @@ def test_combine_accepts_restriction_satisfying_filler(resources):
 
 def test_combine_rejects_restriction_violation(resources):
     parser = make_parser(resources)
-    diag = Diagnostics()
+    rejected = {}
     v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
     np = leaf(1, (1, 2), "NP", "idea-type", "idea", 0.6)
-    assert parser.combine(vp_rule(), [v, np], cid=2, diagnostics=diag) is None
-    assert diag.lines() == ["role-violation affected phys-obj idea-type"]
+    assert parser.combine(vp_rule(), [v, np], cid=2, rejected=rejected) is None
+    assert list(rejected) == [("affected", "phys-obj", "idea-type")]
 
 
 def test_combine_unary_weight_one_is_identity(resources):
     parser = make_parser(resources)
     np_rule = GrammarRule("NP", ("N",), 0, (), 1.0)
     n = leaf(0, (0, 1), "N", "bread", "bread", 0.37)
-    built = parser.combine(np_rule, [n], cid=1)
+    built = parser.combine(np_rule, [n], cid=1, rejected={})
     assert built.effective_score == pytest.approx(0.37)
 
 
@@ -97,8 +96,8 @@ def test_combine_parent_holds_its_daughters_and_head_token(resources):
     v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
     np = leaf(1, (1, 2), "NP", "freshwater-fish", "bass", 0.6)
     rule = vp_rule()
-    built = parser.combine(rule, [v, np])
-    assert (built.id, built.span, built.category) == (0, (0, 2), "VP")  # default id 0
+    built = parser.combine(rule, [v, np], cid=0, rejected={})
+    assert (built.id, built.span, built.category) == (0, (0, 2), "VP")
     assert built.children == (v, np)
     assert built.head == 0
     # the role edges are the rule's own links; a leaf has none
@@ -108,19 +107,19 @@ def test_combine_parent_holds_its_daughters_and_head_token(resources):
     rule = GrammarRule("X", ("N", "VP"), 1, (), 1.0)
     n = leaf(2, (2, 3), "N", "bread", "bread", 0.5)
     shifted = built._replace(span=(3, 5), head=3)
-    outer = parser.combine(rule, [n, shifted], cid=4)
+    outer = parser.combine(rule, [n, shifted], cid=4, rejected={})
     assert (outer.head, outer.word, outer.onto_type) == (3, "cook", "cook-action")
     assert outer.children == (n, shifted)
 
 
 def test_combine_rejects_undeclared_role(resources):
     parser = make_parser(resources)
-    diag = Diagnostics()
+    rejected = {}
     rule = GrammarRule("X", ("N", "N"), 0, ((1, "affected"),), 1.0)
     a = leaf(0, (0, 1), "N", "bread", "bread", 0.5)
     b = leaf(1, (1, 2), "N", "cheese", "cheese", 0.5)
-    assert parser.combine(rule, [a, b], cid=2, diagnostics=diag) is None
-    assert diag.lines() == ["role-violation affected (undeclared) cheese"]
+    assert parser.combine(rule, [a, b], cid=2, rejected=rejected) is None
+    assert list(rejected) == [("affected", "(undeclared)", "cheese")]
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,7 +135,7 @@ def test_combine_scores_the_parent_it_builds(resources, scores, weight):
     rule = GrammarRule("X", ("N",) * len(scores), 0, (), weight)
     root = weight * math.prod(scores) ** (1.0 / len(scores))
     # no hook: the recursive mean of the root component and the daughters'
-    plain = parser.combine(rule, children)
+    plain = parser.combine(rule, children, cid=0, rejected={})
     assert plain.effective_score == fmean((root, *scores))
 
     # a hook: called once with the head word, span and type and the root
@@ -147,10 +146,12 @@ def test_combine_scores_the_parent_it_builds(resources, scores, weight):
         calls.append((item, own))
         return own / 2 + 0.25
 
-    hooked = parser.combine(rule, children, scorer=hook)
+    hooked = parser.combine(rule, children, cid=0, rejected={}, scorer=hook)
     assert calls == [(("w0", (0, len(scores)), "bread"), root)]
     assert hooked == plain._replace(effective_score=fmean((root / 2 + 0.25, *scores)))
-    identity = parser.combine(rule, children, scorer=lambda item, own: own)
+    identity = parser.combine(
+        rule, children, cid=0, rejected={}, scorer=lambda item, own: own
+    )
     assert identity == plain
 
 
@@ -159,7 +160,7 @@ def test_combine_calls_no_hook_on_a_role_violation(resources):
     v = leaf(0, (0, 1), "V", "cook-action", "cook", 0.8)
     np = leaf(1, (1, 2), "NP", "idea-type", "idea", 0.6)
     calls = []
-    assert parser.combine(vp_rule(), [v, np], 2, scorer=lambda *a: calls.append(a)) is None
+    assert parser.combine(vp_rule(), [v, np], 2, {}, scorer=lambda *a: calls.append(a)) is None
     assert calls == []
 
 

@@ -3,6 +3,7 @@ import pytest
 from senseparse.advice import (
     SentenceRecord,
     load_advice,
+    load_corpus,
     parse_advice,
     parse_corpus,
 )
@@ -180,6 +181,13 @@ def test_nan_advice_weight_is_rejected_with_its_line(fixtures_dir, tmp_path):
     with pytest.raises(FormatError) as err:
         load_advice(bad)
     assert str(err.value) == f"{bad}:4: non-finite probability 'nan'"
+
+
+def test_a_file_with_a_byte_order_mark_reads_as_without_it(fixtures_dir, tmp_path):
+    text = (fixtures_dir / "corpus.txt").read_text(encoding="utf-8")
+    marked = tmp_path / "corpus.txt"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_corpus(marked) == load_corpus(fixtures_dir / "corpus.txt")
 
 
 def test_parse_corpus_reads_sentences_tokens_and_gold():
@@ -365,8 +373,8 @@ VALIDATED = [
         ParserConfig,
         {},
         {"beam_width": 3, "max_pops": None, "accept_threshold": 0.0},
-        [{"beam_width": 0}, {"max_pops": 0}, {"accept_threshold": -0.1},
-         {"accept_threshold": 1.5}],
+        [{"beam_width": 0}, {"beam_width": 2.5}, {"max_pops": 0}, {"max_pops": 2.5},
+         {"accept_threshold": -0.1}, {"accept_threshold": 1.5}],
     ),
     (
         VariantConfig,
@@ -396,9 +404,11 @@ def test_record_with_checks_checks_every_build_and_is_immutable(
         record.other = 1
     for values in bad:
         fields = {**record._asdict(), **values}
-        with pytest.raises(ValueError):
+        # the message names the field at fault
+        (name,) = values
+        with pytest.raises(ValueError, match=name):
             record_type(**fields)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=name):
             record_type(*fields.values())
         # ``_make`` and ``_replace`` build the tuple without ``__new__``
         assert record_type._make(fields.values())._asdict() == fields

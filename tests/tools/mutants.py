@@ -74,10 +74,6 @@ MIN_MAX = {"min": "max", "max": "min"}
 # Survivors no test can kill, keyed by (file, enclosing definition, original
 # code, mutant code as printed), with the reason the two behave the same.
 EQUIVALENT: dict[tuple[str, str, str, str], str] = {
-    (
-        "parser.py", "Chart.prune_cell",
-        "len(cell) <= self.beam_width", "(len(cell) < self.beam_width)",
-    ): "an exactly full cell then goes on to cut an empty tail, which changes nothing",
     ("records.py", "fields", "len(tokens) - start", "(len(tokens) + start)"): (
         "only the parity is read, and a + b and a - b always have the same parity"
     ),
