@@ -22,45 +22,40 @@ from .diagnostics import DISCARD, Diagnostics
 from .errors import FormatError
 from .hinting import AdviceMap, Hint
 from .ontology import Ontology
-from .parser import Span, Token
-from .sensemap import SenseDistribution, SynsetGraph, best_types, transform_advice
+from .parser import Token
+from .sensemap import SenseDistribution, SynsetGraph, transform_advice
 
 
 def unify(
     parser_tokens: Sequence[Token], records: Sequence[SenseDistribution]
 ) -> dict[int, int]:
     """Match advice records onto parser tokens, one-to-one; returns record
-    position -> parser token index.
+    position -> parser token position.
 
     Pass 1 claims pairs whose character spans intersect and whose advised
     word equals the token's lemma exactly; pass 2 claims remaining pairs
     whose advised word equals the token's surface, greedily left-to-right
-    by parser index.  Unmatched tokens and records are absent from the map.
+    by token position.  Unmatched tokens and records are absent from the map.
     """
     matched: dict[int, int] = {}
-    claimed: set[int] = set()
-    for p in parser_tokens:
+    for i, p in enumerate(parser_tokens):
         for k, r in enumerate(records):
             if k in matched:
                 continue
-            if _spans_intersect((p.start, p.end), r.span) and p.lemma == r.word:
-                matched[k] = p.index
-                claimed.add(p.index)
+            if max(p.start, r.span[0]) < min(p.end, r.span[1]) and p.lemma == r.word:
+                matched[k] = i
                 break
-    for p in parser_tokens:
-        if p.index in claimed:
+    claimed = set(matched.values())
+    for i, p in enumerate(parser_tokens):
+        if i in claimed:
             continue
         for k, r in enumerate(records):
             if k in matched:
                 continue
             if p.surface == r.word:
-                matched[k] = p.index
+                matched[k] = i
                 break
     return matched
-
-
-def _spans_intersect(a: Span, b: Span) -> bool:
-    return max(a[0], b[0]) < min(a[1], b[1])
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -95,7 +90,7 @@ def parse_corpus(text: str, source: str = "<string>") -> list[SentenceRecord]:
                 gold = tokens[7][len("gold="):]
                 if not gold:
                     raise FormatError("empty gold synset", source, lineno)
-            current.append(Token(index, start, end, tokens[4], tokens[5], tokens[6], gold, lineno))
+            current.append(Token(start, end, tokens[4], tokens[5], tokens[6], gold, lineno))
         elif tokens[0] == "sentence":
             if len(tokens) != 2:
                 raise FormatError("expected 'sentence <id>'", source, lineno)
@@ -178,9 +173,10 @@ def build_advice_map(
     """Turn raw advice for one sentence into an advice map of hints.
 
     Each record is matched onto one parser token through :func:`unify` and
-    transformed to type scores; each of its best (tied) types becomes a
-    hint on that token, under the token's lemma.  So hints are unique per
-    (token, type), name types of ``ontology``, and score in [0, 1].
+    transformed to type scores; each of its types tied for the top score
+    becomes a hint on that token, under the token's lemma, in type order.
+    So hints are unique per (token, type), name types of ``ontology``, and
+    score in [0, 1].
     Records whose token cannot be matched, and records none of whose
     synsets resolves to a type, yield no hint and are dropped; the second
     return value counts them.
@@ -191,17 +187,17 @@ def build_advice_map(
     dropped = 0
     for k, record in enumerate(records):
         parser_index = wsd_to_parser.get(k)
-        best: set[tuple[str, float]] = set()
+        scored: dict[str, float] = {}
         if parser_index is not None:
             scored = transform_advice(record, graph, ontology.synset_mapping, diagnostics)
-            best = best_types(scored)
-        if not best:
+        if not scored:
             dropped += 1
             reason = "no token" if parser_index is None else "no type"
             diagnostics.note(
                 "dropped-advice", f"{record.word} {record.span}: {reason}", sentence_id
             )
             continue
-        for onto_type, score in sorted(best):
-            hints.append(Hint(parser_tokens[parser_index].lemma, parser_index, onto_type, score))
+        top = max(scored.values())
+        lemma = parser_tokens[parser_index].lemma
+        hints.extend(Hint(lemma, parser_index, t, s) for t, s in scored.items() if s == top)
     return AdviceMap(hints), dropped

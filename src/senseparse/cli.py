@@ -124,7 +124,7 @@ def _tokenize_sentence(raw: str) -> list[Token]:
             surface, lemma, pos = parts[0], parts[0].lower(), parts[1]
         else:
             surface, lemma, pos = text, text.lower(), None
-        tokens.append(Token(index, match.start(), match.end(), surface, lemma, pos))
+        tokens.append(Token(match.start(), match.end(), surface, lemma, pos))
     return tokens
 
 

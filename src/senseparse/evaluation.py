@@ -75,6 +75,8 @@ class VariantConfig(_VariantSettings):
         self = super().__new__(cls, *args, **kwargs)
         if self.variant not in VARIANT_NAMES:
             raise ValueError(f"unknown variant {self.variant}")
+        if not isinstance(self.alpha, (int, float)):
+            raise ValueError("alpha must be a number")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         return self
@@ -148,14 +150,14 @@ def gold_instances(
     """
     out = []
     for sentence in corpus:
-        for token in sentence.tokens:
+        for index, token in enumerate(sentence.tokens):
             if token.gold is None:
                 continue
             onto_type = graph.assign_type(token.gold, ontology.synset_mapping, diagnostics)
             if onto_type is None:
                 diagnostics.note("unmapped-gold", token.gold)
                 continue
-            out.append(GoldInstance(sentence.sentence_id, token.index, onto_type))
+            out.append(GoldInstance(sentence.sentence_id, index, onto_type))
     return out
 
 
@@ -170,8 +172,8 @@ def score_run(
 ) -> dict[str, float | int]:
     """Exact/similarity agreement metrics for one variant's parse results.
 
-    Every instance must be covered by a logical-form node of its
-    sentence's parse; that node's type is the prediction.  A prediction of
+    Every instance's token must have a logical-form node in its sentence's
+    parse; that node's type is the prediction.  A prediction of
     the parser's ``FALLBACK_TYPE`` is an abstention: it is not attempted, so
     it cannot be wrong for precision, but the instance still counts toward
     recall.  Wu-Palmer and factor-similarity means are over attempted
@@ -182,14 +184,15 @@ def score_run(
         result = results.get(instance.sentence_id)
         if result is None:
             raise SenseParseError(f"no parse result for sentence {instance.sentence_id}")
-        node = result.logical_form.node_at(instance.token_index)
-        if node is None:
+        nodes = result.logical_form.nodes
+        if not 0 <= instance.token_index < len(nodes):
             raise SenseParseError(
                 f"no logical-form node covers token {instance.token_index} "
                 f"of {instance.sentence_id}"
             )
-        if node.onto_type != FALLBACK_TYPE:
-            attempted.append((node.onto_type, instance.onto_type))
+        predicted = nodes[instance.token_index].onto_type
+        if predicted != FALLBACK_TYPE:
+            attempted.append((predicted, instance.onto_type))
     correct = sum(1 for predicted, gold in attempted if predicted == gold)
 
     precision = correct / len(attempted) if attempted else 0.0

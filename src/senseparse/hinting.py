@@ -26,7 +26,7 @@ from .parser import Scorer, Span, Token
 
 
 class Hint(NamedTuple):
-    """One advised sense: the token's base-form word, the token's index,
+    """One advised sense: the token's base-form word, the token's position,
     an ontology type, and a confidence in [0, 1]."""
 
     word: str
@@ -144,10 +144,7 @@ def apply_prehints(
     """
     merged: list[list[LexicalEntry]] = []
     for index, bucket in enumerate(entries):
-        extra = list(additions.get(index, []))
-        if not extra:
-            merged.append(list(bucket))
-            continue
+        extra = additions.get(index, ())
         extra_keys = {e.key(): e for e in extra}
         out = [extra_keys.pop(e.key(), e) for e in bucket]
         out.extend(e for e in extra if e.key() in extra_keys)

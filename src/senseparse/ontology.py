@@ -74,7 +74,6 @@ class Ontology:
             raise StructuralError("no root type (every type names a parent)")
         if len(roots) > 1:
             raise StructuralError("multiple roots: " + ", ".join(roots))
-        self.root: str = roots[0]
 
         def fault(message: str, name: str) -> StructuralError:
             # the position of the type at fault, looked up on the way out

@@ -25,7 +25,8 @@ fragment cover, with sense-neutral fallback fragments over tokens nothing
 else covers.
 Each constituent holds its own derivation: its daughters, its rule's role
 links and the token of its head leaf.  The logical form is read off the
-fragments in one walk: a node per leaf, an edge per role link.
+fragments in one walk: each token's node is its leaf's word and type, and
+each role link is an edge between head tokens.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ FALLBACK_TYPE = "referential-sem"
 
 
 class Token(NamedTuple):
-    """One token of a sentence as read: its position, its character span
-    in the raw text, surface and base forms, part of speech (None when
-    untagged), gold synset (None when unannotated) and its line in the
-    corpus file it was read from (None when not read from one)."""
+    """One token of a sentence as read: its character span in the raw
+    text, surface and base forms, part of speech (None when untagged), gold
+    synset (None when unannotated) and its line in the corpus file it was
+    read from (None when not read from one).  A token is known by its
+    position in its sentence."""
 
-    index: int
     start: int
     end: int
     surface: str
@@ -147,14 +148,17 @@ class ParserConfig(_ParserSettings):
 
     def __new__(cls, *args: object, **kwargs: object) -> ParserConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.beam_width, int):
+        # ``type``, not ``isinstance``: a bool is an int, but not a count
+        if type(self.beam_width) is not int:
             raise ValueError("beam_width must be an integer")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if self.max_pops is not None and not isinstance(self.max_pops, int):
+        if self.max_pops is not None and type(self.max_pops) is not int:
             raise ValueError("max_pops must be an integer")
         if self.max_pops is not None and self.max_pops < 1:
             raise ValueError("max_pops must be >= 1")
+        if not isinstance(self.accept_threshold, (int, float)):
+            raise ValueError("accept_threshold must be a number")
         if not 0.0 <= self.accept_threshold <= 1.0:
             raise ValueError("accept_threshold must be in [0, 1]")
         return self
@@ -166,22 +170,21 @@ class ParserConfig(_ParserSettings):
 
 
 class LFNode(NamedTuple):
-    id: int
-    start: int
-    end: int
     word: str
     onto_type: str
 
 
 class LogicalForm(NamedTuple):
-    """Sense-typed nodes plus directed, role-labelled edges."""
+    """Sense-typed nodes plus directed, role-labelled edges.  ``nodes[i]``
+    is token ``i``'s node; an edge (head, role, filler) joins two tokens.
+    A node prints as ``node i i i+1 word type``: its id and token span."""
 
     nodes: tuple[LFNode, ...]
     edges: tuple[tuple[int, str, int], ...]
 
     def lines(self) -> list[str]:
         out = [
-            f"node {n.id} {n.start} {n.end} {n.word} {n.onto_type}" for n in self.nodes
+            f"node {i} {i} {i + 1} {n.word} {n.onto_type}" for i, n in enumerate(self.nodes)
         ]
         out.extend(f"edge {p} {role} {c}" for p, role, c in self.edges)
         return out
@@ -189,19 +192,12 @@ class LogicalForm(NamedTuple):
     def __str__(self) -> str:
         return "\n".join(self.lines())
 
-    def node_at(self, token_index: int) -> LFNode | None:
-        for n in self.nodes:
-            if n.start <= token_index < n.end:
-                return n
-        return None
-
 
 class ParseResult(NamedTuple):
     """One sentence's parse.  ``fragments`` cover the sentence left to
     right, one accepted root for a full parse; each carries its
     derivation, and ``logical_form`` is read off them."""
 
-    sentence_id: str
     spanning: bool
     fragments: tuple[Constituent, ...]
     logical_form: LogicalForm
@@ -508,9 +504,7 @@ class ChartParser:
             and fragments[0].span == full
             and fragments[0].category == goal
         )
-        return ParseResult(
-            sentence_id, spanning, tuple(fragments), _extract_logical_form(fragments), pops
-        )
+        return ParseResult(spanning, tuple(fragments), _extract_logical_form(fragments), pops)
 
 
 def fragment_fallback(
@@ -557,10 +551,11 @@ def fragment_fallback(
 
 
 def _extract_logical_form(fragments: Sequence[Constituent]) -> LogicalForm:
-    """A node per leaf of the fragments' derivations and an edge per role
-    link, from head token to the linked daughter's head token.  The leaves
-    cover every token exactly once, so a leaf's token is its node id."""
-    nodes = []
+    """Each token's node, its leaf's word and type, and an edge per role
+    link, from head token to the linked daughter's head token.  The
+    fragments cover the sentence left to right, and their leaves cover
+    each token exactly once."""
+    nodes: list[LFNode | None] = [None] * fragments[-1].span[1]
     edges = []
     stack = list(fragments)
     while stack:
@@ -572,9 +567,7 @@ def _extract_logical_form(fragments: Sequence[Constituent]) -> LogicalForm:
                 edges.append((head, role, children[index].head))
             stack.extend(children)
         else:
-            start, end = c.span
-            nodes.append(LFNode(c.head, start, end, c.word, c.onto_type))
-    nodes.sort()
+            nodes[c.head] = LFNode(c.word, c.onto_type)
     edges.sort()
     return LogicalForm(tuple(nodes), tuple(edges))
 

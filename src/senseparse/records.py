@@ -14,8 +14,7 @@ The format modules keep only what is particular to their own records.
 Every record type is a ``typing.NamedTuple``, by one rule:
 
 - A record is immutable and compares equal to a plain tuple of its
-  values.  The ``index`` field of ``parser.Token`` hides ``tuple.index``.
-  The parser builds each chart item (``parser.Constituent``) with
+  values.  The parser builds each chart item (``parser.Constituent``) with
   ``tuple.__new__`` and all of its fields: on the hot path that skips the
   generated ``__new__``, one Python frame per item, and the item is the
   same tuple.

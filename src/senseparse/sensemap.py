@@ -146,7 +146,7 @@ def transform_advice(
     diagnostics: Diagnostics = DISCARD,
 ) -> dict[str, float]:
     """Push each synset's probability onto its subsumed ontology type,
-    returning each reached type's score.
+    returning each reached type's score, in type order.
 
     Synsets that resolve to no type contribute nothing, so the total score
     can be less than the total input mass.  Each of them is noted, unless
@@ -166,14 +166,6 @@ def transform_advice(
         for sid in unmapped:
             diagnostics.note("unmapped-advice", f"{dist.word} {sid}")
     return {t: min(totals[t], 1.0) for t in sorted(totals)}
-
-
-def best_types(scored_types: Mapping[str, float]) -> set[tuple[str, float]]:
-    """All (type, score) entries tied for the maximum score; empty if none."""
-    if not scored_types:
-        return set()
-    top = max(scored_types.values())
-    return {(t, s) for t, s in scored_types.items() if s == top}
 
 
 # -- file format --------------------------------------------------------------

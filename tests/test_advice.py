@@ -1,13 +1,17 @@
+import pytest
+
 from senseparse import cli, evaluation
 from senseparse.advice import build_advice_map, unify
 from senseparse.diagnostics import Diagnostics
 from senseparse.evaluation import VARIANT_NAMES, VariantConfig, run_experiment
+from senseparse.hinting import Hint
+from senseparse.ontology import parse_ontology
 from senseparse.parser import Token
-from senseparse.sensemap import SenseDistribution
+from senseparse.sensemap import SenseDistribution, parse_synsets
 
 
-def parser_token(index, span, surface, lemma):
-    return Token(index, span[0], span[1], surface, lemma, "N")
+def parser_token(span, surface, lemma):
+    return Token(span[0], span[1], surface, lemma, "N")
 
 
 def wsd_token(span, word):
@@ -19,20 +23,20 @@ def wsd_token(span, word):
 
 
 def test_unify_matches_intersecting_span_with_equal_lemma():
-    parser = [parser_token(0, (0, 1), "i", "i"), parser_token(1, (2, 8), "played", "play")]
+    parser = [parser_token((0, 1), "i", "i"), parser_token((2, 8), "played", "play")]
     wsd = [wsd_token((3, 7), "play")]
     assert unify(parser, wsd) == {0: 1}
 
 
 def test_unify_falls_back_to_surface_word():
     # the spans are disjoint and the lemmas differ, but the surface agrees
-    parser = [parser_token(0, (0, 6), "played", "play")]
+    parser = [parser_token((0, 6), "played", "play")]
     wsd = [wsd_token((20, 26), "played")]
     assert unify(parser, wsd) == {0: 0}
 
 
 def test_unify_needs_equal_lemma_for_a_span_match():
-    parser = [parser_token(0, (0, 6), "played", "play")]
+    parser = [parser_token((0, 6), "played", "play")]
     wsd = [wsd_token((0, 6), "plays")]
     assert unify(parser, wsd) == {}
 
@@ -41,9 +45,9 @@ def test_unify_claims_one_to_one_span_pass_first():
     # the repeated word's advice sits on its second occurrence; the span pass
     # claims it there, so the surface pass cannot give it to the first one
     parser = [
-        parser_token(0, (0, 4), "bass", "bass"),
-        parser_token(1, (5, 8), "saw", "see"),
-        parser_token(2, (9, 13), "bass", "bass"),
+        parser_token((0, 4), "bass", "bass"),
+        parser_token((5, 8), "saw", "see"),
+        parser_token((9, 13), "bass", "bass"),
     ]
     wsd = [wsd_token((9, 13), "bass")]
     assert unify(parser, wsd) == {0: 2}
@@ -53,16 +57,16 @@ def test_unify_span_pass_ignores_spans_that_only_touch():
     # the record starts where the second "bass" ends, so only the surface
     # pass matches it, onto the first occurrence
     parser = [
-        parser_token(0, (0, 4), "bass", "bass"),
-        parser_token(1, (5, 8), "saw", "see"),
-        parser_token(2, (9, 13), "bass", "bass"),
+        parser_token((0, 4), "bass", "bass"),
+        parser_token((5, 8), "saw", "see"),
+        parser_token((9, 13), "bass", "bass"),
     ]
     wsd = [wsd_token((13, 17), "bass")]
     assert unify(parser, wsd) == {0: 0}
 
 
 def test_unify_surface_pass_is_greedy_left_to_right():
-    parser = [parser_token(0, (0, 4), "bass", "bass"), parser_token(1, (5, 9), "bass", "bass")]
+    parser = [parser_token((0, 4), "bass", "bass"), parser_token((5, 9), "bass", "bass")]
     wsd = [wsd_token((40, 44), "bass"), wsd_token((50, 54), "bass")]
     assert unify(parser, wsd) == {0: 0, 1: 1}
 
@@ -98,6 +102,30 @@ def test_eval_counts_advice_resolving_to_no_type(resources, corpus, advice_recor
 
 
 # -- the hints build_advice_map emits ------------------------------------------------
+
+# a.n.01 subsumes to t2 and b.n.01 to t1, so synset order is not type order;
+# c.n.01 reaches no type
+TWO_TYPES = parse_ontology(
+    "type root parent -\ntype t1 parent root synsets b.n.01\ntype t2 parent root synsets a.n.01\n"
+)
+THREE_SYNSETS = parse_synsets("synset a.n.01\nsynset b.n.01\nsynset c.n.01\n")
+
+
+@pytest.mark.parametrize("weights, hints, dropped", [
+    ({"a.n.01": 0.9, "b.n.01": 0.1}, [("t2", 0.9)], 0),
+    ({"a.n.01": 0.5, "b.n.01": 0.5}, [("t1", 0.5), ("t2", 0.5)], 0),
+    ({"c.n.01": 1.0}, [], 1),
+], ids=["one-top-type", "tie-in-type-order", "nothing-typed-dropped"])
+def test_advice_map_hints_the_top_scoring_types(weights, hints, dropped):
+    # each type tied for the top score is one hint on the matched token
+    advice_map, count = build_advice_map(
+        [SenseDistribution("w", (0, 1), weights)],
+        [parser_token((0, 1), "word", "w")],
+        THREE_SYNSETS,
+        TWO_TYPES,
+    )
+    assert advice_map.hints == tuple(Hint("w", 0, t, score) for t, score in hints)
+    assert count == dropped
 
 
 def assert_one_hint_per_token_and_type(advice_map, tokens, ontology):

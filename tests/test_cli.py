@@ -61,7 +61,7 @@ def test_parse_reads_bare_tokens_and_writes_to_stdout(resource_args, capsys):
 def test_tokens_read_surface_lemma_and_pos(text, surface, lemma, pos):
     # the surface is what advice records are matched against
     token = cli._tokenize_sentence(f"i {text}")[1]
-    assert token == Token(1, 2, 2 + len(text), surface, lemma, pos)
+    assert token == Token(2, 2 + len(text), surface, lemma, pos)
 
 
 def test_parse_rejects_a_sentence_without_tokens(resource_args, capsys):

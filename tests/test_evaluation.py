@@ -339,7 +339,7 @@ def test_prepare_sentence_keeps_four_entries_per_token(resources, fixtures_dir):
     types = ("bread", "cheese", "drum", "hammer", "barrel")
     text += "".join(f"entry zork cat N template noun type {t}\n" for t in types)
     lexicon = parse_lexicon(text, resources.ontology)
-    sentence = SentenceRecord("z", (Token(0, 0, 4, "zork", "zork", "N"),))
+    sentence = SentenceRecord("z", (Token(0, 4, "zork", "zork", "N"),))
     prepared = prepare_sentence(resources._replace(lexicon=lexicon), sentence, ())
     assert len(prepared.entries[0]) == 4
 
@@ -350,7 +350,7 @@ def test_a_sense_that_reaches_no_type_is_noted_where_it_is_dropped():
     graph = parse_synsets("synset a.n.01 lemmas w\nsynset orphan.n.01 lemmas w\n")
     lexicon = parse_lexicon("template noun cat N slots -\ndefault-template N noun\n", ontology)
     resources = Resources(ontology, graph, lexicon, Grammar([]))
-    sentence = SentenceRecord("s", (Token(0, 0, 1, "w", "w", "N"),))
+    sentence = SentenceRecord("s", (Token(0, 1, "w", "w", "N"),))
     advice = parse_advice("advice s 0 1 w a.n.01=0.6,orphan.n.01=0.4\n")["s"]
     prepared = prepare_sentence(resources, sentence, advice)
     assert [e.onto_type for e in prepared.entries[0]] == ["thing"]
@@ -400,9 +400,10 @@ def derivation_items(result):
 def test_fragment_leaves_tile_the_sentence_and_heads_point_at_them(
     workload, resources, corpus, advice_records, long_ambig_chunk
 ):
-    # a logical form's node ids and edge ends are items' head tokens; that
-    # is sound only while the leaves cover each token exactly once and each
-    # head token's leaf carries its item's word and type
+    # a logical form's nodes are indexed by token and its edge ends are
+    # items' head tokens; that is sound only while the leaves cover each
+    # token exactly once and each head token's leaf carries its item's word
+    # and type, and then token t's node is its leaf's word and type
     if workload == "long-ambig":
         resources, corpus, advice_records = long_ambig_chunk
     lengths = {s.sentence_id: len(s.tokens) for s in corpus}
@@ -416,9 +417,9 @@ def test_fragment_leaves_tile_the_sentence_and_heads_point_at_them(
             for c in items:
                 assert c.span[0] <= c.head < c.span[1]
                 assert (leaf_at[c.head].word, leaf_at[c.head].onto_type) == (c.word, c.onto_type)
-            assert [n.id for n in result.logical_form.nodes] == [
-                n.start for n in result.logical_form.nodes
-            ]
+            assert result.logical_form.nodes == tuple(
+                (leaf_at[t].word, leaf_at[t].onto_type) for t in range(lengths[sid])
+            )
 
 
 @pytest.mark.parametrize("field", ["advice", "gold"])
@@ -445,9 +446,9 @@ def test_run_experiment_rejects_unknown_synset_before_any_parse(
 # -- score_run --------------------------------------------------------------------
 
 
-def lf_result(sentence_id, spanning, types):
-    nodes = tuple(LFNode(i, i, i + 1, f"w{i}", t) for i, t in enumerate(types))
-    return ParseResult(sentence_id, spanning, (), LogicalForm(nodes, ()), 0)
+def lf_result(spanning, types):
+    nodes = tuple(LFNode(f"w{i}", t) for i, t in enumerate(types))
+    return ParseResult(spanning, (), LogicalForm(nodes, ()), 0)
 
 
 def test_variant_config_alpha_bound_is_inclusive():
@@ -464,15 +465,15 @@ def test_score_run_rejects_an_instance_it_cannot_score(resources):
     instances = [GoldInstance("a", 1, "drum")]
     with pytest.raises(SenseParseError, match="^no parse result for sentence a$"):
         score_run({}, instances, ontology, factorized)
-    # a one-node LF covers token 0 only
-    results = {"a": lf_result("a", True, ["drum"])}
-    assert results["a"].logical_form.node_at(1) is None
-    with pytest.raises(SenseParseError, match="^no logical-form node covers token 1 of a$"):
-        score_run(results, instances, ontology, factorized)
+    # a one-node LF covers token 0 only; a negative token does not index from the end
+    results = {"a": lf_result(True, ["drum"])}
+    for token in (1, -1):
+        with pytest.raises(SenseParseError, match=f"^no logical-form node covers token {token} of a$"):
+            score_run(results, [GoldInstance("a", token, "drum")], ontology, factorized)
 
 
 def test_score_run_with_nothing_attempted_scores_zero(resources):
-    results = {"a": lf_result("a", False, [FALLBACK_TYPE])}
+    results = {"a": lf_result(False, [FALLBACK_TYPE])}
     instances = [GoldInstance("a", 0, "drum")]
     metrics = score_run(results, instances, resources.ontology, factorize(resources.ontology))
     assert (metrics["f_score"], metrics["wu_palmer"], metrics["semfac"]) == (0.0, 0.0, 0.0)
@@ -481,8 +482,8 @@ def test_score_run_with_nothing_attempted_scores_zero(resources):
 
 def test_score_run_abstention_lowers_recall_not_precision(resources):
     results = {
-        "a": lf_result("a", True, ["electric-bass", FALLBACK_TYPE]),
-        "b": lf_result("b", False, ["saltwater-fish", "bread"]),
+        "a": lf_result(True, ["electric-bass", FALLBACK_TYPE]),
+        "b": lf_result(False, ["saltwater-fish", "bread"]),
     }
     golds = {
         "a": ["bass_guitar.n.01",  # electric-bass: correct
@@ -492,7 +493,7 @@ def test_score_run_abstention_lowers_recall_not_precision(resources):
     }
     corpus = [
         SentenceRecord(sid, tuple(
-            Token(i, i, i + 1, f"w{i}", f"w{i}", "N", gold) for i, gold in enumerate(g)
+            Token(i, i + 1, f"w{i}", f"w{i}", "N", gold) for i, gold in enumerate(g)
         ))
         for sid, g in golds.items()
     ]

@@ -238,10 +238,10 @@ def test_alpha_zero_hinted_order_determined_by_children(ontology):
 
 
 TOKENS = [
-    Token(0, 0, 1, "i", "i", "PRO"),
-    Token(1, 2, 8, "played", "play", "V"),
-    Token(2, 9, 12, "the", "the", "DET"),
-    Token(3, 13, 17, "bass", "bass", "N"),
+    Token(0, 1, "i", "i", "PRO"),
+    Token(2, 8, "played", "play", "V"),
+    Token(9, 12, "the", "the", "DET"),
+    Token(13, 17, "bass", "bass", "N"),
 ]
 
 

@@ -37,7 +37,7 @@ def test_load_minimal_four_type_file():
     )
     assert list(ont) == ["root", "phys-obj", "fish", "instrument"]
     assert ont.depth("fish") == 3
-    assert ont.root == "root"
+    assert ont.ancestors["instrument"] == ("instrument", "phys-obj", "root")
 
 
 def test_each_type_line_is_a_record_without_a_blank_line_between():

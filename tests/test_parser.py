@@ -41,8 +41,8 @@ def sentence_tokens(text, pos_tags):
     """The tokens of ``text``, split at spaces, with their character spans."""
     lemmas = {"cooked": "cook", "played": "play", "saw": "see"}
     return [
-        Token(i, m.start(), m.end(), m.group(), lemmas.get(m.group(), m.group()), p)
-        for i, (m, p) in enumerate(zip(re.finditer(r"\S+", text), pos_tags))
+        Token(m.start(), m.end(), m.group(), lemmas.get(m.group(), m.group()), p)
+        for m, p in zip(re.finditer(r"\S+", text), pos_tags)
     ]
 
 
@@ -346,7 +346,7 @@ def test_fallback_fills_gaps_with_fallback_type():
     # ids count up from next_id; the category is the token's POS, or X
     chart = Chart(beam_width=5)
     tokens = [
-        Token(0, 0, 1, "A", "a", "N"), Token(1, 2, 3, "B", "b", None), Token(2, 4, 5, "C", "c", "N")
+        Token(0, 1, "A", "a", "N"), Token(2, 3, "B", "b", None), Token(4, 5, "C", "c", "N")
     ]
     fragments = fragment_fallback(chart, tokens, 7)
     assert fragments == [
@@ -364,8 +364,7 @@ def test_parse_cooked_bass_spans_with_fish_reading(resources):
     result = parser.parse(COOKED_BASS, entries_for(resources, COOKED_BASS), "t1")
     assert result.spanning
     assert len(result.fragments) == 1
-    node = result.logical_form.node_at(3)
-    assert node.onto_type == "freshwater-fish"
+    assert result.logical_form.nodes[3].onto_type == "freshwater-fish"
     edges = {(p, role, c) for p, role, c in result.logical_form.edges}
     assert (1, "affected", 3) in edges
     assert (1, "agent", 0) in edges
@@ -375,7 +374,7 @@ def test_parse_played_bass_reproduces_biased_mislabel(resources):
     parser = make_parser(resources)
     result = parser.parse(PLAYED_BASS, entries_for(resources, PLAYED_BASS), "t2")
     assert result.spanning
-    assert result.logical_form.node_at(3).onto_type == "freshwater-fish"
+    assert result.logical_form.nodes[3].onto_type == "freshwater-fish"
 
 
 def test_parse_no_entries_yields_per_token_fallback(resources):

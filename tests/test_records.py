@@ -202,7 +202,7 @@ def test_parse_corpus_reads_sentences_tokens_and_gold():
     )
     assert [s.sentence_id for s in corpus] == ["s1", "s2"]
     first = corpus[0].tokens
-    assert [(t.index, t.start, t.end) for t in first] == [(0, 0, 1), (1, 2, 8)]
+    assert [(t.start, t.end) for t in first] == [(0, 1), (2, 8)]
     assert (first[0].surface, first[0].lemma, first[0].pos, first[0].gold) == (
         "I", "i", "PRO", None,
     )
@@ -294,7 +294,7 @@ def test_structural_error_names_its_source(fmt, text, problem):
 
 # -- record types -----------------------------------------------------------------
 
-TOKEN_FIELDS = ("index", "start", "end", "surface", "lemma", "pos", "gold", "line")
+TOKEN_FIELDS = ("start", "end", "surface", "lemma", "pos", "gold", "line")
 
 # records that validate nothing: (type, field names in order, defaults)
 NAMED_TUPLES = [
@@ -307,13 +307,9 @@ NAMED_TUPLES = [
     (SyntacticTemplate, ("name", "category", "roles"), {"roles": ()}),
     (LexicalEntry, ("word", "template", "onto_type", "score"), {}),
     (Hint, ("word", "token", "onto_type", "score"), {}),
-    (LFNode, ("id", "start", "end", "word", "onto_type"), {}),
+    (LFNode, ("word", "onto_type"), {}),
     (LogicalForm, ("nodes", "edges"), {}),
-    (
-        ParseResult,
-        ("sentence_id", "spanning", "fragments", "logical_form", "agenda_pops"),
-        {},
-    ),
+    (ParseResult, ("spanning", "fragments", "logical_form", "agenda_pops"), {}),
     (
         PreparedSentence,
         ("sentence", "entries", "advice_map", "dropped", "entry_notes", "advice_notes"),
@@ -356,7 +352,7 @@ def test_record_without_checks_is_an_immutable_named_tuple(record_type, names, d
     values = {name: f"v{i}" for i, name in enumerate(names)}
     record = record_type(**values)
     assert record == record_type(*values.values())
-    # each field reads its own value, ``index`` included
+    # each field reads its own value
     assert [getattr(record, name) for name in names] == list(values.values())
     for name in names:
         with pytest.raises(AttributeError):
@@ -373,14 +369,15 @@ VALIDATED = [
         ParserConfig,
         {},
         {"beam_width": 3, "max_pops": None, "accept_threshold": 0.0},
-        [{"beam_width": 0}, {"beam_width": 2.5}, {"max_pops": 0}, {"max_pops": 2.5},
-         {"accept_threshold": -0.1}, {"accept_threshold": 1.5}],
+        [{"beam_width": 0}, {"beam_width": 2.5}, {"beam_width": True}, {"max_pops": 0},
+         {"max_pops": 2.5}, {"max_pops": True}, {"accept_threshold": -0.1},
+         {"accept_threshold": 1.5}, {"accept_threshold": "0.5"}],
     ),
     (
         VariantConfig,
         {"variant": "plain"},
         {"alpha": 0.5, "parser": ParserConfig()},
-        [{"variant": "best"}, {"alpha": -0.1}, {"alpha": 1.5}],
+        [{"variant": "best"}, {"alpha": -0.1}, {"alpha": 1.5}, {"alpha": "0.5"}],
     ),
 ]
 

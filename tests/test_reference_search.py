@@ -38,7 +38,9 @@ def assert_same_search(parser, tokens, entries, sentence_id="", scorer=None):
     assert tuple(shape(f) for f in result.fragments) == want.fragments
     assert result.spanning == want.spanning
     assert result.agenda_pops == want.pops
-    assert result.logical_form.nodes == want.nodes
+    # the oracle's nodes are (head, start, end, word, type) per leaf
+    nodes = result.logical_form.nodes
+    assert tuple((i, i, i + 1, *node) for i, node in enumerate(nodes)) == want.nodes
     assert result.logical_form.edges == want.edges
     assert tuple(notes.events) == want.notes
 
@@ -80,12 +82,13 @@ def random_search(seed, beam_width, max_pops, threshold, hooked):
     hook (or None) over a random ontology and grammar."""
     rng = Random(seed)
     base = random_ontology(rng, rng.randrange(2, 8))
-    ontology = Ontology([*base.types.values(), OntologyType(FALLBACK_TYPE, base.root)])
+    # t00 is the root of random_tree
+    ontology = Ontology([*base.types.values(), OntologyType(FALLBACK_TYPE, "t00")])
     types = sorted(base)
     templates = {c: SyntacticTemplate(c, c) for c in CATEGORIES}
     n = rng.randrange(1, 6)
     tokens = [
-        Token(i, 2 * i, 2 * i + 1, f"w{i}", f"w{i % 3}", rng.choice(("N", None)))
+        Token(2 * i, 2 * i + 1, f"w{i}", f"w{i % 3}", rng.choice(("N", None)))
         for i in range(n)
     ]
     # few types and scores, so beam keys and agenda keys tie

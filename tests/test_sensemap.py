@@ -12,7 +12,6 @@ from senseparse.sensemap import (
     SenseDistribution,
     Synset,
     SynsetGraph,
-    best_types,
     parse_synsets,
     transform_advice,
 )
@@ -172,21 +171,6 @@ def test_conservation_with_leakage(seed, n):
         assert math.isclose(total_out, total_in, abs_tol=1e-9)
     else:
         assert total_out < total_in or total_in == 0.0
-
-
-# -- best types ------------------------------------------------------------------------
-
-
-def test_best_types_single_maximum():
-    assert best_types({"T1": 0.9, "T2": 0.1}) == {("T1", 0.9)}
-
-
-def test_best_types_tie_returns_all():
-    assert best_types({"T1": 0.5, "T2": 0.5}) == {("T1", 0.5), ("T2", 0.5)}
-
-
-def test_best_types_empty():
-    assert best_types({}) == set()
 
 
 # -- distribution validation -------------------------------------------------------------
